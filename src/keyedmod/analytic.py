@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .constellations import QAM16_CIRC_GRID, QAM16_RECT_GRID
+
 __all__ = [
     "ConsistencyError",
     "SnrPoint",
@@ -101,21 +103,6 @@ class Region:
         return self.re_lo == self.re_hi or self.im_lo == self.im_hi
 
 
-# Two-ring sender coordinates and 4x4 grid decoder coordinates, indexed by
-# 4-bit value, in table units (multiply by a = sqrt(Es/10)).
-_CIRC_COORDS = (
-    1.53 - 3.69j, 0.76 - 1.84j, -1.53 + 3.69j, -0.76 + 1.84j,
-    3.69 - 1.53j, 1.84 - 0.76j, -3.69 + 1.53j, -1.84 + 0.76j,
-    1.53 + 3.69j, 0.76 + 1.84j, -1.53 - 3.69j, -0.76 - 1.84j,
-    3.69 + 1.53j, 1.84 + 0.76j, -3.69 - 1.53j, -1.84 - 0.76j,
-)
-_RECT_COORDS = (
-    -3 + 3j, -1 + 3j, 3 + 3j, 1 + 3j,
-    -3 + 1j, -1 + 1j, 3 + 1j, 1 + 1j,
-    -3 - 3j, -1 - 3j, 3 - 3j, 1 - 3j,
-    -3 - 1j, -1 - 1j, 3 - 1j, 1 - 1j,
-)
-
 #: Grid decision boundaries sit at 0 and +-_BOUND table units.
 _BOUND = 2.0
 
@@ -125,10 +112,10 @@ REPRESENTATIVE_SYMBOLS = (0b0000, 0b0100, 0b0101, 0b0001)
 
 # Closed-form erfc coefficients, each tied to its geometric derivation as
 # |sender coordinate -+ boundary| so the four formulas cannot drift apart.
-_C0 = _CIRC_COORDS[0b0000]
-_C1 = _CIRC_COORDS[0b0100]
-_C2 = _CIRC_COORDS[0b0101]
-_C3 = _CIRC_COORDS[0b0001]
+_C0 = QAM16_CIRC_GRID[0b0000]
+_C1 = QAM16_CIRC_GRID[0b0100]
+_C2 = QAM16_CIRC_GRID[0b0101]
+_C3 = QAM16_CIRC_GRID[0b0001]
 
 _K0_RE = _C0.real + _BOUND          # 3.53: re mean to the left cell edge
 _K0_IM = _BOUND - _C0.imag          # 5.69: im mean up to the top band
@@ -252,7 +239,7 @@ def rect_decision_region(bit_value: int, es: float = 1.0) -> Region:
     if not 0 <= bit_value < 16:
         raise ValueError(f"bit value must be 0..15, got {bit_value}")
     a = math.sqrt(es / 10.0)
-    pt = _RECT_COORDS[bit_value]
+    pt = QAM16_RECT_GRID[bit_value]
     re_lo, re_hi = _axis_cell(pt.real, a)
     im_lo, im_hi = _axis_cell(pt.imag, a)
     return Region(re_lo, re_hi, im_lo, im_hi)
@@ -262,7 +249,7 @@ def circular_tx_point(bit_value: int, es: float = 1.0) -> complex:
     """Nominal two-ring sender point for one 4-bit label, in absolute units."""
     if not 0 <= bit_value < 16:
         raise ValueError(f"bit value must be 0..15, got {bit_value}")
-    return _CIRC_COORDS[bit_value] * math.sqrt(es / 10.0)
+    return QAM16_CIRC_GRID[bit_value] * math.sqrt(es / 10.0)
 
 
 def _interval_probability(lo: float, hi: float, mean: float, n0: float) -> float:

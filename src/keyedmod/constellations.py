@@ -39,7 +39,7 @@ __all__ = [
 QAM16_AMPLITUDE = math.sqrt(1.0 / 10.0)
 
 #: 4x4 grid, indexed by 4-bit value (MSB first), in grid units.
-_QAM16_RECT_GRID = (
+QAM16_RECT_GRID = (
     -3 + 3j, -1 + 3j, 3 + 3j, 1 + 3j,
     -3 + 1j, -1 + 1j, 3 + 1j, 1 + 1j,
     -3 - 3j, -1 - 3j, 3 - 3j, 1 - 3j,
@@ -49,7 +49,7 @@ _QAM16_RECT_GRID = (
 #: Two-ring layout, indexed by 4-bit value, in the same grid units. The
 #: ring coordinates give a mean square radius of 9.9601 rather than 10,
 #: so this table needs an extra normalization step.
-_QAM16_CIRC_GRID = (
+QAM16_CIRC_GRID = (
     1.53 - 3.69j, 0.76 - 1.84j, -1.53 + 3.69j, -0.76 + 1.84j,
     3.69 - 1.53j, 1.84 - 0.76j, -3.69 + 1.53j, -1.84 + 0.76j,
     1.53 + 3.69j, 0.76 + 1.84j, -1.53 - 3.69j, -0.76 - 1.84j,
@@ -216,9 +216,9 @@ def make_standard_scheme(name: str) -> ConstellationScheme:
     elif name == "qpsk":
         points = _QPSK_POINTS
     elif name == "qam16_rect":
-        points = tuple(p * QAM16_AMPLITUDE for p in _QAM16_RECT_GRID)
+        points = tuple(p * QAM16_AMPLITUDE for p in QAM16_RECT_GRID)
     elif name == "qam16_circ":
-        points = _normalized(tuple(p * QAM16_AMPLITUDE for p in _QAM16_CIRC_GRID))
+        points = _normalized(tuple(p * QAM16_AMPLITUDE for p in QAM16_CIRC_GRID))
     else:
         raise ValueError(
             f"unknown scheme {name!r}; expected one of {STANDARD_SCHEME_NAMES}"

@@ -31,7 +31,7 @@ from .constellations import (
     parse_key,
     serialize_key,
 )
-from .modem import cross_decode_bits, modulate
+from .modem import bits_to_values, count_prefix_errors, nearest_point_values
 
 __all__ = [
     "IntegrityError",
@@ -136,11 +136,23 @@ class ExperimentConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for r in self.receivers:
+            if r.distance_m < self.path_loss.d_ref:
+                raise ValueError(
+                    f"receiver {r.label!r} at {r.distance_m} m is inside the"
+                    f" path-loss reference distance {self.path_loss.d_ref} m"
+                )
 
     def resolve_schemes(self) -> tuple[ConstellationScheme, list[ConstellationScheme]]:
         """Build all schemes up front so bad references fail before simulating."""
         sender = _build_scheme(self.sender_scheme, self.sender_key)
         receivers = [_build_scheme(r.scheme, r.key) for r in self.receivers]
+        for spec, rx in zip(self.receivers, receivers):
+            if rx.bits_per_symbol > sender.bits_per_symbol:
+                raise ValueError(
+                    f"receiver {spec.label!r} resolves {rx.bits_per_symbol}"
+                    f" bits/symbol but the sender packs only {sender.bits_per_symbol}"
+                )
         return sender, receivers
 
 
@@ -208,11 +220,38 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _check_keys(doc, allowed: tuple[str, ...], where: str) -> dict:
+    """Return ``doc`` if it is a JSON object holding only ``allowed`` keys."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{where} must be an object")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(
+            f"unknown key {unknown[0]!r} in {where}; expected some of {list(allowed)}"
+        )
+    return doc
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Build a config from its JSON form, rejecting unknown keys at every level."""
     try:
-        sender = doc["sender"]
+        _check_keys(
+            doc,
+            (
+                "sender",
+                "receivers",
+                "path_loss",
+                "snr_sweep_db",
+                "sweep_mode",
+                "symbols_per_point",
+                "seed",
+            ),
+            "experiment config",
+        )
+        sender = _check_keys(doc["sender"], ("scheme", "key"), "sender")
         sweep_spec = doc["snr_sweep_db"]
         if isinstance(sweep_spec, dict):
+            _check_keys(sweep_spec, ("start", "stop", "step"), "snr_sweep_db")
             sweep = tuple(
                 snr_grid_db(
                     float(sweep_spec["start"]),
@@ -222,20 +261,24 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             )
         else:
             sweep = tuple(float(v) for v in sweep_spec)
-        receivers = tuple(
-            ReceiverSpec(
-                label=r["label"],
-                scheme=r["scheme"],
-                key=parse_key(r["key"]) if r.get("key") else None,
-                distance_m=float(r.get("distance_m", 1.0)),
+        receivers = []
+        for i, r in enumerate(doc["receivers"]):
+            _check_keys(r, ("label", "scheme", "key", "distance_m"), f"receiver {i}")
+            receivers.append(
+                ReceiverSpec(
+                    label=r["label"],
+                    scheme=r["scheme"],
+                    key=parse_key(r["key"]) if r.get("key") else None,
+                    distance_m=float(r.get("distance_m", 1.0)),
+                )
             )
-            for r in doc["receivers"]
+        path_loss = _check_keys(
+            doc.get("path_loss", {}), ("alpha", "d_ref_m"), "path_loss"
         )
-        path_loss = doc.get("path_loss", {})
         return ExperimentConfig(
             sender_scheme=sender["scheme"],
             sender_key=parse_key(sender["key"]) if sender.get("key") else None,
-            receivers=receivers,
+            receivers=tuple(receivers),
             path_loss=PathLossModel(
                 alpha=float(path_loss.get("alpha", 2.0)),
                 d_ref=float(path_loss.get("d_ref_m", 1.0)),
@@ -318,28 +361,26 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
             bits_rng = np.random.default_rng(
                 _substream_seed(cfg.seed, sweep_idx, spec.label, 0)
             )
-            bits = bits_rng.integers(0, 2, n_sym * m_tx, dtype=np.uint8)
-            tx_symbols = modulate(bits, sender)
+            tx_values = bits_to_values(
+                bits_rng.integers(0, 2, n_sym * m_tx, dtype=np.uint8), m_tx
+            )
             rx_symbols = add_awgn(
-                tx_symbols,
+                sender.mapped_points[tx_values],
                 ChannelSpec(
                     es_over_n0_db=eff_snr,
                     rng_seed=_substream_seed(cfg.seed, sweep_idx, spec.label, 1),
                 ),
             )
-            rx_bits, compared, errors = cross_decode_bits(
-                bits, sender, rx_scheme, received=rx_symbols
-            )
             m_rx = rx_scheme.bits_per_symbol
-            group_mismatch = (
-                bits.reshape(-1, m_tx)[:, :m_rx] != rx_bits.reshape(-1, m_rx)
-            ).any(axis=1)
-            symbol_errors = int(np.count_nonzero(group_mismatch))
+            errors, symbol_errors = count_prefix_errors(
+                tx_values, m_tx, nearest_point_values(rx_symbols, rx_scheme), m_rx
+            )
+            compared = n_sym * m_rx
             records.append(
                 BerRecord(
                     receiver_label=spec.label,
                     snr_db=eff_snr,
-                    tx_bits=bits.size,
+                    tx_bits=n_sym * m_tx,
                     compared_bits=compared,
                     bit_errors=errors,
                     ber=errors / compared,

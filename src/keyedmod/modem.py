@@ -16,31 +16,34 @@ __all__ = [
     "demodulate",
     "nearest_point_values",
     "cross_decode_bits",
+    "count_prefix_errors",
     "bits_to_values",
     "values_to_bits",
 ]
 
 _DEMOD_CHUNK = 1 << 17
 
+_BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
-def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits)
-    if arr.ndim != 1:
-        raise ValueError("bit stream must be one-dimensional")
-    if arr.size and not np.isin(arr, (0, 1)).all():
-        raise ValueError("bit stream may only contain 0 and 1")
-    return arr.astype(np.uint8, copy=False)
+
+def _value_dtype(bits_per_symbol: int) -> np.dtype:
+    return np.min_scalar_type((1 << bits_per_symbol) - 1)
 
 
 def bits_to_values(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
-    """Group a bit stream MSB-first into integer symbol values."""
-    bits = _as_bits(bits)
+    """Check a bit stream and group it MSB-first into narrow unsigned symbol values."""
+    bits = np.asarray(bits)
+    if bits.ndim != 1:
+        raise ValueError("bit stream must be one-dimensional")
+    if bits.size and not np.isin(bits, (0, 1)).all():
+        raise ValueError("bit stream may only contain 0 and 1")
     if bits.size % bits_per_symbol:
         raise ValueError(
             f"bit stream length {bits.size} is not divisible by {bits_per_symbol}"
         )
-    weights = 1 << np.arange(bits_per_symbol - 1, -1, -1)
-    return bits.reshape(-1, bits_per_symbol) @ weights
+    dtype = _value_dtype(bits_per_symbol)
+    weights = (1 << np.arange(bits_per_symbol - 1, -1, -1)).astype(dtype)
+    return bits.astype(dtype, copy=False).reshape(-1, bits_per_symbol) @ weights
 
 
 def values_to_bits(values: np.ndarray, bits_per_symbol: int) -> np.ndarray:
@@ -60,13 +63,14 @@ def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
     """Decode each symbol to the bit value whose point is nearest in Euclidean distance.
 
     Ties resolve to the lowest bit value (argmin keeps the first minimum).
+    Values come back in the narrowest unsigned dtype that holds them.
     """
     y = np.asarray(symbols, dtype=np.complex128)
     if y.ndim != 1:
         raise ValueError("symbol stream must be one-dimensional")
     pts = scheme.mapped_points
     pr, pi = pts.real, pts.imag
-    out = np.empty(y.size, dtype=np.int64)
+    out = np.empty(y.size, dtype=_value_dtype(scheme.bits_per_symbol))
     for start in range(0, y.size, _DEMOD_CHUNK):
         chunk = y[start : start + _DEMOD_CHUNK]
         d2 = (chunk.real[:, None] - pr) ** 2
@@ -81,6 +85,23 @@ def demodulate(symbols, scheme: ConstellationScheme) -> np.ndarray:
     return values_to_bits(values, scheme.bits_per_symbol)
 
 
+def count_prefix_errors(tx_values, m_tx: int, rx_values, m_rx: int) -> tuple[int, int]:
+    """Return ``(bit_errors, symbol_errors)`` of ``m_rx``-bit decoded values.
+
+    A receiver resolving m' <= m bits per symbol is scored against the
+    first (most significant) m' bits of each transmitted m-bit value.
+    """
+    if m_rx > m_tx:
+        raise ValueError(
+            f"receiver resolves {m_rx} bits/symbol but sender packs only {m_tx};"
+            " alignment is undefined"
+        )
+    diff = (np.asarray(tx_values) >> (m_tx - m_rx)) ^ rx_values
+    # Values wider than a byte are counted byte by byte.
+    bit_errors = int(_BYTE_POPCOUNT[diff.view(np.uint8)].sum())
+    return bit_errors, int(np.count_nonzero(diff))
+
+
 def cross_decode_bits(
     tx_bits,
     tx_scheme: ConstellationScheme,
@@ -90,33 +111,23 @@ def cross_decode_bits(
     """Decode a transmission with a (possibly different) receive scheme.
 
     ``received`` defaults to the noiseless transmit symbols; pass the
-    post-channel symbol stream to decode a noisy transmission. When the
-    receiver resolves fewer bits per symbol (m' < m), its m' decoded
-    bits are compared against the first m' bits of the corresponding
-    transmitted m-bit group.
+    post-channel symbol stream to decode a noisy transmission.
 
     Returns ``(rx_bits, compared, errors)`` where ``compared`` counts
     the positions entering the comparison and ``errors`` the mismatches.
     """
-    tx_bits = _as_bits(tx_bits)
     m_tx = tx_scheme.bits_per_symbol
     m_rx = rx_scheme.bits_per_symbol
-    if m_rx > m_tx:
-        raise ValueError(
-            f"receiver resolves {m_rx} bits/symbol but sender packs only {m_tx};"
-            " alignment is undefined"
-        )
+    tx_values = bits_to_values(tx_bits, m_tx)
     if received is None:
-        received = modulate(tx_bits, tx_scheme)
+        received = tx_scheme.mapped_points[tx_values]
     else:
         received = np.asarray(received, dtype=np.complex128)
-        if received.size * m_tx != tx_bits.size:
+        if received.size != tx_values.size:
             raise ValueError(
                 f"{received.size} received symbols do not match"
-                f" {tx_bits.size} transmitted bits at {m_tx} bits/symbol"
+                f" {tx_values.size * m_tx} transmitted bits at {m_tx} bits/symbol"
             )
-    rx_bits = demodulate(received, rx_scheme)
-    tx_groups = tx_bits.reshape(-1, m_tx)
-    rx_groups = rx_bits.reshape(-1, m_rx)
-    mismatch = tx_groups[:, :m_rx] != rx_groups
-    return rx_bits, int(mismatch.size), int(np.count_nonzero(mismatch))
+    rx_values = nearest_point_values(received, rx_scheme)
+    errors, _ = count_prefix_errors(tx_values, m_tx, rx_values, m_rx)
+    return values_to_bits(rx_values, m_rx), tx_values.size * m_rx, errors

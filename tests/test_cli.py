@@ -156,11 +156,16 @@ class TestSimCommands:
         assert proc.returncode == 0
         assert out.read_text().splitlines()[0] == "snr_db,p_correct,p_error"
 
-    def test_malformed_config_is_data_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{")
-        proc = run_cli("sim", "run", "--config", str(path), "--out", str(tmp_path / "o.csv"))
-        assert proc.returncode == 2
+    def test_malformed_config_is_data_error(self, config_path, tmp_path):
+        typo = json.loads(config_path.read_text())
+        typo["sweep_mod"] = typo.pop("sweep_mode")
+        for text in ("{", json.dumps(typo)):
+            path = tmp_path / "bad.json"
+            path.write_text(text)
+            proc = run_cli("sim", "run", "--config", str(path), "--out", str(tmp_path / "o.csv"))
+            assert proc.returncode == 2
+        assert "unknown key 'sweep_mod'" in proc.stderr
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestUsageErrors:

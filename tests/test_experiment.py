@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from keyedmod import experiment
 from keyedmod.analytic import SnrPoint, p_correct_all_symbols
-from keyedmod.channel import PathLossModel
+from keyedmod.channel import ChannelSpec, PathLossModel, add_awgn
 from keyedmod.constellations import random_key
 from keyedmod.experiment import (
     BerRecord,
@@ -22,6 +24,7 @@ from keyedmod.experiment import (
     scenario_config,
     write_results,
 )
+from keyedmod.modem import demodulate, modulate
 
 A = math.sqrt(1.0 / 10.0)
 
@@ -75,6 +78,49 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown scheme"):
             run_experiment(cfg)
 
+    def test_wider_receiver_fails_before_simulation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiment, "add_awgn", lambda *args: calls.append(args))
+        cfg = small_config(
+            sender_scheme="qpsk",
+            receivers=(ReceiverSpec("eve_bpsk", "bpsk"), ReceiverSpec("eve_rect", "qam16_rect")),
+        )
+        with pytest.raises(ValueError, match="'eve_rect' resolves 4 bits/symbol"):
+            run_experiment(cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["receive", "reference"])
+    def test_rejects_receiver_inside_reference_distance(self, mode):
+        with pytest.raises(ValueError, match="'eve_bpsk' at 0.5 m is inside"):
+            small_config(
+                sweep_mode=mode,
+                receivers=(
+                    ReceiverSpec("intended", "qam16_circ", distance_m=10.0),
+                    ReceiverSpec("eve_bpsk", "bpsk", distance_m=0.5),
+                ),
+            )
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [
+            ((), "sweep_mod"),
+            (("sender",), "keys"),
+            (("receivers", 1), "distance"),
+            (("path_loss",), "d_ref"),
+            (("snr_sweep_db",), "stop_db"),
+        ],
+        ids=["top_level", "sender", "receiver", "path_loss", "sweep_grid"],
+    )
+    def test_rejects_unknown_keys(self, where, key):
+        doc = config_to_dict(small_config())
+        doc["snr_sweep_db"] = {"start": 0, "stop": 10, "step": 5}
+        target = doc
+        for part in where:
+            target = target[part]
+        target[key] = 1
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            config_from_dict(doc)
+
     def test_dict_round_trip(self):
         cfg = small_config(sender_key=random_key(16, 3))
         assert config_from_dict(config_to_dict(cfg)) == cfg
@@ -97,6 +143,40 @@ class TestConfigValidation:
         path.write_text("{not json")
         with pytest.raises(ValueError, match="JSON"):
             load_config(path)
+
+
+def bit_domain_records(cfg):
+    """Oracle: each ``receive``-mode cell in the bit domain, with per-group prefix comparison."""
+    sender, rx_schemes = cfg.resolve_schemes()
+    m_tx = sender.bits_per_symbol
+    n_sym = cfg.symbols_per_point
+    records = []
+    for sweep_idx, snr_db in enumerate(cfg.snr_sweep_db):
+        for spec, rx_scheme in zip(cfg.receivers, rx_schemes):
+            seeds = [
+                experiment._substream_seed(cfg.seed, sweep_idx, spec.label, lane)
+                for lane in (0, 1)
+            ]
+            bits = np.random.default_rng(seeds[0]).integers(0, 2, n_sym * m_tx, dtype=np.uint8)
+            received = add_awgn(modulate(bits, sender), ChannelSpec(snr_db, seeds[1]))
+            m_rx = rx_scheme.bits_per_symbol
+            rx_groups = demodulate(received, rx_scheme).reshape(n_sym, m_rx)
+            mismatch = bits.reshape(n_sym, m_tx)[:, :m_rx] != rx_groups
+            bit_errors = int(mismatch.sum())
+            symbol_errors = int(mismatch.any(axis=1).sum())
+            records.append(
+                BerRecord(
+                    receiver_label=spec.label,
+                    snr_db=snr_db,
+                    tx_bits=bits.size,
+                    compared_bits=mismatch.size,
+                    bit_errors=bit_errors,
+                    ber=bit_errors / mismatch.size,
+                    symbol_errors=symbol_errors,
+                    ser=symbol_errors / n_sym,
+                )
+            )
+    return sorted(records, key=lambda r: (r.receiver_label, r.snr_db))
 
 
 class TestRunExperiment:
@@ -214,6 +294,23 @@ class TestRunExperiment:
         predicted = p_correct_all_symbols(SnrPoint.from_db(0.0), point_scale=gain)
         sigma = math.sqrt(predicted * (1 - predicted) / cfg.symbols_per_point)
         assert abs((1.0 - record.ser) - predicted) <= 4 * sigma
+
+    def test_records_equal_bit_domain_oracle(self):
+        key = random_key(16, 41)
+        cfg = small_config(
+            sender_key=key,
+            receivers=(
+                ReceiverSpec("intended", "qam16_circ", key=key),
+                ReceiverSpec("eve_wrong_key", "qam16_circ", key=random_key(16, 42)),
+                ReceiverSpec("eve_rect", "qam16_rect"),
+                ReceiverSpec("eve_qpsk", "qpsk"),
+                ReceiverSpec("eve_bpsk", "bpsk"),
+            ),
+            snr_sweep_db=(0.0, 12.0, 24.0),
+        )
+        records = run_experiment(cfg)
+        assert len(records) == 15
+        assert records == bit_domain_records(cfg)
 
 
 class TestBerRecord:

@@ -141,6 +141,32 @@ class TestDemodulate:
         assert np.array_equal(got, expected)
 
 
+def assert_prefix_popcount_oracle(rx_name, key_seed):
+    """Decode a noisy keyed two-ring stream and check errors against a popcount oracle.
+
+    The oracle decodes symbol by symbol with a brute-force nearest-point
+    search and counts ``bin(prefix ^ decoded).count("1")`` per group.
+    """
+    circ = make_keyed_scheme(make_standard_scheme("qam16_circ"), random_key(16, 4))
+    rx_scheme = make_standard_scheme(rx_name)
+    rx_scheme = make_keyed_scheme(rx_scheme, random_key(rx_scheme.order, key_seed))
+    m_rx = rx_scheme.bits_per_symbol
+    rng = np.random.default_rng(key_seed)
+    tx = rng.integers(0, 2, 4 * 1500, dtype=np.uint8)
+    received = modulate(tx, circ) + rng.normal(0, 0.2, 1500) + 1j * rng.normal(0, 0.2, 1500)
+    rx, compared, errors = cross_decode_bits(tx, circ, rx_scheme, received=received)
+    expected = 0
+    for i, y in enumerate(received):
+        sent = int("".join(map(str, tx[4 * i : 4 * i + 4])), 2)
+        decoded = min(
+            range(rx_scheme.order), key=lambda v: abs(y - rx_scheme.point_for_value(v))
+        )
+        assert "".join(map(str, rx[m_rx * i : m_rx * i + m_rx])) == f"{decoded:0{m_rx}b}"
+        expected += bin((sent >> (4 - m_rx)) ^ decoded).count("1")
+    assert compared == 1500 * m_rx
+    assert errors == expected > 0
+
+
 class TestCrossDecode:
     def test_identical_schemes_no_errors(self):
         scheme = make_keyed_scheme(make_standard_scheme("qam16_circ"), random_key(16, 8))
@@ -159,6 +185,7 @@ class TestCrossDecode:
         assert "".join(map(str, rx)) == "01001111"
         assert compared == 8
         assert errors == 3
+        assert_prefix_popcount_oracle("qam16_rect", key_seed=13)
 
     def test_circ_to_bpsk_alignment(self):
         circ = make_standard_scheme("qam16_circ")
@@ -167,6 +194,7 @@ class TestCrossDecode:
         rx, compared, errors = cross_decode_bits(tx, circ, bpsk)
         assert rx.size == 2
         assert compared == 2
+        assert_prefix_popcount_oracle("bpsk", key_seed=11)
 
     def test_circ_to_qpsk_prefix_rule(self):
         circ = make_standard_scheme("qam16_circ")
@@ -176,6 +204,7 @@ class TestCrossDecode:
         # 0110 sits at (-3.69, +1.53)a: negative re, positive im quadrant -> 01.
         assert np.array_equal(rx, [0, 1])
         assert compared == 2 and errors == 0
+        assert_prefix_popcount_oracle("qpsk", key_seed=12)
 
     def test_wider_receiver_rejected(self):
         qpsk = make_standard_scheme("qpsk")
