@@ -66,8 +66,13 @@ def add_awgn(symbols, spec: ChannelSpec) -> np.ndarray:
     y = np.asarray(symbols, dtype=np.complex128)
     sigma = math.sqrt(noise_spectral_density(spec.es_over_n0_db) / 2.0)
     rng = np.random.default_rng(spec.rng_seed)
-    noise = rng.normal(0.0, sigma, y.size) + 1j * rng.normal(0.0, sigma, y.size)
-    return y + noise.reshape(y.shape)
+    # The real axis takes the first y.size draws, the imaginary axis the next.
+    # Writing them straight into the output needs no complex temporary.
+    out = np.empty(y.shape, dtype=np.complex128)
+    out.real = rng.normal(0.0, sigma, y.shape)
+    out.imag = rng.normal(0.0, sigma, y.shape)
+    out += y
+    return out
 
 
 def snr_at_distance(model: PathLossModel, d: float) -> float:

@@ -9,10 +9,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import platform
 import sys
 from fractions import Fraction
 
-from . import analytic, secrecy
+import numpy as np
+
+from . import __version__, analytic, secrecy
 from .constellations import (
     make_keyed_scheme,
     make_standard_scheme,
@@ -150,6 +153,9 @@ def _cmd_sim_run(args):
         "path_loss_alpha": cfg.path_loss.alpha,
         "path_loss_d_ref_m": cfg.path_loss.d_ref,
         "swept_snr_db": ",".join(repr(s) for s in cfg.snr_sweep_db),
+        "keyedmod_version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
     }
     write_results(records, args.out, metadata)
     print(f"wrote {len(records)} records to {args.out}")

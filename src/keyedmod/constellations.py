@@ -18,11 +18,13 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "MappingKey",
+    "AxisGrid",
     "ConstellationScheme",
     "STANDARD_SCHEME_NAMES",
     "make_standard_scheme",
@@ -137,6 +139,27 @@ def parse_key(text: str) -> MappingKey:
     return MappingKey(indices)
 
 
+class AxisGrid(NamedTuple):
+    """Decision data of a scheme whose points are every (real, imag) level pair.
+
+    ``values[ix * n_imag + iy]`` is the bit value sent at real level ``ix``
+    and imaginary level ``iy``, levels counted upward and ``n_imag`` being
+    ``imag_midpoints.size + 1``. ``spacing`` is the smallest gap between
+    adjacent levels on either axis.
+    """
+
+    real_midpoints: np.ndarray
+    imag_midpoints: np.ndarray
+    values: np.ndarray
+    spacing: float
+
+
+def _midpoints(levels: np.ndarray) -> np.ndarray:
+    mids = (levels[:-1] + levels[1:]) / 2.0
+    mids.setflags(write=False)
+    return mids
+
+
 @dataclass(frozen=True)
 class ConstellationScheme:
     """An ordered point set plus the keyed bit-value-to-point assignment.
@@ -191,6 +214,26 @@ class ConstellationScheme:
         arr = self.points_array[np.asarray(self.key.perm, dtype=np.intp)]
         arr.setflags(write=False)
         return arr
+
+    @cached_property
+    def axis_grid(self) -> AxisGrid | None:
+        """Per-axis decision data, or None unless the points form a full product grid.
+
+        On such a grid the nearest point is the nearest level on each axis
+        separately, so decision cells are axis-aligned rectangles.
+        """
+        pts = self.mapped_points
+        re_levels, ix = np.unique(pts.real, return_inverse=True)
+        im_levels, iy = np.unique(pts.imag, return_inverse=True)
+        if re_levels.size * im_levels.size != self.order:
+            return None
+        values = np.empty(self.order, dtype=np.min_scalar_type(self.order - 1))
+        values[ix * im_levels.size + iy] = np.arange(self.order)
+        values.setflags(write=False)
+        gaps = np.concatenate((np.diff(re_levels), np.diff(im_levels)))
+        return AxisGrid(
+            _midpoints(re_levels), _midpoints(im_levels), values, float(gaps.min())
+        )
 
     def point_for_value(self, value: int) -> complex:
         """Point transmitted for the m-bit value ``value``."""

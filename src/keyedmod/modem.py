@@ -3,13 +3,20 @@
 Bit streams are 1-D integer arrays of 0/1 values; symbol streams are 1-D
 complex arrays. All functions are pure and stateless: safe to run over
 symbol blocks in parallel with no shared mutable state.
+
+Receivers whose points form a full product grid (the 4x4 grid, QPSK and
+BPSK, under any key) decode per axis: each coordinate is compared with
+the midpoints between that axis's levels. Every other receiver, such as
+the two-ring layout, and every symbol too close to a midpoint, too large
+or not finite, is decoded by an argmin over the distances to all M
+points. Both give the same values; ties go to the lowest bit value.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .constellations import ConstellationScheme
+from .constellations import AxisGrid, ConstellationScheme
 
 __all__ = [
     "modulate",
@@ -23,6 +30,21 @@ __all__ = [
 
 _DEMOD_CHUNK = 1 << 17
 
+# Per-axis decisions equal the 2-D argmin wherever float64 rounding of the
+# squared distances cannot reorder two points. Moving a coordinate from its
+# nearest level to another adds at least 2 * spacing * d to the squared
+# distance, d being its distance to the midpoint between them. Outside the
+# _AXIS_GUARD band of every midpoint that is at least 1.26e-6 for the 4x4
+# grid (levels 2a = 0.63 apart), and more for QPSK and BPSK. With both
+# coordinates within _AXIS_BOUND, a squared distance is rounded by at most
+# 8 * 2**-53 * (1e3 + 1.5)**2 < 1e-9, so the margin is over 600; at
+# _AXIS_MIN_SPACING it is still 10, and grids with closer levels go to argmin.
+# So do coordinates in a guard band, beyond the bound or not finite (NaN fails
+# ``abs <= bound``), which also leaves exact ties to argmin's tie rule.
+_AXIS_GUARD = 1e-6
+_AXIS_BOUND = 1e3
+_AXIS_MIN_SPACING = 1e-2
+
 _BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
@@ -35,8 +57,13 @@ def bits_to_values(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 1:
         raise ValueError("bit stream must be one-dimensional")
-    if bits.size and not np.isin(bits, (0, 1)).all():
-        raise ValueError("bit stream may only contain 0 and 1")
+    if bits.size:
+        if bits.dtype.kind in "biu":
+            binary = bits.min() >= 0 and bits.max() <= 1
+        else:
+            binary = np.isin(bits, (0, 1)).all()
+        if not binary:
+            raise ValueError("bit stream may only contain 0 and 1")
     if bits.size % bits_per_symbol:
         raise ValueError(
             f"bit stream length {bits.size} is not divisible by {bits_per_symbol}"
@@ -59,6 +86,35 @@ def modulate(bits, scheme: ConstellationScheme) -> np.ndarray:
     return scheme.mapped_points[values]
 
 
+def _argmin_values(symbols: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    d2 = (symbols.real[:, None] - pts.real) ** 2
+    d2 += (symbols.imag[:, None] - pts.imag) ** 2
+    return np.argmin(d2, axis=1)
+
+
+def _slice_axes(symbols: np.ndarray, grid: AxisGrid, out: np.ndarray) -> np.ndarray:
+    """Write per-axis decisions into ``out``; return the positions argmin must decide."""
+    cell = np.zeros(symbols.size, dtype=out.dtype)
+    unsafe = np.zeros(symbols.size, dtype=bool)
+    axes = ((symbols.real, grid.real_midpoints), (symbols.imag, grid.imag_midpoints))
+    for part, mids in axes:
+        # A contiguous copy makes each comparison below several times faster.
+        coord = np.ascontiguousarray(part)
+        # Levels below the coordinate, counted with every midpoint moved up
+        # and then down by the guard: the counts differ inside a guard band.
+        level = np.zeros(symbols.size, dtype=out.dtype)
+        banded = np.zeros(symbols.size, dtype=out.dtype)
+        for mid in mids:
+            level += coord > mid + _AXIS_GUARD
+            banded += coord > mid - _AXIS_GUARD
+        unsafe |= level != banded
+        unsafe |= ~(np.abs(coord) <= _AXIS_BOUND)
+        cell *= mids.size + 1
+        cell += level
+    grid.values.take(cell, out=out)
+    return np.flatnonzero(unsafe)
+
+
 def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
     """Decode each symbol to the bit value whose point is nearest in Euclidean distance.
 
@@ -69,13 +125,18 @@ def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
     if y.ndim != 1:
         raise ValueError("symbol stream must be one-dimensional")
     pts = scheme.mapped_points
-    pr, pi = pts.real, pts.imag
+    grid = scheme.axis_grid
+    if grid is not None and grid.spacing < _AXIS_MIN_SPACING:
+        grid = None
     out = np.empty(y.size, dtype=_value_dtype(scheme.bits_per_symbol))
     for start in range(0, y.size, _DEMOD_CHUNK):
         chunk = y[start : start + _DEMOD_CHUNK]
-        d2 = (chunk.real[:, None] - pr) ** 2
-        d2 += (chunk.imag[:, None] - pi) ** 2
-        out[start : start + _DEMOD_CHUNK] = np.argmin(d2, axis=1)
+        block = out[start : start + _DEMOD_CHUNK]
+        if grid is None:
+            block[:] = _argmin_values(chunk, pts)
+        else:
+            unsafe = _slice_axes(chunk, grid, block)
+            block[unsafe] = _argmin_values(chunk[unsafe], pts)
     return out
 
 

@@ -66,6 +66,26 @@ class TestAddAwgn:
         add_awgn(probe, ChannelSpec(0.0, rng_seed=5))
         assert np.array_equal(probe, symbols[:100])
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 7.5, 30.0])
+    def test_bit_identical_to_two_draw_formula(self, symbols, seed, snr_db):
+        y = symbols[:20_000]
+        s = math.sqrt(noise_spectral_density(snr_db) / 2.0)
+        rng = np.random.default_rng(seed)
+        n = y.size
+        expected = y + (rng.normal(0, s, n) + 1j * rng.normal(0, s, n))
+        assert np.array_equal(add_awgn(y, ChannelSpec(snr_db, rng_seed=seed)), expected)
+
+    @pytest.mark.parametrize("y", [np.complex128(0.5 - 1j), np.zeros(0, complex)])
+    def test_scalar_and_empty_inputs(self, y):
+        s = math.sqrt(noise_spectral_density(3.0) / 2.0)
+        rng = np.random.default_rng(9)
+        n = np.size(y)
+        expected = y + (rng.normal(0, s, n) + 1j * rng.normal(0, s, n)).reshape(np.shape(y))
+        got = add_awgn(y, ChannelSpec(3.0, rng_seed=9))
+        assert got.shape == np.shape(y)
+        assert np.array_equal(got, expected)
+
     def test_rejects_non_finite_snr(self):
         with pytest.raises(ValueError):
             ChannelSpec(math.inf, rng_seed=0)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from keyedmod.experiment import config_to_dict, scenario_config
+from keyedmod.experiment import config_to_dict, read_results, scenario_config
 
 
 def run_cli(*args, **kwargs):
@@ -144,6 +144,9 @@ class TestSimCommands:
         body1, body2 = strip(out1), strip(out2)
         assert body1 == body2
         assert any(l.startswith("# config_digest:") for l in body1)
+        for name in ("keyedmod", "numpy", "python"):
+            assert sum(l.startswith(f"# {name}_version: ") for l in body1) == 1, name
+        assert len(read_results(out1)) == 8
 
     def test_figure_without_input(self, tmp_path):
         proc = run_cli("sim", "figure", "--id", "fig7", "--out", str(tmp_path / "f.csv"))

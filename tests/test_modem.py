@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyedmod.constellations import (
+    ConstellationScheme,
+    MappingKey,
     make_keyed_scheme,
     make_standard_scheme,
     random_key,
@@ -54,8 +56,21 @@ class TestModulate:
 
     def test_rejects_non_binary(self):
         scheme = make_standard_scheme("qpsk")
-        with pytest.raises(ValueError, match="0 and 1"):
-            modulate([0, 2], scheme)
+        for bits in (
+            [0, 2],
+            np.array([0, -1], dtype=np.int8),
+            np.array([1, 2], dtype=np.uint8),
+            np.array([0.5, 1.0]),
+        ):
+            with pytest.raises(ValueError, match="0 and 1"):
+                modulate(bits, scheme)
+
+    @pytest.mark.parametrize(
+        "bits", [np.array([True, False, False, True]), np.array([1.0, 0.0, 0.0, 1.0])]
+    )
+    def test_accepts_bool_and_float_bits(self, bits):
+        scheme = make_standard_scheme("qpsk")
+        assert np.array_equal(modulate(bits, scheme), scheme.mapped_points[[2, 1]])
 
     def test_msb_first_grouping(self):
         scheme = make_standard_scheme("qam16_rect")
@@ -139,6 +154,98 @@ class TestDemodulate:
         }
         expected = np.array([table[g] for g in grid])
         assert np.array_equal(got, expected)
+
+
+def assert_matches_argmin(symbols, scheme):
+    """Brute-force oracle: argmin over the full (N, M) matrix of squared distances."""
+    y = np.asarray(symbols, dtype=np.complex128)
+    pts = scheme.mapped_points
+    # Coordinates near 1e300 overflow the squares on both paths alike.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = (y.real[:, None] - pts.real[None, :]) ** 2
+        d2 += (y.imag[:, None] - pts.imag[None, :]) ** 2
+        got = nearest_point_values(y, scheme)
+    assert np.array_equal(got, np.argmin(d2, axis=1))
+
+
+def axis_edge_symbols(scheme) -> np.ndarray:
+    """Points, midpoints, their float neighbours, huge and non-finite coordinates."""
+    pts = scheme.mapped_points
+
+    def axis_values(levels):
+        levels = np.unique(levels)
+        mids = (levels[:-1] + levels[1:]) / 2
+        near = np.concatenate(
+            (np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf))
+        )
+        far = [1e3, np.nextafter(1e3, np.inf), 1e4, 3e5, 1e300]
+        far = np.array(far + [-v for v in far])
+        odd = np.array([np.nan, np.inf, -np.inf])
+        return np.concatenate((levels, mids, near, far, odd))
+
+    re, im = axis_values(pts.real), axis_values(pts.imag)
+    # Set the components directly: re + 1j * im would spread inf and nan across axes.
+    grid = np.empty(re.size * im.size, dtype=np.complex128)
+    grid.real = np.repeat(re, im.size)
+    grid.imag = np.tile(im, re.size)
+    rng = np.random.default_rng(scheme.order)
+    gauss = rng.normal(0, 1, 100_000) + 1j * rng.normal(0, 1, 100_000)
+    return np.concatenate((grid, gauss))
+
+
+SEPARABLE_SCHEMES = ("bpsk", "qpsk", "qam16_rect")
+
+
+def separable_scheme(name, key_seed):
+    scheme = make_standard_scheme(name)
+    if key_seed is not None:
+        scheme = make_keyed_scheme(scheme, random_key(scheme.order, key_seed))
+    return scheme
+
+
+class TestAxisSlicer:
+    @pytest.mark.parametrize("key_seed", [None, 5, 77])
+    @pytest.mark.parametrize("name", SEPARABLE_SCHEMES)
+    def test_equals_argmin_on_edge_inputs(self, name, key_seed):
+        scheme = separable_scheme(name, key_seed)
+        assert scheme.axis_grid is not None
+        assert_matches_argmin(axis_edge_symbols(scheme), scheme)
+
+    def test_closely_spaced_grid_equals_argmin(self):
+        # Real levels 2e-12 apart: far up the imaginary axis the squared
+        # distances round to ties, which only argmin resolves its own way.
+        a = 1e-12
+        b = math.sqrt(1 - a * a)
+        points = (complex(-a, b), complex(a, b), complex(-a, -b), complex(a, -b))
+        scheme = ConstellationScheme("narrow", points, MappingKey((2, 0, 3, 1)))
+        assert scheme.axis_grid is not None
+        assert_matches_argmin(axis_edge_symbols(scheme), scheme)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        name=st.sampled_from(SEPARABLE_SCHEMES),
+        key_seed=st.integers(0, 2**32 - 1),
+        coords=st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_equals_argmin_property(self, name, key_seed, coords):
+        scheme = separable_scheme(name, key_seed)
+        assert_matches_argmin([complex(re, im) for re, im in coords], scheme)
+
+    def test_non_product_geometries_not_separable(self):
+        assert make_standard_scheme("qam16_circ").axis_grid is None
+        angle = 0.3
+        rotated = tuple(
+            complex(math.cos(angle + k * math.pi / 2), math.sin(angle + k * math.pi / 2))
+            for k in range(4)
+        )
+        rotated_qpsk = ConstellationScheme("qpsk_rot", rotated, MappingKey.identity(4))
+        assert rotated_qpsk.axis_grid is None
 
 
 def assert_prefix_popcount_oracle(rx_name, key_seed):
