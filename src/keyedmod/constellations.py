@@ -17,7 +17,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +25,7 @@ import numpy as np
 __all__ = [
     "MappingKey",
     "AxisGrid",
+    "CellTable",
     "ConstellationScheme",
     "STANDARD_SCHEME_NAMES",
     "make_standard_scheme",
@@ -160,6 +161,77 @@ def _midpoints(levels: np.ndarray) -> np.ndarray:
     return mids
 
 
+class CellTable(NamedTuple):
+    """Nearest-point decisions over the square ``[-span, span]^2``, tiled into bins.
+
+    A symbol at ``(x, y)`` falls in bin ``ix * bins + iy`` with
+    ``ix = floor((x + span) * scale)`` and ``iy`` likewise. ``values`` holds
+    the value decided for every symbol in a bin, or ``mixed`` (the scheme
+    order) where no single point is nearest throughout the bin.
+    """
+
+    values: np.ndarray
+    bins: int
+    span: float
+    scale: float
+    mixed: int
+
+
+# A cell table tiles [-L, L]^2, L = 2 * max|p|, into K x K bins of width
+# h = 2L / K and gives a bin a point p only when p is nearest at all four
+# corners, each time by a squared-distance margin above tol. That is exact:
+# for points p and q, |y-q|^2 - |y-p|^2 is affine in y, so its minimum over a
+# rectangle sits at a corner. tol = 4 * L * _TABLE_PAD + 64 * 2**-53 * (2L)**2.
+# The first term pads each bin by _TABLE_PAD on every side (moving a corner
+# by that on both axes changes the affine difference by at most
+# 2 * sqrt(2) * |p - q| * _TABLE_PAD, and |p - q| <= L), so rounding in a
+# symbol's bin index, about K * 2**-51 bins, cannot move it out of the
+# padded bin. The second covers float64 rounding of the squared distances:
+# inside the square each is off by at most 4 * 2**-53 * 4.5 * L**2, so the
+# corner margins and argmin's own comparison together lose under
+# 72 * 2**-53 * L**2. A pure bin thus gives argmin's value itself. Bins of the
+# outermost ring are mixed, so symbols clamped onto it (outside the square or
+# not finite) go to argmin as well.
+_TABLE_BINS = 256
+_TABLE_PAD = 1e-9
+# Float64 elements in one distance block of the build (256 kB).
+_TABLE_BUILD_BLOCK = 1 << 15
+
+
+@lru_cache(maxsize=8)
+def _point_cell_table(points: tuple[complex, ...]) -> CellTable:
+    """Cell table of point indices for one geometry; keyed schemes share it."""
+    pts = np.asarray(points, dtype=np.complex128)
+    order = pts.size
+    span = 2.0 * float(np.abs(pts).max())
+    width = 2.0 * span / _TABLE_BINS
+    tol = 4.0 * span * _TABLE_PAD + 64.0 * 2.0**-53 * (2.0 * span) ** 2
+    corners = -span + width * np.arange(_TABLE_BINS + 1)
+    n_corners = corners.size**2
+    dtype = np.min_scalar_type(order)
+    nearest = np.empty(n_corners, dtype=dtype)
+    step = max(1, _TABLE_BUILD_BLOCK // order)
+    for start in range(0, n_corners, step):
+        ix, iy = np.divmod(np.arange(start, min(start + step, n_corners)), corners.size)
+        d2 = (corners[ix, None] - pts.real) ** 2
+        d2 += (corners[iy, None] - pts.imag) ** 2
+        best = d2.argmin(axis=1)
+        rows = np.arange(best.size)
+        first = d2[rows, best]
+        d2[rows, best] = np.inf
+        margin = d2.min(axis=1) - first
+        nearest[start : start + step] = np.where(margin > tol, best, order)
+    nearest = nearest.reshape(corners.size, corners.size)
+    low = nearest[:-1, :-1]
+    pure = (low == nearest[1:, :-1]) & (low == nearest[:-1, 1:]) & (low == nearest[1:, 1:])
+    values = np.where(pure, low, order).astype(dtype)
+    values[[0, -1], :] = order
+    values[:, [0, -1]] = order
+    values = values.ravel()
+    values.setflags(write=False)
+    return CellTable(values, _TABLE_BINS, span, 1.0 / width, order)
+
+
 @dataclass(frozen=True)
 class ConstellationScheme:
     """An ordered point set plus the keyed bit-value-to-point assignment.
@@ -234,6 +306,19 @@ class ConstellationScheme:
         return AxisGrid(
             _midpoints(re_levels), _midpoints(im_levels), values, float(gaps.min())
         )
+
+    @cached_property
+    def cell_table(self) -> CellTable:
+        """Exact 2-D lookup of nearest bit values, with argmin left for mixed bins.
+
+        The point-index table is built once per geometry and shared by every
+        key; this scheme only relabels it through its inverse key.
+        """
+        table = _point_cell_table(self.points)
+        labels = np.append(self.key.inverse().perm, self.order)
+        values = labels.astype(table.values.dtype).take(table.values)
+        values.setflags(write=False)
+        return table._replace(values=values)
 
     def point_for_value(self, value: int) -> complex:
         """Point transmitted for the m-bit value ``value``."""

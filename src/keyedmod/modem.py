@@ -1,22 +1,30 @@
 """Bit-stream modulation and nearest-point (maximum-likelihood) demodulation.
 
 Bit streams are 1-D integer arrays of 0/1 values; symbol streams are 1-D
-complex arrays. All functions are pure and stateless: safe to run over
-symbol blocks in parallel with no shared mutable state.
+complex arrays. All functions are pure: safe to run over symbol blocks
+in parallel. The only state they touch is the per-geometry cell-table
+cache, which holds read-only decision data and never changes a result.
 
 Receivers whose points form a full product grid (the 4x4 grid, QPSK and
 BPSK, under any key) decode per axis: each coordinate is compared with
-the midpoints between that axis's levels. Every other receiver, such as
-the two-ring layout, and every symbol too close to a midpoint, too large
-or not finite, is decoded by an argmin over the distances to all M
-points. Both give the same values; ties go to the lowest bit value.
+the midpoints between that axis's levels. Every other geometry, such as
+the two-ring layout, decodes through an exact 2-D cell table
+(``ConstellationScheme.cell_table``), built once per geometry per
+process and shared by every key. Symbols in mixed bins, outside the
+table's square or not finite, and symbols too close to a grid midpoint
+or too large for the per-axis slicer, are decoded by an argmin over the
+distances to all M points. Finite symbols with a coordinate beyond
+2**53, where those squared distances no longer separate the points, are
+decided by an exact pairwise comparison, and symbols with a NaN or
+infinite component decode to value 0. All paths give argmin's values
+wherever argmin can decide; ties go to the lowest bit value.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .constellations import AxisGrid, ConstellationScheme
+from .constellations import AxisGrid, CellTable, ConstellationScheme
 
 __all__ = [
     "modulate",
@@ -44,6 +52,15 @@ _DEMOD_CHUNK = 1 << 17
 _AXIS_GUARD = 1e-6
 _AXIS_BOUND = 1e3
 _AXIS_MIN_SPACING = 1e-2
+
+# With a coordinate beyond 2**53 a squared distance has an ulp of at least
+# 2**54, while two points less than one unit apart change it by about
+# 2 * |y| * |p - q| < 2**54, so argmin over float64 distances returns ties
+# (value 0) where it should decide. Finite symbols out there are decided
+# exactly, in integers (every finite float64 times 2**_EXACT_SHIFT is one);
+# up to the bound argmin's own float64 rule still decides, as before.
+_FAR_BOUND = 2.0**53
+_EXACT_SHIFT = 1074
 
 _BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
@@ -92,6 +109,42 @@ def _argmin_values(symbols: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
+def _exact_int(x: float) -> int:
+    num, den = x.as_integer_ratio()
+    return num << (_EXACT_SHIFT - den.bit_length() + 1)
+
+
+def _far_value(symbol: complex, exact_pts: list[tuple[int, int, int]]) -> int:
+    """Value of the nearest point by exact arithmetic; ties keep the lower value.
+
+    Point q beats the running best p only when 2 Re(y conj(q - p)) > |q|^2 - |p|^2,
+    with y and the points scaled by the same power of two into integers.
+    """
+    yr, yi = _exact_int(symbol.real), _exact_int(symbol.imag)
+    best = 0
+    pr, pi, pn = exact_pts[0]
+    for value, (qr, qi, qn) in enumerate(exact_pts[1:], start=1):
+        if 2 * (yr * (qr - pr) + yi * (qi - pi)) > qn - pn:
+            best, pr, pi, pn = value, qr, qi, qn
+    return best
+
+
+def _fallback_values(symbols: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Argmin values, with finite symbols beyond ``_FAR_BOUND`` decided exactly."""
+    far = np.isfinite(symbols)
+    far &= np.maximum(np.abs(symbols.real), np.abs(symbols.imag)) > _FAR_BOUND
+    if not far.any():
+        return _argmin_values(symbols, pts)
+    values = np.zeros(symbols.size, dtype=np.intp)
+    values[~far] = _argmin_values(symbols[~far], pts)
+    exact_pts = []
+    for p in pts.tolist():
+        pr, pi = _exact_int(p.real), _exact_int(p.imag)
+        exact_pts.append((pr, pi, pr * pr + pi * pi))
+    values[far] = [_far_value(y, exact_pts) for y in symbols[far].tolist()]
+    return values
+
+
 def _slice_axes(symbols: np.ndarray, grid: AxisGrid, out: np.ndarray) -> np.ndarray:
     """Write per-axis decisions into ``out``; return the positions argmin must decide."""
     cell = np.zeros(symbols.size, dtype=out.dtype)
@@ -115,10 +168,32 @@ def _slice_axes(symbols: np.ndarray, grid: AxisGrid, out: np.ndarray) -> np.ndar
     return np.flatnonzero(unsafe)
 
 
+def _bin_index(coord: np.ndarray, table: CellTable) -> np.ndarray:
+    index = coord + table.span
+    # Coordinates near the float64 limit overflow to inf here, then clamp.
+    with np.errstate(over="ignore"):
+        index *= table.scale
+    # fmax maps NaN to 0; clamping before the cast keeps the cast defined.
+    np.fmax(index, 0, out=index)
+    np.fmin(index, table.bins - 1, out=index)
+    return index.astype(np.intp)
+
+
+def _look_up_cells(symbols: np.ndarray, table: CellTable, out: np.ndarray) -> np.ndarray:
+    """Write cell-table decisions into ``out``; return the positions argmin must decide."""
+    cell = _bin_index(symbols.real, table)
+    cell *= table.bins
+    cell += _bin_index(symbols.imag, table)
+    values = table.values.take(cell)
+    out[:] = values
+    return np.flatnonzero(values == table.mixed)
+
+
 def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
     """Decode each symbol to the bit value whose point is nearest in Euclidean distance.
 
     Ties resolve to the lowest bit value (argmin keeps the first minimum).
+    A symbol with a NaN or infinite component decodes to value 0.
     Values come back in the narrowest unsigned dtype that holds them.
     """
     y = np.asarray(symbols, dtype=np.complex128)
@@ -133,10 +208,10 @@ def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
         chunk = y[start : start + _DEMOD_CHUNK]
         block = out[start : start + _DEMOD_CHUNK]
         if grid is None:
-            block[:] = _argmin_values(chunk, pts)
+            unsafe = _look_up_cells(chunk, scheme.cell_table, block)
         else:
             unsafe = _slice_axes(chunk, grid, block)
-            block[unsafe] = _argmin_values(chunk[unsafe], pts)
+        block[unsafe] = _fallback_values(chunk[unsafe], pts)
     return out
 
 

@@ -1,6 +1,7 @@
 """Modulation, nearest-point decoding, and cross-scheme decoding."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 from keyedmod.constellations import (
     ConstellationScheme,
     MappingKey,
+    _point_cell_table,
     make_keyed_scheme,
     make_standard_scheme,
     random_key,
 )
 from keyedmod.modem import (
+    _FAR_BOUND,
     bits_to_values,
     cross_decode_bits,
     demodulate,
@@ -156,16 +159,51 @@ class TestDemodulate:
         assert np.array_equal(got, expected)
 
 
+def exact_nearest_values(symbols, scheme) -> list[int]:
+    """Exact oracle: smallest squared distance in rational arithmetic, lowest value on ties."""
+    pts = [(Fraction(p.real), Fraction(p.imag)) for p in scheme.mapped_points.tolist()]
+    values = []
+    for y in np.asarray(symbols, dtype=np.complex128).tolist():
+        yr, yi = Fraction(y.real), Fraction(y.imag)
+        d2 = [(yr - pr) ** 2 + (yi - pi) ** 2 for pr, pi in pts]
+        values.append(d2.index(min(d2)))
+    return values
+
+
 def assert_matches_argmin(symbols, scheme):
-    """Brute-force oracle: argmin over the full (N, M) matrix of squared distances."""
+    """Brute-force oracle: argmin over the full (N, M) matrix of squared distances.
+
+    Finite symbols with a coordinate beyond ``_FAR_BOUND``, where those
+    float64 distances round to ties, are checked against the exact oracle.
+    """
     y = np.asarray(symbols, dtype=np.complex128)
     pts = scheme.mapped_points
-    # Coordinates near 1e300 overflow the squares on both paths alike.
+    # Non-finite symbols with a huge other coordinate overflow the squares.
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = (y.real[:, None] - pts.real[None, :]) ** 2
         d2 += (y.imag[:, None] - pts.imag[None, :]) ** 2
         got = nearest_point_values(y, scheme)
-    assert np.array_equal(got, np.argmin(d2, axis=1))
+    expected = np.argmin(d2, axis=1)
+    far = np.isfinite(y) & (np.maximum(abs(y.real), abs(y.imag)) > _FAR_BOUND)
+    expected[far] = exact_nearest_values(y[far], scheme)
+    assert np.array_equal(got, expected)
+
+
+def around(values) -> np.ndarray:
+    """Each value and its float64 neighbours on both sides."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate(
+        (values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf))
+    )
+
+
+def cross(re, im) -> np.ndarray:
+    """Every (re, im) pair, components set directly so inf and nan stay on their axis."""
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    out = np.empty(re.size * im.size, dtype=np.complex128)
+    out.real = np.repeat(re, im.size)
+    out.imag = np.tile(im, re.size)
+    return out
 
 
 def axis_edge_symbols(scheme) -> np.ndarray:
@@ -174,20 +212,12 @@ def axis_edge_symbols(scheme) -> np.ndarray:
 
     def axis_values(levels):
         levels = np.unique(levels)
-        mids = (levels[:-1] + levels[1:]) / 2
-        near = np.concatenate(
-            (np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf))
-        )
         far = [1e3, np.nextafter(1e3, np.inf), 1e4, 3e5, 1e300]
         far = np.array(far + [-v for v in far])
         odd = np.array([np.nan, np.inf, -np.inf])
-        return np.concatenate((levels, mids, near, far, odd))
+        return np.concatenate((levels, around((levels[:-1] + levels[1:]) / 2), far, odd))
 
-    re, im = axis_values(pts.real), axis_values(pts.imag)
-    # Set the components directly: re + 1j * im would spread inf and nan across axes.
-    grid = np.empty(re.size * im.size, dtype=np.complex128)
-    grid.real = np.repeat(re, im.size)
-    grid.imag = np.tile(im, re.size)
+    grid = cross(axis_values(pts.real), axis_values(pts.imag))
     rng = np.random.default_rng(scheme.order)
     gauss = rng.normal(0, 1, 100_000) + 1j * rng.normal(0, 1, 100_000)
     return np.concatenate((grid, gauss))
@@ -196,8 +226,17 @@ def axis_edge_symbols(scheme) -> np.ndarray:
 SEPARABLE_SCHEMES = ("bpsk", "qpsk", "qam16_rect")
 
 
-def separable_scheme(name, key_seed):
-    scheme = make_standard_scheme(name)
+def rotated_qpsk(angle=0.3):
+    points = tuple(
+        complex(math.cos(angle + k * math.pi / 2), math.sin(angle + k * math.pi / 2))
+        for k in range(4)
+    )
+    return ConstellationScheme("qpsk_rot", points, MappingKey((2, 0, 3, 1)))
+
+
+def keyed_scheme(name, key_seed):
+    """A stock scheme, or the rotated QPSK ``"qpsk_rot"``, re-keyed unless ``key_seed`` is None."""
+    scheme = rotated_qpsk() if name == "qpsk_rot" else make_standard_scheme(name)
     if key_seed is not None:
         scheme = make_keyed_scheme(scheme, random_key(scheme.order, key_seed))
     return scheme
@@ -207,7 +246,7 @@ class TestAxisSlicer:
     @pytest.mark.parametrize("key_seed", [None, 5, 77])
     @pytest.mark.parametrize("name", SEPARABLE_SCHEMES)
     def test_equals_argmin_on_edge_inputs(self, name, key_seed):
-        scheme = separable_scheme(name, key_seed)
+        scheme = keyed_scheme(name, key_seed)
         assert scheme.axis_grid is not None
         assert_matches_argmin(axis_edge_symbols(scheme), scheme)
 
@@ -234,18 +273,158 @@ class TestAxisSlicer:
         ),
     )
     def test_equals_argmin_property(self, name, key_seed, coords):
-        scheme = separable_scheme(name, key_seed)
+        scheme = keyed_scheme(name, key_seed)
         assert_matches_argmin([complex(re, im) for re, im in coords], scheme)
 
     def test_non_product_geometries_not_separable(self):
         assert make_standard_scheme("qam16_circ").axis_grid is None
-        angle = 0.3
-        rotated = tuple(
-            complex(math.cos(angle + k * math.pi / 2), math.sin(angle + k * math.pi / 2))
-            for k in range(4)
+        assert rotated_qpsk().axis_grid is None
+
+
+def random_geometry(order, seed):
+    """A keyed scheme of ``order`` random unit-energy points."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=order) + 1j * rng.normal(size=order)
+    pts /= math.sqrt(np.mean(np.abs(pts) ** 2))
+    return ConstellationScheme(
+        f"random{order}", tuple(pts), random_key(order, seed)
+    )
+
+
+def table_edge_symbols(scheme, n_gauss=25_000) -> np.ndarray:
+    """Points, pair bisectors, bin edges and the square's border, each +-1 ulp.
+
+    Adds ``n_gauss`` noisy points at each of four SNRs. Large orders get a
+    sample of 200 point pairs, which keeps the (N, M) oracle small.
+    """
+    pts = scheme.mapped_points
+    table = scheme.cell_table
+    rng = np.random.default_rng(scheme.order)
+    i, j = np.triu_indices(pts.size, 1)
+    if i.size > 200:
+        pick = rng.choice(i.size, 200, replace=False)
+        i, j = i[pick], j[pick]
+    mids = (pts[i] + pts[j]) / 2
+    bisectors = np.concatenate(
+        [cross(around([m.real]), around([m.imag])) for m in mids]
+    )
+    edges = around(-table.span + np.arange(table.bins + 1) / table.scale)
+    partners = rng.choice(edges, 32, replace=False)
+    span = table.span
+    border = around([span, 1.5 * span, span * (1 + 1e-9), 1e3, 1e9, 1e15])
+    border = np.concatenate((border, -border))
+    coords = np.concatenate((pts.real, pts.imag, [0.0]))
+    odd = [np.nan, np.inf, -np.inf]
+    gauss = []
+    for snr_db in (-5.0, 5.0, 15.0, 30.0):
+        sigma = math.sqrt(10 ** (-snr_db / 10) / 2)
+        sent = pts[rng.integers(0, pts.size, n_gauss)]
+        gauss.append(sent + sigma * (rng.normal(size=sent.size) + 1j * rng.normal(size=sent.size)))
+    return np.concatenate(
+        (
+            pts,
+            bisectors,
+            cross(edges, partners),
+            cross(partners, edges),
+            cross(border, coords),
+            cross(coords, border),
+            cross(border, border),
+            cross(odd, np.concatenate((coords, odd, border))),
+            cross(coords, odd),
+            *gauss,
         )
-        rotated_qpsk = ConstellationScheme("qpsk_rot", rotated, MappingKey.identity(4))
-        assert rotated_qpsk.axis_grid is None
+    )
+
+
+class TestCellTable:
+    @pytest.mark.parametrize(
+        "name, key_seed",
+        [("qam16_circ", None), ("qam16_circ", 5), ("qam16_circ", 77),
+         ("qam16_circ", 1234), ("qpsk_rot", None)],
+    )
+    def test_equals_argmin_on_edge_inputs(self, name, key_seed):
+        scheme = keyed_scheme(name, key_seed)
+        assert scheme.axis_grid is None
+        assert_matches_argmin(table_edge_symbols(scheme), scheme)
+
+    @pytest.mark.parametrize("order", [32, 256])
+    def test_larger_orders_equal_argmin(self, order):
+        # Order 32 holds value 16, the sentinel of a 16-point table, and
+        # order 256 needs a wider table dtype than its uint8 values.
+        scheme = random_geometry(order, seed=order)
+        assert scheme.cell_table.mixed == order
+        assert_matches_argmin(table_edge_symbols(scheme, n_gauss=2_500), scheme)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        name=st.sampled_from(("qam16_circ", "qpsk_rot")),
+        key_seed=st.none() | st.integers(0, 2**32 - 1),
+        coords=st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_equals_argmin_property(self, name, key_seed, coords):
+        scheme = keyed_scheme(name, key_seed)
+        assert_matches_argmin([complex(re, im) for re, im in coords], scheme)
+
+    def test_keyed_schemes_share_one_build(self):
+        circ = make_standard_scheme("qam16_circ")
+        circ.cell_table
+        before = _point_cell_table.cache_info()
+        tables = [
+            make_keyed_scheme(circ, random_key(16, seed)).cell_table for seed in (1, 2)
+        ]
+        after = _point_cell_table.cache_info()
+        assert after.hits == before.hits + 2
+        assert after.misses == before.misses
+        assert not np.array_equal(tables[0].values, tables[1].values)
+
+    def test_grid_never_builds_a_table(self):
+        rect = make_keyed_scheme(make_standard_scheme("qam16_rect"), random_key(16, 3))
+        before = _point_cell_table.cache_info()
+        with np.errstate(over="ignore"):
+            nearest_point_values(axis_edge_symbols(rect), rect)
+        assert "cell_table" not in vars(rect)
+        assert _point_cell_table.cache_info() == before
+
+
+def far_symbols(scheme) -> np.ndarray:
+    """Finite symbols with a coordinate beyond 2**53, up to the float64 limit."""
+    largest = np.finfo(float).max
+    far = around([1e16, 1e100, 1e300])
+    far = np.concatenate((far, [np.nextafter(2.0**53, np.inf), largest]))
+    far = np.concatenate((far, -far))
+    near = np.unique(np.concatenate((scheme.mapped_points.real, scheme.mapped_points.imag)))
+    near = around(np.concatenate((near, (near[:-1] + near[1:]) / 2, [0.0, 1e-300])))
+    near = np.concatenate((near, -near))
+    return np.concatenate((cross(far, near), cross(near, far), cross(far, far)))
+
+
+class TestFarSymbols:
+    @pytest.mark.parametrize("key_seed", [None, 9])
+    @pytest.mark.parametrize("name", ALL_SCHEMES)
+    def test_equal_exact_oracle(self, name, key_seed):
+        scheme = keyed_scheme(name, key_seed)
+        symbols = far_symbols(scheme)
+        got = nearest_point_values(symbols, scheme)
+        assert np.array_equal(got, exact_nearest_values(symbols, scheme))
+
+    def test_bpsk_far_left_decodes_to_its_point(self):
+        bpsk = make_standard_scheme("bpsk")
+        assert np.array_equal(nearest_point_values([-1e100, -1e300, 1e300], bpsk), [1, 1, 0])
+
+    @pytest.mark.parametrize("name", ALL_SCHEMES)
+    def test_non_finite_decode_to_zero(self, name):
+        base = make_standard_scheme(name)
+        scheme = make_keyed_scheme(base, MappingKey(tuple(reversed(range(base.order)))))
+        odd = [np.nan, np.inf, -np.inf]
+        symbols = np.concatenate((cross(odd, [0.0, -1.0, 1e300, *odd]), cross([-1.0, 1e300], odd)))
+        with np.errstate(over="ignore"):
+            assert not nearest_point_values(symbols, scheme).any()
 
 
 def assert_prefix_popcount_oracle(rx_name, key_seed):
