@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "MappingKey",
-    "AxisGrid",
     "CellTable",
     "ConstellationScheme",
     "STANDARD_SCHEME_NAMES",
@@ -140,62 +139,58 @@ def parse_key(text: str) -> MappingKey:
     return MappingKey(indices)
 
 
-class AxisGrid(NamedTuple):
-    """Decision data of a scheme whose points are every (real, imag) level pair.
-
-    ``values[ix * n_imag + iy]`` is the bit value sent at real level ``ix``
-    and imaginary level ``iy``, levels counted upward and ``n_imag`` being
-    ``imag_midpoints.size + 1``. ``spacing`` is the smallest gap between
-    adjacent levels on either axis.
-    """
-
-    real_midpoints: np.ndarray
-    imag_midpoints: np.ndarray
-    values: np.ndarray
-    spacing: float
-
-
-def _midpoints(levels: np.ndarray) -> np.ndarray:
-    mids = (levels[:-1] + levels[1:]) / 2.0
-    mids.setflags(write=False)
-    return mids
-
-
 class CellTable(NamedTuple):
-    """Nearest-point decisions over the square ``[-span, span]^2``, tiled into bins.
+    """Nearest-point decisions over bins cut by per-axis edges.
 
-    A symbol at ``(x, y)`` falls in bin ``ix * bins + iy`` with
-    ``ix = floor((x + span) * scale)`` and ``iy`` likewise. ``values`` holds
-    the value decided for every symbol in a bin, or ``mixed`` (the scheme
-    order) where no single point is nearest throughout the bin.
+    A coordinate's bin is the number of that axis's edges below it, so the
+    first and last bin on each axis are unbounded. A symbol at ``(x, y)``
+    falls in ``values[ix * (imag_edges.size + 1) + iy]``, which holds the
+    value decided for every symbol in the bin, or ``mixed`` (the scheme
+    order) where no single point is nearest throughout it; unbounded bins
+    are always mixed. When ``scale`` is set the edges are evenly spaced,
+    ``1 / scale`` apart, and a bin is found by arithmetic instead of by
+    counting edges.
     """
 
     values: np.ndarray
-    bins: int
-    span: float
-    scale: float
+    real_edges: np.ndarray
+    imag_edges: np.ndarray
+    scale: float | None
     mixed: int
 
 
-# A cell table tiles [-L, L]^2, L = 2 * max|p|, into K x K bins of width
-# h = 2L / K and gives a bin a point p only when p is nearest at all four
-# corners, each time by a squared-distance margin above tol. That is exact:
-# for points p and q, |y-q|^2 - |y-p|^2 is affine in y, so its minimum over a
-# rectangle sits at a corner. tol = 4 * L * _TABLE_PAD + 64 * 2**-53 * (2L)**2.
-# The first term pads each bin by _TABLE_PAD on every side (moving a corner
-# by that on both axes changes the affine difference by at most
-# 2 * sqrt(2) * |p - q| * _TABLE_PAD, and |p - q| <= L), so rounding in a
-# symbol's bin index, about K * 2**-51 bins, cannot move it out of the
-# padded bin. The second covers float64 rounding of the squared distances:
-# inside the square each is off by at most 4 * 2**-53 * 4.5 * L**2, so the
-# corner margins and argmin's own comparison together lose under
-# 72 * 2**-53 * L**2. A pure bin thus gives argmin's value itself. Bins of the
-# outermost ring are mixed, so symbols clamped onto it (outside the square or
-# not finite) go to argmin as well.
+# Bins are checked in one way whatever the cut: a bounded bin gets point p
+# only when p is nearest at all four corners, each time by a squared-distance
+# margin above tol. That is exact: for points p and q, |y-q|^2 - |y-p|^2 is
+# affine in y, so its minimum over a rectangle sits at a corner. With
+# D = 2 * max|p| >= |p - q| and S the largest |edge| or |p|,
+# tol = 4 * D * _TABLE_PAD + 64 * 2**-53 * (2S)**2. The first term pads each
+# bin by _TABLE_PAD on every side (moving a corner by that on both axes
+# changes the affine difference by at most 2 * sqrt(2) * |p - q| * _TABLE_PAD),
+# so rounding in an arithmetic bin index, about 2**-44 bins, cannot move a
+# symbol out of the padded bin; counted bins are exact. The second covers
+# float64 rounding of the squared distances: in a bounded bin each is off by
+# at most 4 * 2**-53 * 2 * (2S)**2, so the corner margins and argmin's own
+# comparison together lose under 32 * 2**-53 * (2S)**2. A pure bin thus gives
+# argmin's value itself; symbols in a mixed bin go to argmin.
+#
+# A product grid (distinct real levels times distinct imaginary levels equal
+# the order) is cut at every level midpoint +-_GRID_GUARD and at
+# +-_GRID_BOUND: outside the guard bands one level is nearest on each axis,
+# so those bins are pure unless levels sit too close for the margin. Any
+# other geometry is cut into _TABLE_BINS even bins over [-L, L], L = 2 max|p|.
+_GRID_GUARD = 1e-6
+_GRID_BOUND = 1e3
 _TABLE_BINS = 256
 _TABLE_PAD = 1e-9
 # Float64 elements in one distance block of the build (256 kB).
 _TABLE_BUILD_BLOCK = 1 << 15
+
+
+def _guarded_cuts(levels: np.ndarray) -> np.ndarray:
+    mids = (levels[:-1] + levels[1:]) / 2.0
+    cuts = (mids - _GRID_GUARD, mids + _GRID_GUARD, [-_GRID_BOUND, _GRID_BOUND])
+    return np.sort(np.concatenate(cuts))
 
 
 @lru_cache(maxsize=8)
@@ -203,33 +198,41 @@ def _point_cell_table(points: tuple[complex, ...]) -> CellTable:
     """Cell table of point indices for one geometry; keyed schemes share it."""
     pts = np.asarray(points, dtype=np.complex128)
     order = pts.size
-    span = 2.0 * float(np.abs(pts).max())
-    width = 2.0 * span / _TABLE_BINS
-    tol = 4.0 * span * _TABLE_PAD + 64.0 * 2.0**-53 * (2.0 * span) ** 2
-    corners = -span + width * np.arange(_TABLE_BINS + 1)
-    n_corners = corners.size**2
+    reach = float(np.abs(pts).max())
+    real_levels, imag_levels = np.unique(pts.real), np.unique(pts.imag)
+    if real_levels.size * imag_levels.size == order:
+        real_edges, imag_edges = _guarded_cuts(real_levels), _guarded_cuts(imag_levels)
+        scale = None
+    else:
+        width = 4.0 * reach / _TABLE_BINS
+        real_edges = imag_edges = -2.0 * reach + width * np.arange(_TABLE_BINS + 1)
+        scale = 1.0 / width
+    bound = max(np.abs(real_edges).max(), np.abs(imag_edges).max(), reach)
+    tol = 8.0 * reach * _TABLE_PAD + 64.0 * 2.0**-53 * (2.0 * bound) ** 2
+    n_imag = imag_edges.size
+    n_corners = real_edges.size * n_imag
     dtype = np.min_scalar_type(order)
     nearest = np.empty(n_corners, dtype=dtype)
     step = max(1, _TABLE_BUILD_BLOCK // order)
     for start in range(0, n_corners, step):
-        ix, iy = np.divmod(np.arange(start, min(start + step, n_corners)), corners.size)
-        d2 = (corners[ix, None] - pts.real) ** 2
-        d2 += (corners[iy, None] - pts.imag) ** 2
+        ix, iy = np.divmod(np.arange(start, min(start + step, n_corners)), n_imag)
+        d2 = (real_edges[ix, None] - pts.real) ** 2
+        d2 += (imag_edges[iy, None] - pts.imag) ** 2
         best = d2.argmin(axis=1)
         rows = np.arange(best.size)
         first = d2[rows, best]
         d2[rows, best] = np.inf
         margin = d2.min(axis=1) - first
         nearest[start : start + step] = np.where(margin > tol, best, order)
-    nearest = nearest.reshape(corners.size, corners.size)
+    nearest = nearest.reshape(real_edges.size, n_imag)
     low = nearest[:-1, :-1]
     pure = (low == nearest[1:, :-1]) & (low == nearest[:-1, 1:]) & (low == nearest[1:, 1:])
-    values = np.where(pure, low, order).astype(dtype)
-    values[[0, -1], :] = order
-    values[:, [0, -1]] = order
+    values = np.full((real_edges.size + 1, n_imag + 1), order, dtype=dtype)
+    values[1:-1, 1:-1] = np.where(pure, low, order)
     values = values.ravel()
-    values.setflags(write=False)
-    return CellTable(values, _TABLE_BINS, span, 1.0 / width, order)
+    for arr in (values, real_edges, imag_edges):
+        arr.setflags(write=False)
+    return CellTable(values, real_edges, imag_edges, scale, order)
 
 
 @dataclass(frozen=True)
@@ -288,31 +291,14 @@ class ConstellationScheme:
         return arr
 
     @cached_property
-    def axis_grid(self) -> AxisGrid | None:
-        """Per-axis decision data, or None unless the points form a full product grid.
-
-        On such a grid the nearest point is the nearest level on each axis
-        separately, so decision cells are axis-aligned rectangles.
-        """
-        pts = self.mapped_points
-        re_levels, ix = np.unique(pts.real, return_inverse=True)
-        im_levels, iy = np.unique(pts.imag, return_inverse=True)
-        if re_levels.size * im_levels.size != self.order:
-            return None
-        values = np.empty(self.order, dtype=np.min_scalar_type(self.order - 1))
-        values[ix * im_levels.size + iy] = np.arange(self.order)
-        values.setflags(write=False)
-        gaps = np.concatenate((np.diff(re_levels), np.diff(im_levels)))
-        return AxisGrid(
-            _midpoints(re_levels), _midpoints(im_levels), values, float(gaps.min())
-        )
-
-    @cached_property
     def cell_table(self) -> CellTable:
         """Exact 2-D lookup of nearest bit values, with argmin left for mixed bins.
 
-        The point-index table is built once per geometry and shared by every
-        key; this scheme only relabels it through its inverse key.
+        A product grid (the 4x4 grid, QPSK, BPSK) is cut at its level
+        midpoints, each widened by a guard band; any other geometry into
+        256 even bins per axis. The point-index table is built once per
+        geometry and shared by every key; this scheme only relabels it
+        through its inverse key.
         """
         table = _point_cell_table(self.points)
         labels = np.append(self.key.inverse().perm, self.order)

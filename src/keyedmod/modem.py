@@ -5,26 +5,26 @@ complex arrays. All functions are pure: safe to run over symbol blocks
 in parallel. The only state they touch is the per-geometry cell-table
 cache, which holds read-only decision data and never changes a result.
 
-Receivers whose points form a full product grid (the 4x4 grid, QPSK and
-BPSK, under any key) decode per axis: each coordinate is compared with
-the midpoints between that axis's levels. Every other geometry, such as
-the two-ring layout, decodes through an exact 2-D cell table
-(``ConstellationScheme.cell_table``), built once per geometry per
-process and shared by every key. Symbols in mixed bins, outside the
-table's square or not finite, and symbols too close to a grid midpoint
-or too large for the per-axis slicer, are decoded by an argmin over the
-distances to all M points. Finite symbols with a coordinate beyond
-2**53, where those squared distances no longer separate the points, are
-decided by an exact pairwise comparison, and symbols with a NaN or
-infinite component decode to value 0. All paths give argmin's values
-wherever argmin can decide; ties go to the lowest bit value.
+Every receiver decodes through one exact cached cell table
+(``ConstellationScheme.cell_table``), built once per geometry per process
+and shared by every key. A product grid (the 4x4 grid, QPSK and BPSK)
+is cut at its level midpoints, each widened by a guard band, and a
+symbol's bin on each axis is the number of cuts below it; any other
+geometry, such as the two-ring layout, is cut into even bins found by
+arithmetic. Symbols in mixed bins (inside a guard band, outside the
+cut square or not finite) are decoded by an argmin over the distances to
+all M points. Finite symbols with a coordinate beyond 2**53, where those
+squared distances no longer separate the points, are decided by an
+exact pairwise comparison, and symbols with a NaN or infinite component
+decode to value 0. The table gives argmin's values wherever argmin can
+decide; ties go to the lowest bit value.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .constellations import AxisGrid, CellTable, ConstellationScheme
+from .constellations import CellTable, ConstellationScheme
 
 __all__ = [
     "modulate",
@@ -37,21 +37,6 @@ __all__ = [
 ]
 
 _DEMOD_CHUNK = 1 << 17
-
-# Per-axis decisions equal the 2-D argmin wherever float64 rounding of the
-# squared distances cannot reorder two points. Moving a coordinate from its
-# nearest level to another adds at least 2 * spacing * d to the squared
-# distance, d being its distance to the midpoint between them. Outside the
-# _AXIS_GUARD band of every midpoint that is at least 1.26e-6 for the 4x4
-# grid (levels 2a = 0.63 apart), and more for QPSK and BPSK. With both
-# coordinates within _AXIS_BOUND, a squared distance is rounded by at most
-# 8 * 2**-53 * (1e3 + 1.5)**2 < 1e-9, so the margin is over 600; at
-# _AXIS_MIN_SPACING it is still 10, and grids with closer levels go to argmin.
-# So do coordinates in a guard band, beyond the bound or not finite (NaN fails
-# ``abs <= bound``), which also leaves exact ties to argmin's tie rule.
-_AXIS_GUARD = 1e-6
-_AXIS_BOUND = 1e3
-_AXIS_MIN_SPACING = 1e-2
 
 # With a coordinate beyond 2**53 a squared distance has an ulp of at least
 # 2**54, while two points less than one unit apart change it by about
@@ -104,8 +89,11 @@ def modulate(bits, scheme: ConstellationScheme) -> np.ndarray:
 
 
 def _argmin_values(symbols: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    d2 = (symbols.real[:, None] - pts.real) ** 2
-    d2 += (symbols.imag[:, None] - pts.imag) ** 2
+    # A non-finite component beside a huge one overflows the squares; such
+    # rows hold NaN or inf and decode to value 0 either way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = (symbols.real[:, None] - pts.real) ** 2
+        d2 += (symbols.imag[:, None] - pts.imag) ** 2
     return np.argmin(d2, axis=1)
 
 
@@ -145,45 +133,32 @@ def _fallback_values(symbols: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return values
 
 
-def _slice_axes(symbols: np.ndarray, grid: AxisGrid, out: np.ndarray) -> np.ndarray:
-    """Write per-axis decisions into ``out``; return the positions argmin must decide."""
-    cell = np.zeros(symbols.size, dtype=out.dtype)
-    unsafe = np.zeros(symbols.size, dtype=bool)
-    axes = ((symbols.real, grid.real_midpoints), (symbols.imag, grid.imag_midpoints))
-    for part, mids in axes:
-        # A contiguous copy makes each comparison below several times faster.
-        coord = np.ascontiguousarray(part)
-        # Levels below the coordinate, counted with every midpoint moved up
-        # and then down by the guard: the counts differ inside a guard band.
-        level = np.zeros(symbols.size, dtype=out.dtype)
-        banded = np.zeros(symbols.size, dtype=out.dtype)
-        for mid in mids:
-            level += coord > mid + _AXIS_GUARD
-            banded += coord > mid - _AXIS_GUARD
-        unsafe |= level != banded
-        unsafe |= ~(np.abs(coord) <= _AXIS_BOUND)
-        cell *= mids.size + 1
-        cell += level
-    grid.values.take(cell, out=out)
-    return np.flatnonzero(unsafe)
-
-
-def _bin_index(coord: np.ndarray, table: CellTable) -> np.ndarray:
-    index = coord + table.span
+def _bin_index(coord: np.ndarray, table: CellTable, edges: np.ndarray) -> np.ndarray:
+    """Number of ``edges`` below each coordinate; NaN counts none."""
+    if table.scale is None:
+        # Counts in the narrowest dtype that holds a cell index; a
+        # contiguous copy makes each comparison several times faster.
+        coord = np.ascontiguousarray(coord)
+        index = np.zeros(coord.size, dtype=np.min_scalar_type(table.values.size - 1))
+        for edge in edges:
+            index += coord > edge
+        return index
+    # Even edges: one bin per 1/scale above edges[0], after the unbounded first.
+    index = coord + (1.0 / table.scale - edges[0])
     # Coordinates near the float64 limit overflow to inf here, then clamp.
     with np.errstate(over="ignore"):
         index *= table.scale
     # fmax maps NaN to 0; clamping before the cast keeps the cast defined.
     np.fmax(index, 0, out=index)
-    np.fmin(index, table.bins - 1, out=index)
+    np.fmin(index, edges.size, out=index)
     return index.astype(np.intp)
 
 
 def _look_up_cells(symbols: np.ndarray, table: CellTable, out: np.ndarray) -> np.ndarray:
     """Write cell-table decisions into ``out``; return the positions argmin must decide."""
-    cell = _bin_index(symbols.real, table)
-    cell *= table.bins
-    cell += _bin_index(symbols.imag, table)
+    cell = _bin_index(symbols.real, table, table.real_edges)
+    cell *= table.imag_edges.size + 1
+    cell += _bin_index(symbols.imag, table, table.imag_edges)
     values = table.values.take(cell)
     out[:] = values
     return np.flatnonzero(values == table.mixed)
@@ -200,17 +175,12 @@ def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
     if y.ndim != 1:
         raise ValueError("symbol stream must be one-dimensional")
     pts = scheme.mapped_points
-    grid = scheme.axis_grid
-    if grid is not None and grid.spacing < _AXIS_MIN_SPACING:
-        grid = None
+    table = scheme.cell_table
     out = np.empty(y.size, dtype=_value_dtype(scheme.bits_per_symbol))
     for start in range(0, y.size, _DEMOD_CHUNK):
         chunk = y[start : start + _DEMOD_CHUNK]
         block = out[start : start + _DEMOD_CHUNK]
-        if grid is None:
-            unsafe = _look_up_cells(chunk, scheme.cell_table, block)
-        else:
-            unsafe = _slice_axes(chunk, grid, block)
+        unsafe = _look_up_cells(chunk, table, block)
         block[unsafe] = _fallback_values(chunk[unsafe], pts)
     return out
 

@@ -1,6 +1,7 @@
 """Modulation, nearest-point decoding, and cross-scheme decoding."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyedmod.constellations import (
+    _TABLE_BINS,
     ConstellationScheme,
     MappingKey,
     _point_cell_table,
@@ -182,7 +184,7 @@ def assert_matches_argmin(symbols, scheme):
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = (y.real[:, None] - pts.real[None, :]) ** 2
         d2 += (y.imag[:, None] - pts.imag[None, :]) ** 2
-        got = nearest_point_values(y, scheme)
+    got = nearest_point_values(y, scheme)
     expected = np.argmin(d2, axis=1)
     far = np.isfinite(y) & (np.maximum(abs(y.real), abs(y.imag)) > _FAR_BOUND)
     expected[far] = exact_nearest_values(y[far], scheme)
@@ -223,7 +225,8 @@ def axis_edge_symbols(scheme) -> np.ndarray:
     return np.concatenate((grid, gauss))
 
 
-SEPARABLE_SCHEMES = ("bpsk", "qpsk", "qam16_rect")
+GRID_SCHEMES = ("bpsk", "qpsk", "qam16_rect")
+TABLE_SCHEMES = GRID_SCHEMES + ("qam16_circ", "qpsk_rot")
 
 
 def rotated_qpsk(angle=0.3):
@@ -242,45 +245,6 @@ def keyed_scheme(name, key_seed):
     return scheme
 
 
-class TestAxisSlicer:
-    @pytest.mark.parametrize("key_seed", [None, 5, 77])
-    @pytest.mark.parametrize("name", SEPARABLE_SCHEMES)
-    def test_equals_argmin_on_edge_inputs(self, name, key_seed):
-        scheme = keyed_scheme(name, key_seed)
-        assert scheme.axis_grid is not None
-        assert_matches_argmin(axis_edge_symbols(scheme), scheme)
-
-    def test_closely_spaced_grid_equals_argmin(self):
-        # Real levels 2e-12 apart: far up the imaginary axis the squared
-        # distances round to ties, which only argmin resolves its own way.
-        a = 1e-12
-        b = math.sqrt(1 - a * a)
-        points = (complex(-a, b), complex(a, b), complex(-a, -b), complex(a, -b))
-        scheme = ConstellationScheme("narrow", points, MappingKey((2, 0, 3, 1)))
-        assert scheme.axis_grid is not None
-        assert_matches_argmin(axis_edge_symbols(scheme), scheme)
-
-    @settings(deadline=None, max_examples=100)
-    @given(
-        name=st.sampled_from(SEPARABLE_SCHEMES),
-        key_seed=st.integers(0, 2**32 - 1),
-        coords=st.lists(
-            st.tuples(
-                st.floats(allow_nan=False, allow_infinity=False),
-                st.floats(allow_nan=False, allow_infinity=False),
-            ),
-            max_size=40,
-        ),
-    )
-    def test_equals_argmin_property(self, name, key_seed, coords):
-        scheme = keyed_scheme(name, key_seed)
-        assert_matches_argmin([complex(re, im) for re, im in coords], scheme)
-
-    def test_non_product_geometries_not_separable(self):
-        assert make_standard_scheme("qam16_circ").axis_grid is None
-        assert rotated_qpsk().axis_grid is None
-
-
 def random_geometry(order, seed):
     """A keyed scheme of ``order`` random unit-energy points."""
     rng = np.random.default_rng(seed)
@@ -292,7 +256,7 @@ def random_geometry(order, seed):
 
 
 def table_edge_symbols(scheme, n_gauss=25_000) -> np.ndarray:
-    """Points, pair bisectors, bin edges and the square's border, each +-1 ulp.
+    """Points, pair bisectors, the table's own edges and its border, each +-1 ulp.
 
     Adds ``n_gauss`` noisy points at each of four SNRs. Large orders get a
     sample of 200 point pairs, which keeps the (N, M) oracle small.
@@ -308,9 +272,10 @@ def table_edge_symbols(scheme, n_gauss=25_000) -> np.ndarray:
     bisectors = np.concatenate(
         [cross(around([m.real]), around([m.imag])) for m in mids]
     )
-    edges = around(-table.span + np.arange(table.bins + 1) / table.scale)
-    partners = rng.choice(edges, 32, replace=False)
-    span = table.span
+    cuts = np.unique(np.concatenate((table.real_edges, table.imag_edges)))
+    edges = around(cuts)
+    partners = rng.choice(edges, min(32, edges.size), replace=False)
+    span = np.abs(cuts).max()
     border = around([span, 1.5 * span, span * (1 + 1e-9), 1e3, 1e9, 1e15])
     border = np.concatenate((border, -border))
     coords = np.concatenate((pts.real, pts.imag, [0.0]))
@@ -339,13 +304,27 @@ def table_edge_symbols(scheme, n_gauss=25_000) -> np.ndarray:
 class TestCellTable:
     @pytest.mark.parametrize(
         "name, key_seed",
-        [("qam16_circ", None), ("qam16_circ", 5), ("qam16_circ", 77),
-         ("qam16_circ", 1234), ("qpsk_rot", None)],
+        [(name, key_seed) for name in GRID_SCHEMES for key_seed in (None, 5, 77)]
+        + [("qam16_circ", None), ("qam16_circ", 5), ("qam16_circ", 77),
+           ("qam16_circ", 1234), ("qpsk_rot", None), ("qpsk_rot", 5)],
     )
     def test_equals_argmin_on_edge_inputs(self, name, key_seed):
         scheme = keyed_scheme(name, key_seed)
-        assert scheme.axis_grid is None
+        assert_matches_argmin(axis_edge_symbols(scheme), scheme)
         assert_matches_argmin(table_edge_symbols(scheme), scheme)
+
+    def test_closely_spaced_grid_equals_argmin(self):
+        # Real levels 2e-12 apart: no bin passes the margin check, and far
+        # up the imaginary axis the squared distances round to ties, which
+        # only argmin resolves its own way.
+        a = 1e-12
+        b = math.sqrt(1 - a * a)
+        points = (complex(-a, b), complex(a, b), complex(-a, -b), complex(a, -b))
+        scheme = ConstellationScheme("narrow", points, MappingKey((2, 0, 3, 1)))
+        table = scheme.cell_table
+        assert table.scale is None
+        assert (table.values == table.mixed).all()
+        assert_matches_argmin(axis_edge_symbols(scheme), scheme)
 
     @pytest.mark.parametrize("order", [32, 256])
     def test_larger_orders_equal_argmin(self, order):
@@ -355,9 +334,9 @@ class TestCellTable:
         assert scheme.cell_table.mixed == order
         assert_matches_argmin(table_edge_symbols(scheme, n_gauss=2_500), scheme)
 
-    @settings(deadline=None, max_examples=100)
+    @settings(deadline=None, max_examples=200)
     @given(
-        name=st.sampled_from(("qam16_circ", "qpsk_rot")),
+        name=st.sampled_from(TABLE_SCHEMES),
         key_seed=st.none() | st.integers(0, 2**32 - 1),
         coords=st.lists(
             st.tuples(
@@ -383,13 +362,34 @@ class TestCellTable:
         assert after.misses == before.misses
         assert not np.array_equal(tables[0].values, tables[1].values)
 
-    def test_grid_never_builds_a_table(self):
-        rect = make_keyed_scheme(make_standard_scheme("qam16_rect"), random_key(16, 3))
-        before = _point_cell_table.cache_info()
-        with np.errstate(over="ignore"):
-            nearest_point_values(axis_edge_symbols(rect), rect)
-        assert "cell_table" not in vars(rect)
-        assert _point_cell_table.cache_info() == before
+    def test_grid_is_cut_at_guarded_midpoints(self):
+        # n midpoints per axis give 2n + 3 bins: one between each pair of
+        # guard bands, one inside each band, and two unbounded. Only the
+        # n + 1 between the bands are pure, so each point owns one bin.
+        for name in GRID_SCHEMES:
+            scheme = keyed_scheme(name, 3)
+            table = scheme.cell_table
+            assert table.scale is None
+            sizes = []
+            for levels, edges in (
+                (np.unique(scheme.points_array.real), table.real_edges),
+                (np.unique(scheme.points_array.imag), table.imag_edges),
+            ):
+                mids = (levels[:-1] + levels[1:]) / 2
+                cuts = np.concatenate((mids - 1e-6, mids + 1e-6, [-1e3, 1e3]))
+                assert np.array_equal(edges, np.sort(cuts))
+                sizes.append(2 * mids.size + 3)
+            assert table.values.size == sizes[0] * sizes[1] != (_TABLE_BINS + 2) ** 2
+            pure = table.values[table.values != table.mixed]
+            assert sorted(pure) == list(range(scheme.order))
+        assert keyed_scheme("qam16_rect", 3).cell_table.values.size == (2 * 3 + 3) ** 2
+
+    def test_non_product_geometries_not_separable(self):
+        for scheme in (make_standard_scheme("qam16_circ"), rotated_qpsk()):
+            table = scheme.cell_table
+            assert table.scale is not None
+            assert table.real_edges.size == table.imag_edges.size == _TABLE_BINS + 1
+            assert table.values.size == (_TABLE_BINS + 2) ** 2
 
 
 def far_symbols(scheme) -> np.ndarray:
@@ -422,8 +422,11 @@ class TestFarSymbols:
         base = make_standard_scheme(name)
         scheme = make_keyed_scheme(base, MappingKey(tuple(reversed(range(base.order)))))
         odd = [np.nan, np.inf, -np.inf]
-        symbols = np.concatenate((cross(odd, [0.0, -1.0, 1e300, *odd]), cross([-1.0, 1e300], odd)))
-        with np.errstate(over="ignore"):
+        huge = [1e300, -1e300]
+        symbols = np.concatenate((cross(odd, [0.0, -1.0, *huge, *odd]), cross([-1.0, *huge], odd)))
+        # The argmin fallback squares the huge coordinates; that must stay silent.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert not nearest_point_values(symbols, scheme).any()
 
 
