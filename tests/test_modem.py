@@ -226,7 +226,6 @@ def axis_edge_symbols(scheme) -> np.ndarray:
 
 
 GRID_SCHEMES = ("bpsk", "qpsk", "qam16_rect")
-TABLE_SCHEMES = GRID_SCHEMES + ("qam16_circ", "qpsk_rot")
 
 
 def rotated_qpsk(angle=0.3):
@@ -301,6 +300,26 @@ def table_edge_symbols(scheme, n_gauss=25_000) -> np.ndarray:
     )
 
 
+class TestAxisSlicer:
+    """Product grids, whose table is sliced per axis at guarded level midpoints."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        name=st.sampled_from(GRID_SCHEMES),
+        key_seed=st.none() | st.integers(0, 2**32 - 1),
+        coords=st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_equals_argmin_property(self, name, key_seed, coords):
+        scheme = keyed_scheme(name, key_seed)
+        assert_matches_argmin([complex(re, im) for re, im in coords], scheme)
+
+
 class TestCellTable:
     @pytest.mark.parametrize(
         "name, key_seed",
@@ -334,9 +353,9 @@ class TestCellTable:
         assert scheme.cell_table.mixed == order
         assert_matches_argmin(table_edge_symbols(scheme, n_gauss=2_500), scheme)
 
-    @settings(deadline=None, max_examples=200)
+    @settings(deadline=None, max_examples=100)
     @given(
-        name=st.sampled_from(TABLE_SCHEMES),
+        name=st.sampled_from(("qam16_circ", "qpsk_rot")),
         key_seed=st.none() | st.integers(0, 2**32 - 1),
         coords=st.lists(
             st.tuples(
