@@ -32,7 +32,8 @@ __all__ = [
 #: Exhaustive key enumeration is refused beyond this many keys (6! = 720).
 MAX_SECRECY_ORDER = 6
 
-#: Permanent evaluation is refused beyond this dimension (2**20 subset terms).
+#: Permanent evaluation is refused beyond this dimension (2**20 subset terms;
+#: 20! < 2**64 keeps the wrapped uint64 arithmetic of ``permanent`` exact).
 MAX_PERMANENT_DIM = 20
 
 
@@ -94,62 +95,94 @@ def unicity(entropy_bits: float, redundancy: float) -> UnicityResult:
     )
 
 
-def _as_binary_matrix(matrix) -> list[list[int]]:
+def _as_binary_matrix(matrix) -> np.ndarray:
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"matrix must be square, got shape {arr.shape}")
-    rows = [[int(v) for v in row] for row in arr]
+    if arr.shape[0] > MAX_PERMANENT_DIM:
+        raise ValueError(
+            f"dimension {arr.shape[0]} exceeds the exact-evaluation guard"
+            f" ({MAX_PERMANENT_DIM})"
+        )
+    rows = arr.tolist()
     for row in rows:
         for v in row:
-            if v not in (0, 1):
-                raise ValueError(f"matrix entries must be 0 or 1, got {v}")
-    return rows
+            # Compare values, never truncate: 0.5, 1.9, -1, NaN and inf all fail.
+            if not (v == 0 or v == 1):
+                raise ValueError(f"matrix entries must be 0 or 1, got {v!r}")
+    ones = [[v == 1 for v in row] for row in rows]
+    return np.array(ones, dtype=np.uint8).reshape(arr.shape)
+
+
+def _subset_row_sums(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums of every column subset of an (n, k) matrix, split by subset size.
+
+    Returns the (n, .) tables of the even-size and the odd-size subsets,
+    2^(k-1) columns each for k >= 1 (the empty subset alone for k = 0).
+    Sums of 0/1 entries stay at most n <= MAX_PERMANENT_DIM, so they keep
+    the uint8 input dtype.
+    """
+    even = np.zeros((cols.shape[0], 1), dtype=cols.dtype)
+    odd = even[:, :0]
+    for j in range(cols.shape[1]):
+        col = cols[:, j : j + 1]
+        even, odd = np.hstack((even, odd + col)), np.hstack((odd, even + col))
+    return even, odd
+
+
+# Ryser's sum runs over all 2^n column subsets S. The low
+# _RYSER_BLOCK_BITS columns are split off: their 2^b subsets give one
+# precomputed (n, 2^b) table of row sums, and each subset of the other
+# columns adds its row sums to that table and multiplies down the rows,
+# so one block holds 2^b terms. Row sums are at most n, so the table
+# and the block stay uint8 (20 kB for n = 20). The products and the
+# block sums are uint64 and wrap mod 2^64, which is exact here:
+# reduction mod 2^64 is a ring homomorphism from the integers, so every
+# sum and product computed with wrap-around is the true one mod 2^64,
+# and so is the final signed total. A 0/1 permanent counts
+# permutations, so it lies in [0, n!], and 20! ~ 2.43e18 < 2^64 ~
+# 1.84e19: the residue in [0, 2^64) is the permanent itself for every
+# n <= MAX_PERMANENT_DIM. Partial terms (up to 20^20 for the all-ones
+# matrix) do overflow; numpy wraps silently inside array operations
+# only, while numpy scalar arithmetic would warn, so block sums leave
+# the arrays as Python ints. 21! > 2^64, so the dimension guard cannot
+# rise without wider arithmetic.
+_RYSER_BLOCK_BITS = 10
 
 
 def permanent(matrix) -> int:
     """Exact permanent of a square 0/1 matrix via Ryser's inclusion-exclusion.
 
-    Runs in O(2^n * n) using Gray-code column subsets and exact integer
-    arithmetic; equals the number of perfect matchings of the bipartite
-    graph whose bi-adjacency matrix this is. Dimensions above
-    ``MAX_PERMANENT_DIM`` are refused.
+    Sums the 2^n Ryser terms (-1)^(n-|S|) prod_i sum_{j in S} a_ij over
+    column subsets S in blocks of 2^10: the row sums of the low ten
+    columns' subsets are a fixed table, each subset of the remaining
+    columns adds its own row sums to it, and numpy multiplies down the
+    rows in wrapping uint64. The even- and odd-size halves of a block are
+    summed apart and added as Python ints, and the total is reduced
+    mod 2^64, which is exact because the permanent lies in [0, n!] and
+    n! < 2^64 for n <= ``MAX_PERMANENT_DIM`` (see the comment above
+    ``_RYSER_BLOCK_BITS``). Runs in O(2^n * n); equals the number of
+    perfect matchings of the bipartite graph whose bi-adjacency matrix
+    this is. Dimensions above ``MAX_PERMANENT_DIM`` are refused. Entries
+    must be exactly 0 or 1 (bools are accepted).
     """
-    rows = _as_binary_matrix(matrix)
-    n = len(rows)
+    a = _as_binary_matrix(matrix)
+    n = a.shape[0]
     if n == 0:
         return 1
-    if n > MAX_PERMANENT_DIM:
-        raise ValueError(
-            f"dimension {n} exceeds the exact-evaluation guard ({MAX_PERMANENT_DIM})"
-        )
-    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
-    row_sums = [0] * n
+    b = min(n, _RYSER_BLOCK_BITS)
+    low_even, low_odd = _subset_row_sums(a[:, :b])
+    low = np.hstack((low_even, low_odd))
+    n_even = low_even.shape[1]
+    high_even, high_odd = _subset_row_sums(a[:, b:])
+    block = np.empty_like(low)
     total = 0
-    prev_gray = 0
-    popcount = 0
-    for k in range(1, 1 << n):
-        gray = k ^ (k >> 1)
-        changed = gray ^ prev_gray
-        j = changed.bit_length() - 1
-        if gray & changed:
-            popcount += 1
-            col = cols[j]
-            for i in range(n):
-                row_sums[i] += col[i]
-        else:
-            popcount -= 1
-            col = cols[j]
-            for i in range(n):
-                row_sums[i] -= col[i]
-        prev_gray = gray
-        term = 1
-        for s in row_sums:
-            term *= s
-            if term == 0:
-                break
-        if term:
-            total += term if (popcount & 1) == (n & 1) else -term
-    return total
+    for sign, high in ((1, high_even), (-1, high_odd)):
+        for k in range(high.shape[1]):
+            np.add(low, high[:, k : k + 1], out=block)
+            terms = np.prod(block, axis=0, dtype=np.uint64)
+            total += sign * (int(terms[:n_even].sum()) - int(terms[n_even:].sum()))
+    return (-total if n & 1 else total) % 2**64
 
 
 @dataclass(frozen=True)

@@ -270,6 +270,30 @@ class TestAllSymbolsAverage:
             p_correct_all_symbols(point), rel=1e-9
         )
 
+    @pytest.mark.parametrize("scale", [1.0, 1.002001])
+    def test_equals_per_symbol_route_exactly(self, scale):
+        # The constant-geometry sum must give the very float of the public
+        # per-symbol route: same interval expressions, same summation order.
+        points = [SnrPoint.from_db(s) for s in snr_grid_db(0, 25, 0.01)]
+        points.append(SnrPoint(0.0))
+        for point in points:
+            n0 = math.inf if point.es_over_n0 == 0 else 1.0 / point.es_over_n0
+            explicit = sum(
+                p_correct_numeric(
+                    circular_tx_point(v) * scale, rect_decision_region(v), n0
+                )
+                for v in range(16)
+            ) / 16
+            assert p_correct_all_symbols(point, point_scale=scale) == explicit, point
+
+    def test_rejects_unusable_inputs(self):
+        for scale in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="point scale"):
+                p_correct_all_symbols(SnrPoint.from_db(5.0), point_scale=scale)
+        # Infinite Es/N0 means N0 = 0, which p_correct_numeric refuses too.
+        with pytest.raises(ValueError, match="noise density"):
+            p_correct_all_symbols(SnrPoint(math.inf))
+
 
 class TestSweep:
     def test_error_is_complement(self):

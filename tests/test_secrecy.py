@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from keyedmod.secrecy import (
+    _RYSER_BLOCK_BITS,
     MAX_PERMANENT_DIM,
     keyspace_report,
     permanent,
@@ -27,6 +28,23 @@ def naive_permanent(matrix) -> int:
             product *= int(arr[i, sigma[i]])
         total += product
     return total
+
+
+def subset_dp_permanent(matrix) -> int:
+    """Oracle: ways[mask] counts matchings of the first popcount(mask) rows onto mask."""
+    arr = np.asarray(matrix)
+    n = arr.shape[0]
+    masks = np.arange(1 << n)
+    ways = np.zeros(1 << n, dtype=np.int64)
+    ways[0] = 1
+    for row in arr:
+        step = np.zeros_like(ways)
+        for j in np.flatnonzero(row):
+            bit = 1 << int(j)
+            free = masks[(masks & bit) == 0]
+            step[free | bit] += ways[free]
+        ways = step
+    return int(ways[-1])
 
 
 class TestKeyspaceReport:
@@ -128,14 +146,59 @@ class TestPermanent:
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="guard"):
             permanent(np.ones((MAX_PERMANENT_DIM + 1,) * 2, dtype=int))
+        # The guard comes before the per-entry scan of a large input.
+        with pytest.raises(ValueError, match="guard"):
+            permanent(np.full((2000, 2000), 0.5))
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            permanent([[2, 0], [0, 1]])
+        # Entries are compared by value: truncation would read 0.5 as 0
+        # and 1.9 as 1 and return a permanent of another matrix.
+        for bad in (2, -1, 0.5, 1.9, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="0 or 1"):
+                permanent([[bad, 1], [1, 1]])
+            with pytest.raises(ValueError, match="0 or 1"):
+                permanent(np.array([[1.0, 0.0], [0.0, bad]]))
+
+    def test_accepts_bool_and_exact_float_entries(self):
+        assert permanent([[True, False], [True, True]]) == 1
+        assert permanent(np.ones((3, 3), dtype=bool)) == 6
+        assert permanent([[1.0, 1.0], [1.0, 0.0]]) == 1
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             permanent([[1, 0, 1], [0, 1, 0]])
+
+    @pytest.mark.parametrize(
+        "n", sorted(set(range(9, 17)) | {_RYSER_BLOCK_BITS, _RYSER_BLOCK_BITS + 1})
+    )
+    def test_matches_subset_dp_oracle(self, n):
+        # n below, at and above the block width: one block, then two or more.
+        rng = np.random.default_rng(4100 + n)
+        for density in (0.3, 0.5, 0.8):
+            mat = (rng.random((n, n)) < density).astype(int)
+            assert permanent(mat) == subset_dp_permanent(mat), mat
+
+    def test_all_ones_at_guard_wraps_exactly(self):
+        # Ryser terms of J_20 reach 20^20 > 2^64, so this needs the wrap.
+        n = MAX_PERMANENT_DIM
+        assert permanent(np.ones((n, n), dtype=int)) == math.factorial(n)
+
+    def test_derangements_at_guard(self):
+        n = MAX_PERMANENT_DIM
+        mat = np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
+        derangements = sum(
+            (-1) ** k * (math.factorial(n) // math.factorial(k)) for k in range(n + 1)
+        )
+        assert permanent(mat) == derangements
+
+    def test_guard_keeps_uint64_arithmetic_exact(self):
+        # The wrapped uint64 evaluation is exact only while n! < 2^64.
+        assert math.factorial(MAX_PERMANENT_DIM) < 2**64
+        assert math.factorial(MAX_PERMANENT_DIM + 1) > 2**64
+
+    def test_returns_python_int(self):
+        for mat in (np.eye(3, dtype=int), np.ones((14, 14), dtype=bool), [[0]]):
+            assert type(permanent(mat)) is int
 
     def test_moderate_dimension_exact(self):
         # Permanent of J_12 minus the diagonal equals the number of
