@@ -8,7 +8,9 @@ a = sqrt(Es/10), with the grid's decision boundaries at 0 and +-2a.
 
 Every closed form has an independent check: the same probability as a
 product of two one-dimensional Gaussian interval integrals over the
-decoder's rectangular decision cell (:func:`p_correct_numeric`).
+decoder's rectangular decision cell (:func:`p_correct_numeric`). One
+interval kernel serves that oracle and the all-symbol average
+(:func:`p_correct_all_symbols`).
 """
 
 from __future__ import annotations
@@ -143,6 +145,32 @@ def _check_prob(p: float, what: str) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def _closed_form(i: int, u: float) -> float:
+    """Clamped closed form of representative symbol ``i`` at erfc scale ``u``.
+
+    :class:`SnrPoint` rejects NaN, so no erfc argument here is NaN.
+    """
+    if i == 0:
+        p = 0.25 * math.erfc(_K0_RE * u) * math.erfc(_K0_IM * u)
+    elif i == 1:
+        p = (
+            0.5
+            * math.erfc(_K1_RE * u)
+            * (1.0 - 0.5 * math.erfc(_K1_IM_LO * u) - 0.5 * math.erfc(_K1_IM_HI * u))
+        )
+    elif i == 2:
+        p = (1.0 - 0.5 * math.erfc(_K2_RE_LO * u) - 0.5 * math.erfc(_K2_RE_HI * u)) * (
+            1.0 - 0.5 * math.erfc(_K2_IM_LO * u) - 0.5 * math.erfc(_K2_IM_HI * u)
+        )
+    else:
+        p = (
+            0.5
+            * math.erfc(_K3_IM * u)
+            * (1.0 - 0.5 * math.erfc(_K3_RE_LO * u) - 0.5 * math.erfc(_K3_RE_HI * u))
+        )
+    return _check_prob(p, f"symbol {i}")
+
+
 def p_correct_symbol(i: int, snr) -> SymbolCondProb:
     """Closed-form P(decoded label == sent label) for representative symbol ``i``.
 
@@ -153,29 +181,10 @@ def p_correct_symbol(i: int, snr) -> SymbolCondProb:
     sent bit label.
     """
     u = _as_snr(snr).u
-    if i == 0:
-        p = 0.25 * erfc(_K0_RE * u) * erfc(_K0_IM * u)
-    elif i == 1:
-        p = (
-            0.5
-            * erfc(_K1_RE * u)
-            * (1.0 - 0.5 * erfc(_K1_IM_LO * u) - 0.5 * erfc(_K1_IM_HI * u))
-        )
-    elif i == 2:
-        p = (1.0 - 0.5 * erfc(_K2_RE_LO * u) - 0.5 * erfc(_K2_RE_HI * u)) * (
-            1.0 - 0.5 * erfc(_K2_IM_LO * u) - 0.5 * erfc(_K2_IM_HI * u)
-        )
-    elif i == 3:
-        p = (
-            0.5
-            * erfc(_K3_IM * u)
-            * (1.0 - 0.5 * erfc(_K3_RE_LO * u) - 0.5 * erfc(_K3_RE_HI * u))
-        )
-    else:
+    if i not in (0, 1, 2, 3):
         raise ValueError(f"representative symbol index must be 0..3, got {i}")
-    return SymbolCondProb(
-        symbol=REPRESENTATIVE_SYMBOLS[i], prob_correct=_check_prob(p, f"symbol {i}")
-    )
+    p = _closed_form(i, u)
+    return SymbolCondProb(symbol=REPRESENTATIVE_SYMBOLS[i], prob_correct=p)
 
 
 def _p_correct_total_expanded(u: float) -> float:
@@ -185,11 +194,11 @@ def _p_correct_total_expanded(u: float) -> float:
     forms; kept as a second evaluation route to flag transcription bugs
     in either version.
     """
-    b = erfc(_K1_RE * u)
-    c = erfc(-_K1_IM_LO * u)
-    e = erfc(_K2_RE_HI * u)
-    f = erfc(_K2_IM_LO * u)
-    g = erfc(_K2_IM_HI * u)
+    b = math.erfc(_K1_RE * u)
+    c = math.erfc(-_K1_IM_LO * u)
+    e = math.erfc(_K2_RE_HI * u)
+    f = math.erfc(_K2_IM_LO * u)
+    g = math.erfc(_K2_IM_HI * u)
     return 0.25 * (
         1.0
         + 0.25 * b * c
@@ -212,8 +221,9 @@ def p_correct_total(snr) -> float:
     the symbol-sum and expanded evaluation routes disagree beyond 1e-9.
     """
     point = _as_snr(snr)
-    total = sum(p_correct_symbol(i, point).prob_correct for i in range(4)) / 4.0
-    expanded = _p_correct_total_expanded(point.u)
+    u = point.u
+    total = sum(_closed_form(i, u) for i in range(4)) / 4.0
+    expanded = _p_correct_total_expanded(u)
     if abs(total - expanded) > 1e-9:
         raise ConsistencyError(
             f"aggregate forms disagree at Es/N0={point.es_over_n0!r}:"
@@ -252,17 +262,19 @@ def circular_tx_point(bit_value: int, es: float = 1.0) -> complex:
     return QAM16_CIRC_GRID[bit_value] * math.sqrt(es / 10.0)
 
 
-def _interval_probability(lo: float, hi: float, mean: float, n0: float) -> float:
-    q = 1.0 / math.sqrt(n0)
-    if lo == hi:
-        return 0.0
-    if math.isinf(lo) and math.isinf(hi):
-        return 1.0
-    if math.isinf(lo):
-        return 0.5 * erfc((mean - hi) * q)
-    if math.isinf(hi):
-        return 0.5 * erfc((lo - mean) * q)
-    return 0.5 * (erfc((lo - mean) * q) - erfc((hi - mean) * q))
+def _interval_probability(lo: float, hi: float, mean: float, q: float) -> float:
+    """P(lo < mean + n < hi) for n ~ N(0, N0/2), lo < hi and q = 1/sqrt(N0).
+
+    One-sided terms lie in [0, 1] and the two-sided one is clamped at 0.
+    A NaN erfc argument (a NaN mean, or an infinite one at q = 0) gives NaN.
+    """
+    if lo == -math.inf:
+        if hi == math.inf:
+            return 1.0
+        return 0.5 * math.erfc((mean - hi) * q)
+    if hi == math.inf:
+        return 0.5 * math.erfc((lo - mean) * q)
+    return max(0.5 * (math.erfc((lo - mean) * q) - math.erfc((hi - mean) * q)), 0.0)
 
 
 def p_correct_numeric(tx_point: complex, region: Region, n0: float) -> float:
@@ -277,36 +289,21 @@ def p_correct_numeric(tx_point: complex, region: Region, n0: float) -> float:
         raise ValueError(f"noise density must be positive, got {n0}")
     if region.degenerate:
         return 0.0
-    p_re = _interval_probability(region.re_lo, region.re_hi, tx_point.real, n0)
-    p_im = _interval_probability(region.im_lo, region.im_hi, tx_point.imag, n0)
-    return _check_prob(p_re, "re interval") * _check_prob(p_im, "im interval")
+    q = 1.0 / math.sqrt(n0)
+    p_re = _interval_probability(region.re_lo, region.re_hi, tx_point.real, q)
+    p = p_re * _interval_probability(region.im_lo, region.im_hi, tx_point.imag, q)
+    if math.isnan(p):
+        raise ValueError(f"sender point {tx_point!r} gives a NaN erfc argument")
+    return p
 
 
-# Per-axis decision cells of the sixteen (sent point, grid cell) pairs at
-# es = 1, built once by the public constructors: each label gives its
-# re-axis then its im-axis entry as (nominal sender coordinate, lo, hi),
-# with -inf/+inf for the grid's unbounded outer cells. No cell is
-# degenerate or unbounded on both sides.
-_ALL_SYMBOL_AXES = tuple(
-    axis
+# The sixteen (sent point, grid cell) pairs at es = 1, from the public
+# constructors: per label, the re-axis then the im-axis entry as (nominal
+# sender coordinate, lo, hi), with -inf/+inf for the unbounded outer cells.
+_ALL_SYMBOL_CELLS = tuple(
+    ((tx.real, cell.re_lo, cell.re_hi), (tx.imag, cell.im_lo, cell.im_hi))
     for tx, cell in ((circular_tx_point(v), rect_decision_region(v)) for v in range(16))
-    for axis in ((tx.real, cell.re_lo, cell.re_hi), (tx.imag, cell.im_lo, cell.im_hi))
 )
-
-
-def _cell_probability(coord: float, lo: float, hi: float, q: float) -> float:
-    """``_interval_probability`` for one ``_ALL_SYMBOL_AXES`` entry, given q = 1/sqrt(N0).
-
-    Same expressions, so the same float. The inputs are finite, so
-    math.erfc needs no NaN guard; a one-sided form 0.5 * erfc(.) lies in
-    [0, 1] already, and the two-sided one is clamped at 0 like
-    ``_check_prob`` would.
-    """
-    if lo == -math.inf:
-        return 0.5 * math.erfc((coord - hi) * q)
-    if hi == math.inf:
-        return 0.5 * math.erfc((lo - coord) * q)
-    return max(0.5 * (math.erfc((lo - coord) * q) - math.erfc((hi - coord) * q)), 0.0)
 
 
 def p_correct_all_symbols(snr, point_scale: float = 1.0) -> float:
@@ -319,8 +316,8 @@ def p_correct_all_symbols(snr, point_scale: float = 1.0) -> float:
     unit-energy normalization gain to match the operational scheme).
 
     The geometry is fixed, so the cells and sender coordinates are module
-    constants and a call evaluates 32 one-dimensional Gaussian interval
-    probabilities. It gives the same float as the independent route
+    constants and a call makes 32 calls of the interval kernel that
+    :func:`p_correct_numeric` uses. It gives the same float as the route
     ``sum(p_correct_numeric(circular_tx_point(v) * point_scale,
     rect_decision_region(v), n0) for v in range(16)) / 16``, term by term
     and in the same order; Es/N0 = 0 (N0 infinite) gives 1/16.
@@ -333,16 +330,18 @@ def p_correct_all_symbols(snr, point_scale: float = 1.0) -> float:
         raise ValueError(f"noise density must be positive, got {n0}")
     q = 1.0 / math.sqrt(n0)
     total = 0.0
-    axes = iter(_ALL_SYMBOL_AXES)
-    for (re, re_lo, re_hi), (im, im_lo, im_hi) in zip(axes, axes):
-        p_re = _cell_probability(re * point_scale, re_lo, re_hi, q)
-        p_im = _cell_probability(im * point_scale, im_lo, im_hi, q)
+    for (re, re_lo, re_hi), (im, im_lo, im_hi) in _ALL_SYMBOL_CELLS:
+        p_re = _interval_probability(re_lo, re_hi, re * point_scale, q)
+        p_im = _interval_probability(im_lo, im_hi, im * point_scale, q)
         total += p_re * p_im
     return total / 16.0
 
 
 def snr_grid_db(start: float, stop: float, step: float) -> list[float]:
     """Inclusive dB grid from ``start`` to ``stop`` in ``step`` increments."""
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if step <= 0:
         raise ValueError("step must be positive")
     n = round((stop - start) / step)

@@ -45,6 +45,13 @@ class PathLossModel:
     snr_ref_db: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in (
+            ("alpha", self.alpha),
+            ("d_ref", self.d_ref),
+            ("snr_ref_db", self.snr_ref_db),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"path-loss {name} must be finite, got {value}")
         if not self.alpha > 0:
             raise ValueError(f"path-loss exponent must be positive, got {self.alpha}")
         if not self.d_ref > 0:

@@ -88,6 +88,15 @@ def _cmd_analytic_sweep(args):
     return 0
 
 
+def _print_doc(doc, as_json):
+    """Print ``doc`` as indented JSON or as ``key: value`` lines."""
+    if as_json:
+        print(json.dumps(doc, indent=2))
+    else:
+        for key, value in doc.items():
+            print(f"{key}: {value}")
+
+
 def _cmd_secrecy_report(args):
     report = secrecy.keyspace_report(args.order)
     doc = {
@@ -97,11 +106,7 @@ def _cmd_secrecy_report(args):
         "shannon_bound_max_symbols": report.shannon_bound_max_symbols,
         "unicity_distance_zero_redundancy": "infinite",
     }
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        for key, value in doc.items():
-            print(f"{key}: {value}")
+    _print_doc(doc, args.json)
     return 0
 
 
@@ -118,11 +123,7 @@ def _cmd_secrecy_verify(args):
         "max_deviation": str(report.max_deviation),
         "passed": report.passed,
     }
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        for key, value in doc.items():
-            print(f"{key}: {value}")
+    _print_doc(doc, args.json)
     if not report.passed:
         print("perfect-secrecy check FAILED", file=sys.stderr)
         return DATA_ERROR

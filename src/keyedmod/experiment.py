@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -94,8 +95,10 @@ class ReceiverSpec:
             raise ValueError("receiver label must not be empty")
         if "," in self.label:
             raise ValueError("receiver label must not contain commas")
-        if not self.distance_m > 0:
-            raise ValueError(f"distance must be positive, got {self.distance_m}")
+        if not 0 < self.distance_m < math.inf:
+            raise ValueError(
+                f"distance must be positive and finite, got {self.distance_m}"
+            )
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,10 @@ class ExperimentConfig:
             raise ValueError(f"duplicate receiver labels: {labels}")
         if not self.snr_sweep_db:
             raise ValueError("SNR sweep must not be empty")
+        if not all(math.isfinite(s) for s in self.snr_sweep_db):
+            raise ValueError(
+                f"SNR sweep values must be finite, got {list(self.snr_sweep_db)}"
+            )
         if list(self.snr_sweep_db) != sorted(self.snr_sweep_db):
             raise ValueError("SNR sweep must be sorted ascending")
         if self.sweep_mode not in ("receive", "reference"):

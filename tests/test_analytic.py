@@ -199,6 +199,17 @@ class TestNumericOracle:
         with pytest.raises(ValueError):
             p_correct_numeric(0j, Region(0, 1, 0, 1), 0.0)
 
+    @pytest.mark.parametrize(
+        "tx, n0",
+        [(complex(math.nan, 0.0), 1.0), (complex(math.inf, 0.0), math.inf)],
+        ids=["nan_point", "infinite_point_infinite_noise"],
+    )
+    def test_rejects_nan_erfc_argument(self, tx, n0):
+        # (lo - mean) * q is NaN for a NaN mean, and for an infinite mean
+        # at q = 1/sqrt(N0) = 0; neither may come back as a probability.
+        with pytest.raises(ValueError):
+            p_correct_numeric(tx, rect_decision_region(0b0101), n0)
+
     def test_outer_corner_definitional_equality(self):
         tx, region = region_mean_pair(0)
         for snr_db in (0.0, 10.0):
@@ -307,4 +318,14 @@ class TestSweep:
             snr_grid_db(0, 10, 0.0)
         with pytest.raises(ValueError):
             snr_grid_db(0, 10, 3.0)
+        for args, name in [
+            ((0, 10, math.inf), "step"),
+            ((0, 10, math.nan), "step"),
+            ((0, math.inf, 1), "stop"),
+            ((0, -math.inf, 1), "stop"),
+            ((math.nan, 10, 1), "start"),
+            ((-math.inf, 10, 1), "start"),
+        ]:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                snr_grid_db(*args)
         assert snr_grid_db(0, 25, 0.5)[-1] == 25.0

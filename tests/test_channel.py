@@ -130,3 +130,11 @@ class TestPathLoss:
             PathLossModel(alpha=0.0)
         with pytest.raises(ValueError):
             PathLossModel(alpha=2.0, d_ref=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["alpha", "d_ref", "snr_ref_db"])
+    def test_rejects_non_finite_parameters(self, field, value):
+        # An infinite alpha or d_ref would otherwise fail only mid-sweep,
+        # in snr_at_distance or ChannelSpec.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PathLossModel(**{"alpha": 2.0, field: value})

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, file formats, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -66,6 +67,25 @@ class TestSecrecyCommands:
         doc = json.loads(proc.stdout)
         assert doc["keyspace_size"] == 20922789888000
         assert doc["shannon_bound_max_symbols"] == 11
+
+    def test_report_text(self):
+        proc = run_cli("secrecy", "report", "--order", "16")
+        assert proc.returncode == 0
+        fields = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
+        assert list(fields) == [
+            "order",
+            "keyspace_size",
+            "key_entropy_bits",
+            "shannon_bound_max_symbols",
+            "unicity_distance_zero_redundancy",
+        ]
+        assert fields["order"] == "16"
+        assert fields["keyspace_size"] == "20922789888000"
+        assert float(fields["key_entropy_bits"]) == pytest.approx(
+            math.log2(20922789888000), rel=1e-12
+        )
+        assert fields["shannon_bound_max_symbols"] == "11"
+        assert fields["unicity_distance_zero_redundancy"] == "infinite"
 
     def test_verify(self):
         proc = run_cli("secrecy", "verify", "--order", "4", "--json")

@@ -2,15 +2,18 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from keyedmod import experiment
-from keyedmod.analytic import SnrPoint, p_correct_all_symbols
+from keyedmod.analytic import SnrPoint, p_correct_all_symbols, snr_grid_db
 from keyedmod.channel import ChannelSpec, PathLossModel, add_awgn
 from keyedmod.constellations import random_key
 from keyedmod.experiment import (
+    FIGURE_SCENARIOS,
+    REQUIRED_RECEIVER_LABELS,
     BerRecord,
     ExperimentConfig,
     IntegrityError,
@@ -27,6 +30,8 @@ from keyedmod.experiment import (
 from keyedmod.modem import demodulate, modulate
 
 A = math.sqrt(1.0 / 10.0)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_config(**overrides):
@@ -99,6 +104,39 @@ class TestConfigValidation:
                     ReceiverSpec("eve_bpsk", "bpsk", distance_m=0.5),
                 ),
             )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_sweep_value(self, value):
+        with pytest.raises(ValueError, match="SNR sweep values must be finite"):
+            small_config(snr_sweep_db=(0.0, value))
+
+    @pytest.mark.parametrize(
+        "where, key, match",
+        [
+            ((), "snr_sweep_db", "SNR sweep values must be finite"),
+            (("receivers", 0), "distance_m", "distance must be positive and finite"),
+            (("path_loss",), "alpha", "alpha must be finite"),
+            (("path_loss",), "d_ref_m", "d_ref must be finite"),
+        ],
+        ids=["sweep", "distance", "alpha", "d_ref"],
+    )
+    def test_load_config_rejects_non_finite_numbers(
+        self, tmp_path, monkeypatch, where, key, match
+    ):
+        # json.load accepts NaN and Infinity, so a config file can carry
+        # them; the config must refuse them before any cell is simulated.
+        doc = config_to_dict(small_config(sweep_mode="reference"))
+        target = doc
+        for part in where:
+            target = target[part]
+        target[key] = [0.0, math.nan] if key == "snr_sweep_db" else math.inf
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        calls = []
+        monkeypatch.setattr(experiment, "add_awgn", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=match):
+            run_experiment(load_config(path))
+        assert calls == []
 
     @pytest.mark.parametrize(
         "where, key",
@@ -463,3 +501,18 @@ class TestScenarioConfig:
         assert all(r.distance_m == 50.0 for r in cfg.receivers)
         assert cfg.sweep_mode == "receive"
         assert cfg.path_loss.alpha == 2.0
+
+    @pytest.mark.parametrize("fig", sorted(FIGURE_SCENARIOS))
+    def test_committed_figure_config(self, fig):
+        doc = json.loads((CONFIGS / f"{fig}.json").read_text(encoding="utf-8"))
+        cfg = scenario_config(
+            *FIGURE_SCENARIOS[fig],
+            snr_grid_db(0, 25, 1.0),
+            symbols_per_point=1_000_000,
+            seed=400,
+        )
+        assert doc == config_to_dict(cfg)
+
+    def test_committed_demo_config_loads(self):
+        cfg = load_config(CONFIGS / "demo.json")
+        assert [r.label for r in cfg.receivers] == list(REQUIRED_RECEIVER_LABELS)
