@@ -61,7 +61,11 @@ class SnrPoint:
 
     @classmethod
     def from_db(cls, snr_db: float) -> "SnrPoint":
-        return cls(10.0 ** (snr_db / 10.0))
+        """Es/N0 from dB; above about 3083 dB it exceeds float64 and is ``inf``."""
+        try:
+            return cls(10.0 ** (float(snr_db) / 10.0))
+        except OverflowError:
+            return cls(math.inf)
 
     @property
     def u(self) -> float:

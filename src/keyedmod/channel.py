@@ -34,6 +34,7 @@ class ChannelSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.es_over_n0_db):
             raise ValueError("es_over_n0_db must be finite")
+        noise_spectral_density(self.es_over_n0_db)
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,16 @@ class PathLossModel:
 
 
 def noise_spectral_density(es_over_n0_db: float) -> float:
-    """N0 for unit symbol energy at the given Es/N0 in dB."""
-    return 10.0 ** (-es_over_n0_db / 10.0)
+    """N0 for unit symbol energy at the given Es/N0 in dB.
+
+    Raises ``ValueError`` where N0 exceeds float64 (below about -3083 dB).
+    """
+    try:
+        return 10.0 ** (-float(es_over_n0_db) / 10.0)
+    except OverflowError:
+        raise ValueError(
+            f"Es/N0 of {es_over_n0_db} dB gives a noise density N0 beyond float64"
+        ) from None
 
 
 def add_awgn(symbols, spec: ChannelSpec) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on usage errors, 2 on data or integrity
-errors (bad names, malformed files, failed consistency checks).
+errors (bad names, malformed files, failed consistency checks). A reader
+that closes standard output early, as ``| head`` does, is not an error.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import platform
 import sys
 from fractions import Fraction
@@ -24,6 +26,7 @@ from .constellations import (
     serialize_key,
 )
 from .experiment import (
+    _FIGURE_IDS,
     config_digest,
     emit_figure_data,
     load_config,
@@ -219,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     run.set_defaults(func=_cmd_sim_run)
     fig = sim_sub.add_parser("figure", help="emit plot data from results")
-    fig.add_argument("--id", required=True, choices=["fig5"] + [f"fig{i}" for i in range(7, 14)])
+    fig.add_argument("--id", required=True, choices=_FIGURE_IDS)
     fig.add_argument("--in", dest="infile")
     fig.add_argument("--out", help="output CSV (default stdout)")
     fig.set_defaults(func=_cmd_sim_figure)
@@ -234,7 +237,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so a reader that has gone is caught below, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"keyedmod: error: {exc}", file=sys.stderr)
         return DATA_ERROR

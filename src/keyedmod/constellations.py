@@ -17,14 +17,12 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "MappingKey",
-    "CellTable",
     "ConstellationScheme",
     "STANDARD_SCHEME_NAMES",
     "make_standard_scheme",
@@ -139,102 +137,6 @@ def parse_key(text: str) -> MappingKey:
     return MappingKey(indices)
 
 
-class CellTable(NamedTuple):
-    """Nearest-point decisions over bins cut by per-axis edges.
-
-    A coordinate's bin is the number of that axis's edges below it, so the
-    first and last bin on each axis are unbounded. A symbol at ``(x, y)``
-    falls in ``values[ix * (imag_edges.size + 1) + iy]``, which holds the
-    value decided for every symbol in the bin, or ``mixed`` (the scheme
-    order) where no single point is nearest throughout it; unbounded bins
-    are always mixed. When ``scale`` is set the edges are evenly spaced,
-    ``1 / scale`` apart, and a bin is found by arithmetic instead of by
-    counting edges.
-    """
-
-    values: np.ndarray
-    real_edges: np.ndarray
-    imag_edges: np.ndarray
-    scale: float | None
-    mixed: int
-
-
-# Bins are checked in one way whatever the cut: a bounded bin gets point p
-# only when p is nearest at all four corners, each time by a squared-distance
-# margin above tol. That is exact: for points p and q, |y-q|^2 - |y-p|^2 is
-# affine in y, so its minimum over a rectangle sits at a corner. With
-# D = 2 * max|p| >= |p - q| and S the largest |edge| or |p|,
-# tol = 4 * D * _TABLE_PAD + 64 * 2**-53 * (2S)**2. The first term pads each
-# bin by _TABLE_PAD on every side (moving a corner by that on both axes
-# changes the affine difference by at most 2 * sqrt(2) * |p - q| * _TABLE_PAD),
-# so rounding in an arithmetic bin index, about 2**-44 bins, cannot move a
-# symbol out of the padded bin; counted bins are exact. The second covers
-# float64 rounding of the squared distances: in a bounded bin each is off by
-# at most 4 * 2**-53 * 2 * (2S)**2, so the corner margins and argmin's own
-# comparison together lose under 32 * 2**-53 * (2S)**2. A pure bin thus gives
-# argmin's value itself; symbols in a mixed bin go to argmin.
-#
-# A product grid (distinct real levels times distinct imaginary levels equal
-# the order) is cut at every level midpoint +-_GRID_GUARD and at
-# +-_GRID_BOUND: outside the guard bands one level is nearest on each axis,
-# so those bins are pure unless levels sit too close for the margin. Any
-# other geometry is cut into _TABLE_BINS even bins over [-L, L], L = 2 max|p|.
-_GRID_GUARD = 1e-6
-_GRID_BOUND = 1e3
-_TABLE_BINS = 256
-_TABLE_PAD = 1e-9
-# Float64 elements in one distance block of the build (256 kB).
-_TABLE_BUILD_BLOCK = 1 << 15
-
-
-def _guarded_cuts(levels: np.ndarray) -> np.ndarray:
-    mids = (levels[:-1] + levels[1:]) / 2.0
-    cuts = (mids - _GRID_GUARD, mids + _GRID_GUARD, [-_GRID_BOUND, _GRID_BOUND])
-    return np.sort(np.concatenate(cuts))
-
-
-@lru_cache(maxsize=8)
-def _point_cell_table(points: tuple[complex, ...]) -> CellTable:
-    """Cell table of point indices for one geometry; keyed schemes share it."""
-    pts = np.asarray(points, dtype=np.complex128)
-    order = pts.size
-    reach = float(np.abs(pts).max())
-    real_levels, imag_levels = np.unique(pts.real), np.unique(pts.imag)
-    if real_levels.size * imag_levels.size == order:
-        real_edges, imag_edges = _guarded_cuts(real_levels), _guarded_cuts(imag_levels)
-        scale = None
-    else:
-        width = 4.0 * reach / _TABLE_BINS
-        real_edges = imag_edges = -2.0 * reach + width * np.arange(_TABLE_BINS + 1)
-        scale = 1.0 / width
-    bound = max(np.abs(real_edges).max(), np.abs(imag_edges).max(), reach)
-    tol = 8.0 * reach * _TABLE_PAD + 64.0 * 2.0**-53 * (2.0 * bound) ** 2
-    n_imag = imag_edges.size
-    n_corners = real_edges.size * n_imag
-    dtype = np.min_scalar_type(order)
-    nearest = np.empty(n_corners, dtype=dtype)
-    step = max(1, _TABLE_BUILD_BLOCK // order)
-    for start in range(0, n_corners, step):
-        ix, iy = np.divmod(np.arange(start, min(start + step, n_corners)), n_imag)
-        d2 = (real_edges[ix, None] - pts.real) ** 2
-        d2 += (imag_edges[iy, None] - pts.imag) ** 2
-        best = d2.argmin(axis=1)
-        rows = np.arange(best.size)
-        first = d2[rows, best]
-        d2[rows, best] = np.inf
-        margin = d2.min(axis=1) - first
-        nearest[start : start + step] = np.where(margin > tol, best, order)
-    nearest = nearest.reshape(real_edges.size, n_imag)
-    low = nearest[:-1, :-1]
-    pure = (low == nearest[1:, :-1]) & (low == nearest[:-1, 1:]) & (low == nearest[1:, 1:])
-    values = np.full((real_edges.size + 1, n_imag + 1), order, dtype=dtype)
-    values[1:-1, 1:-1] = np.where(pure, low, order)
-    values = values.ravel()
-    for arr in (values, real_edges, imag_edges):
-        arr.setflags(write=False)
-    return CellTable(values, real_edges, imag_edges, scale, order)
-
-
 @dataclass(frozen=True)
 class ConstellationScheme:
     """An ordered point set plus the keyed bit-value-to-point assignment.
@@ -289,22 +191,6 @@ class ConstellationScheme:
         arr = self.points_array[np.asarray(self.key.perm, dtype=np.intp)]
         arr.setflags(write=False)
         return arr
-
-    @cached_property
-    def cell_table(self) -> CellTable:
-        """Exact 2-D lookup of nearest bit values, with argmin left for mixed bins.
-
-        A product grid (the 4x4 grid, QPSK, BPSK) is cut at its level
-        midpoints, each widened by a guard band; any other geometry into
-        256 even bins per axis. The point-index table is built once per
-        geometry and shared by every key; this scheme only relabels it
-        through its inverse key.
-        """
-        table = _point_cell_table(self.points)
-        labels = np.append(self.key.inverse().perm, self.order)
-        values = labels.astype(table.values.dtype).take(table.values)
-        values.setflags(write=False)
-        return table._replace(values=values)
 
     def point_for_value(self, value: int) -> complex:
         """Point transmitted for the m-bit value ``value``."""

@@ -17,13 +17,19 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .analytic import snr_grid_db, sweep as analytic_sweep
-from .channel import ChannelSpec, PathLossModel, add_awgn, snr_at_distance
+from .channel import (
+    ChannelSpec,
+    PathLossModel,
+    add_awgn,
+    noise_spectral_density,
+    snr_at_distance,
+)
 from .constellations import (
     ConstellationScheme,
     MappingKey,
@@ -65,8 +71,17 @@ RESULT_FIELDS = (
     "ser",
 )
 
+#: (label, scheme) of the standard scenario's receivers: the matched
+#: receiver and three mismatched listeners.
+_SCENARIO_ROSTER = (
+    ("intended", "qam16_circ"),
+    ("eve_rect", "qam16_rect"),
+    ("eve_qpsk", "qpsk"),
+    ("eve_bpsk", "bpsk"),
+)
+
 #: Receiver roster every per-scenario BER figure expects.
-REQUIRED_RECEIVER_LABELS = ("intended", "eve_rect", "eve_qpsk", "eve_bpsk")
+REQUIRED_RECEIVER_LABELS = tuple(label for label, _ in _SCENARIO_ROSTER)
 
 #: (path-loss exponent, distance in meters) for the six scenario figures.
 FIGURE_SCENARIOS = {
@@ -77,6 +92,9 @@ FIGURE_SCENARIOS = {
     "fig11": (1.4, 50.0),
     "fig12": (1.4, 100.0),
 }
+
+#: Every figure id that :func:`emit_figure_data` accepts.
+_FIGURE_IDS = ("fig5", *FIGURE_SCENARIOS, "fig13")
 
 
 class IntegrityError(ValueError):
@@ -143,12 +161,34 @@ class ExperimentConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.path_loss.snr_ref_db != 0.0:
+            raise ValueError(
+                f"path-loss snr_ref_db must be 0, got {self.path_loss.snr_ref_db}:"
+                " the SNR sweep sets the reference SNR"
+            )
         for r in self.receivers:
             if r.distance_m < self.path_loss.d_ref:
                 raise ValueError(
                     f"receiver {r.label!r} at {r.distance_m} m is inside the"
                     f" path-loss reference distance {self.path_loss.d_ref} m"
                 )
+        # Effective SNR is lowest at the first sweep value, where N0 is largest.
+        lowest = self.snr_sweep_db[0]
+        for r in self.receivers:
+            try:
+                noise_spectral_density(self._effective_snr_db(lowest, r))
+            except ValueError as exc:
+                raise ValueError(
+                    f"SNR sweep value {lowest} dB is too low for receiver"
+                    f" {r.label!r}: {exc}"
+                ) from None
+
+    def _effective_snr_db(self, snr_db: float, receiver: ReceiverSpec) -> float:
+        """Receive-side SNR of ``receiver`` at sweep value ``snr_db``."""
+        if self.sweep_mode == "receive":
+            return float(snr_db)
+        model = replace(self.path_loss, snr_ref_db=float(snr_db))
+        return snr_at_distance(model, receiver.distance_m)
 
     def resolve_schemes(self) -> tuple[ConstellationScheme, list[ConstellationScheme]]:
         """Build all schemes up front so bad references fail before simulating."""
@@ -322,11 +362,9 @@ def scenario_config(
     seed: int = 1,
 ) -> ExperimentConfig:
     """Standard scenario: two-ring sender, matched receiver, three mismatched listeners."""
-    receivers = (
-        ReceiverSpec("intended", "qam16_circ", distance_m=distance_m),
-        ReceiverSpec("eve_rect", "qam16_rect", distance_m=distance_m),
-        ReceiverSpec("eve_qpsk", "qpsk", distance_m=distance_m),
-        ReceiverSpec("eve_bpsk", "bpsk", distance_m=distance_m),
+    receivers = tuple(
+        ReceiverSpec(label, scheme, distance_m=distance_m)
+        for label, scheme in _SCENARIO_ROSTER
     )
     return ExperimentConfig(
         sender_scheme="qam16_circ",
@@ -356,15 +394,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
     records = []
     for sweep_idx, snr_db in enumerate(cfg.snr_sweep_db):
         for spec, rx_scheme in zip(cfg.receivers, rx_schemes):
-            if cfg.sweep_mode == "receive":
-                eff_snr = float(snr_db)
-            else:
-                model = PathLossModel(
-                    alpha=cfg.path_loss.alpha,
-                    d_ref=cfg.path_loss.d_ref,
-                    snr_ref_db=float(snr_db),
-                )
-                eff_snr = snr_at_distance(model, spec.distance_m)
+            eff_snr = cfg._effective_snr_db(snr_db, spec)
             bits_rng = np.random.default_rng(
                 _substream_seed(cfg.seed, sweep_idx, spec.label, 0)
             )
@@ -529,5 +559,5 @@ def emit_figure_data(records, figure_id: str):
     if figure_id == "fig13":
         return _eavesdropper_summary(records or [])
     raise ValueError(
-        f"unknown figure id {figure_id!r}; expected fig5, fig7..fig13"
+        f"unknown figure id {figure_id!r}; expected one of {', '.join(_FIGURE_IDS)}"
     )

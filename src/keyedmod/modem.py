@@ -2,29 +2,24 @@
 
 Bit streams are 1-D integer arrays of 0/1 values; symbol streams are 1-D
 complex arrays. All functions are pure: safe to run over symbol blocks
-in parallel. The only state they touch is the per-geometry cell-table
-cache, which holds read-only decision data and never changes a result.
+in parallel. The only state they touch is the cell-table caches (one
+table per geometry, relabelled once per scheme), which hold read-only
+decision data and never change a result.
 
-Every receiver decodes through one exact cached cell table
-(``ConstellationScheme.cell_table``), built once per geometry per process
-and shared by every key. A product grid (the 4x4 grid, QPSK and BPSK)
-is cut at its level midpoints, each widened by a guard band, and a
-symbol's bin on each axis is the number of cuts below it; any other
-geometry, such as the two-ring layout, is cut into even bins found by
-arithmetic. Symbols in mixed bins (inside a guard band, outside the
-cut square or not finite) are decoded by an argmin over the distances to
-all M points. Finite symbols with a coordinate beyond 2**53, where those
-squared distances no longer separate the points, are decided by an
-exact pairwise comparison, and symbols with a NaN or infinite component
-decode to value 0. The table gives argmin's values wherever argmin can
-decide; ties go to the lowest bit value.
+Every receiver makes the decisions of an argmin over the squared
+distances from a symbol to all M points: ties go to the lowest bit
+value, and a symbol with a NaN or infinite component decodes to value
+0. Finite symbols so far out that those float64 distances no longer
+separate the points are decided exactly instead.
 """
-
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .constellations import CellTable, ConstellationScheme
+from .constellations import ConstellationScheme
 
 __all__ = [
     "modulate",
@@ -133,7 +128,113 @@ def _fallback_values(symbols: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return values
 
 
-def _bin_index(coord: np.ndarray, table: CellTable, edges: np.ndarray) -> np.ndarray:
+class _CellTable(NamedTuple):
+    """Decisions over bins cut by per-axis edges.
+
+    A coordinate's bin on an axis is the number of that axis's edges below
+    it, so the first and last bin on each axis are unbounded. The bin of
+    ``(x, y)`` is ``values[ix * (imag_edges.size + 1) + iy]``: the value
+    decided for every symbol in the bin, or the scheme order where none is
+    (a mixed bin). When ``scale`` is set the edges are evenly spaced,
+    ``1 / scale`` apart.
+    """
+
+    values: np.ndarray
+    real_edges: np.ndarray
+    imag_edges: np.ndarray
+    scale: float | None
+
+
+# Bins are checked in one way whatever the cut: a bounded bin gets point p
+# only when p is nearest at all four corners, each time by a squared-distance
+# margin above tol. That is exact: for points p and q, |y-q|^2 - |y-p|^2 is
+# affine in y, so its minimum over a rectangle sits at a corner. With
+# D = 2 * max|p| >= |p - q| and S the largest |edge| or |p|,
+# tol = 4 * D * _TABLE_PAD + 64 * 2**-53 * (2S)**2. The first term pads each
+# bin by _TABLE_PAD on every side (moving a corner by that on both axes
+# changes the affine difference by at most 2 * sqrt(2) * |p - q| * _TABLE_PAD),
+# so rounding in an arithmetic bin index, about 2**-44 bins, cannot move a
+# symbol out of the padded bin; counted bins are exact. The second covers
+# float64 rounding of the squared distances: in a bounded bin each is off by
+# at most 4 * 2**-53 * 2 * (2S)**2, so the corner margins and argmin's own
+# comparison together lose under 32 * 2**-53 * (2S)**2. A pure bin thus gives
+# argmin's value itself; symbols in a mixed bin go to argmin.
+#
+# A product grid (distinct real levels times distinct imaginary levels equal
+# the order) is cut at every level midpoint +-_GRID_GUARD and at
+# +-_GRID_BOUND: outside the guard bands one level is nearest on each axis,
+# so those bins are pure unless levels sit too close for the margin. Any
+# other geometry is cut into _TABLE_BINS even bins over [-L, L], L = 2 max|p|.
+_GRID_GUARD = 1e-6
+_GRID_BOUND = 1e3
+_TABLE_BINS = 256
+_TABLE_PAD = 1e-9
+# Float64 elements in one distance block of the build (256 kB).
+_TABLE_BUILD_BLOCK = 1 << 15
+
+
+def _guarded_cuts(levels: np.ndarray) -> np.ndarray:
+    mids = (levels[:-1] + levels[1:]) / 2.0
+    cuts = (mids - _GRID_GUARD, mids + _GRID_GUARD, [-_GRID_BOUND, _GRID_BOUND])
+    return np.sort(np.concatenate(cuts))
+
+
+@lru_cache(maxsize=8)
+def _point_cell_table(points: tuple[complex, ...]) -> _CellTable:
+    """Cell table of point indices for one geometry; keyed schemes share it."""
+    pts = np.asarray(points, dtype=np.complex128)
+    order = pts.size
+    reach = float(np.abs(pts).max())
+    real_levels, imag_levels = np.unique(pts.real), np.unique(pts.imag)
+    if real_levels.size * imag_levels.size == order:
+        real_edges, imag_edges = _guarded_cuts(real_levels), _guarded_cuts(imag_levels)
+        scale = None
+    else:
+        width = 4.0 * reach / _TABLE_BINS
+        real_edges = imag_edges = -2.0 * reach + width * np.arange(_TABLE_BINS + 1)
+        scale = 1.0 / width
+    bound = max(np.abs(real_edges).max(), np.abs(imag_edges).max(), reach)
+    tol = 8.0 * reach * _TABLE_PAD + 64.0 * 2.0**-53 * (2.0 * bound) ** 2
+    n_imag = imag_edges.size
+    n_corners = real_edges.size * n_imag
+    dtype = np.min_scalar_type(order)
+    nearest = np.empty(n_corners, dtype=dtype)
+    step = max(1, _TABLE_BUILD_BLOCK // order)
+    for start in range(0, n_corners, step):
+        ix, iy = np.divmod(np.arange(start, min(start + step, n_corners)), n_imag)
+        d2 = (real_edges[ix, None] - pts.real) ** 2
+        d2 += (imag_edges[iy, None] - pts.imag) ** 2
+        best = d2.argmin(axis=1)
+        rows = np.arange(best.size)
+        first = d2[rows, best]
+        d2[rows, best] = np.inf
+        margin = d2.min(axis=1) - first
+        nearest[start : start + step] = np.where(margin > tol, best, order)
+    nearest = nearest.reshape(real_edges.size, n_imag)
+    low = nearest[:-1, :-1]
+    pure = (low == nearest[1:, :-1]) & (low == nearest[:-1, 1:]) & (low == nearest[1:, 1:])
+    values = np.full((real_edges.size + 1, n_imag + 1), order, dtype=dtype)
+    values[1:-1, 1:-1] = np.where(pure, low, order)
+    values = values.ravel()
+    for arr in (values, real_edges, imag_edges):
+        arr.setflags(write=False)
+    return _CellTable(values, real_edges, imag_edges, scale)
+
+
+@lru_cache(maxsize=32)
+def _scheme_cell_table(scheme: ConstellationScheme) -> _CellTable:
+    """The geometry's table relabelled from point indices to the scheme's bit values.
+
+    Cached per scheme, so a decode call does not pay for the relabelling.
+    """
+    table = _point_cell_table(scheme.points)
+    labels = np.append(scheme.key.inverse().perm, scheme.order)
+    values = labels.astype(table.values.dtype).take(table.values)
+    values.setflags(write=False)
+    return table._replace(values=values)
+
+
+def _bin_index(coord: np.ndarray, table: _CellTable, edges: np.ndarray) -> np.ndarray:
     """Number of ``edges`` below each coordinate; NaN counts none."""
     if table.scale is None:
         # Counts in the narrowest dtype that holds a cell index; a
@@ -154,16 +255,6 @@ def _bin_index(coord: np.ndarray, table: CellTable, edges: np.ndarray) -> np.nda
     return index.astype(np.intp)
 
 
-def _look_up_cells(symbols: np.ndarray, table: CellTable, out: np.ndarray) -> np.ndarray:
-    """Write cell-table decisions into ``out``; return the positions argmin must decide."""
-    cell = _bin_index(symbols.real, table, table.real_edges)
-    cell *= table.imag_edges.size + 1
-    cell += _bin_index(symbols.imag, table, table.imag_edges)
-    values = table.values.take(cell)
-    out[:] = values
-    return np.flatnonzero(values == table.mixed)
-
-
 def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
     """Decode each symbol to the bit value whose point is nearest in Euclidean distance.
 
@@ -175,12 +266,18 @@ def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
     if y.ndim != 1:
         raise ValueError("symbol stream must be one-dimensional")
     pts = scheme.mapped_points
-    table = scheme.cell_table
+    table = _scheme_cell_table(scheme)
     out = np.empty(y.size, dtype=_value_dtype(scheme.bits_per_symbol))
     for start in range(0, y.size, _DEMOD_CHUNK):
         chunk = y[start : start + _DEMOD_CHUNK]
+        cell = _bin_index(chunk.real, table, table.real_edges)
+        cell *= table.imag_edges.size + 1
+        cell += _bin_index(chunk.imag, table, table.imag_edges)
+        values = table.values.take(cell)
         block = out[start : start + _DEMOD_CHUNK]
-        unsafe = _look_up_cells(chunk, table, block)
+        block[:] = values
+        # Mixed bins hold the scheme order; argmin decides their symbols.
+        unsafe = np.flatnonzero(values == scheme.order)
         block[unsafe] = _fallback_values(chunk[unsafe], pts)
     return out
 

@@ -90,6 +90,11 @@ class TestAddAwgn:
         with pytest.raises(ValueError):
             ChannelSpec(math.inf, rng_seed=0)
 
+    def test_rejects_snr_whose_noise_density_overflows(self):
+        with pytest.raises(ValueError, match=r"-4000\.0 dB"):
+            ChannelSpec(-4000.0, rng_seed=0)
+        ChannelSpec(-3000.0, rng_seed=0)
+
     def test_noise_density(self):
         assert noise_spectral_density(10.0) == pytest.approx(0.1)
         assert noise_spectral_density(0.0) == 1.0

@@ -7,7 +7,14 @@ import sys
 
 import pytest
 
-from keyedmod.experiment import config_to_dict, read_results, scenario_config
+from keyedmod.cli import main
+from keyedmod.experiment import (
+    _FIGURE_IDS,
+    config_to_dict,
+    emit_figure_data,
+    read_results,
+    scenario_config,
+)
 
 
 def run_cli(*args, **kwargs):
@@ -58,6 +65,26 @@ class TestAnalyticCommand:
     def test_bad_sweep_spec(self):
         proc = run_cli("analytic", "sweep", "--snr-db", "0:25")
         assert proc.returncode == 2
+
+    def test_sweep_past_float_range(self):
+        # Es/N0 at 4000 dB is beyond float64 and counts as infinite.
+        proc = run_cli("analytic", "sweep", "--snr-db", "0:4000:4000")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "4000.0,0.0,1.0"
+
+    def test_closed_stdout_is_not_an_error(self):
+        # 10001 rows overflow the pipe buffer, so a write fails once the
+        # reader has gone.
+        with subprocess.Popen(
+            [sys.executable, "-m", "keyedmod", "analytic", "sweep", "--snr-db", "0:25:0.0025"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.readline() == b"snr_db,p_correct,p_error\n"
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        assert stderr == b""
 
 
 class TestSecrecyCommands:
@@ -167,6 +194,26 @@ class TestSimCommands:
         for name in ("keyedmod", "numpy", "python"):
             assert sum(l.startswith(f"# {name}_version: ") for l in body1) == 1, name
         assert len(read_results(out1)) == 8
+
+    def test_every_figure_id_is_accepted(self, config_path, tmp_path):
+        results = tmp_path / "results.csv"
+        assert main(["sim", "run", "--config", str(config_path), "--out", str(results)]) == 0
+        records = read_results(results)
+        for fig in _FIGURE_IDS:
+            emit_figure_data(records, fig)
+            out = tmp_path / f"{fig}.csv"
+            assert main(["sim", "figure", "--id", fig, "--in", str(results), "--out", str(out)]) == 0
+            assert out.read_text().splitlines()[1:], fig
+
+    def test_overflowing_sweep_fails_before_the_first_cell(self, config_path, tmp_path):
+        doc = json.loads(config_path.read_text())
+        doc["snr_sweep_db"] = [-4000.0]
+        config_path.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        proc = run_cli("sim", "run", "--config", str(config_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert "SNR sweep value -4000.0 dB is too low" in proc.stderr
+        assert not out.exists()
 
     def test_figure_without_input(self, tmp_path):
         proc = run_cli("sim", "figure", "--id", "fig7", "--out", str(tmp_path / "f.csv"))

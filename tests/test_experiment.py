@@ -105,6 +105,22 @@ class TestConfigValidation:
                 ),
             )
 
+    @pytest.mark.parametrize("mode", ["receive", "reference"])
+    def test_rejects_sweep_whose_noise_density_overflows(self, mode):
+        with pytest.raises(ValueError, match=r"SNR sweep value -4000\.0 dB is too low"):
+            small_config(sweep_mode=mode, snr_sweep_db=(-4000.0, 0.0))
+
+    def test_reference_mode_checks_the_attenuated_snr(self):
+        # At 10 m and alpha 2 the receivers see 20 dB less: -3090 dB, past
+        # the float64 limit of N0 (about -3083 dB), where -3070 dB is not.
+        small_config(snr_sweep_db=(-3070.0,))
+        with pytest.raises(ValueError, match=r"-3070\.0 dB is too low for receiver 'intended'"):
+            small_config(sweep_mode="reference", snr_sweep_db=(-3070.0,))
+
+    def test_rejects_nonzero_snr_ref(self):
+        with pytest.raises(ValueError, match="the SNR sweep sets the reference SNR"):
+            small_config(path_loss=PathLossModel(alpha=2.0, snr_ref_db=10.0))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_sweep_value(self, value):
         with pytest.raises(ValueError, match="SNR sweep values must be finite"):

@@ -10,16 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyedmod.constellations import (
-    _TABLE_BINS,
     ConstellationScheme,
     MappingKey,
-    _point_cell_table,
     make_keyed_scheme,
     make_standard_scheme,
     random_key,
 )
 from keyedmod.modem import (
     _FAR_BOUND,
+    _TABLE_BINS,
+    _point_cell_table,
+    _scheme_cell_table,
     bits_to_values,
     cross_decode_bits,
     demodulate,
@@ -261,7 +262,7 @@ def table_edge_symbols(scheme, n_gauss=25_000) -> np.ndarray:
     sample of 200 point pairs, which keeps the (N, M) oracle small.
     """
     pts = scheme.mapped_points
-    table = scheme.cell_table
+    table = _scheme_cell_table(scheme)
     rng = np.random.default_rng(scheme.order)
     i, j = np.triu_indices(pts.size, 1)
     if i.size > 200:
@@ -340,9 +341,9 @@ class TestCellTable:
         b = math.sqrt(1 - a * a)
         points = (complex(-a, b), complex(a, b), complex(-a, -b), complex(a, -b))
         scheme = ConstellationScheme("narrow", points, MappingKey((2, 0, 3, 1)))
-        table = scheme.cell_table
+        table = _scheme_cell_table(scheme)
         assert table.scale is None
-        assert (table.values == table.mixed).all()
+        assert (table.values == scheme.order).all()
         assert_matches_argmin(axis_edge_symbols(scheme), scheme)
 
     @pytest.mark.parametrize("order", [32, 256])
@@ -350,7 +351,7 @@ class TestCellTable:
         # Order 32 holds value 16, the sentinel of a 16-point table, and
         # order 256 needs a wider table dtype than its uint8 values.
         scheme = random_geometry(order, seed=order)
-        assert scheme.cell_table.mixed == order
+        assert _scheme_cell_table(scheme).values.max() == order
         assert_matches_argmin(table_edge_symbols(scheme, n_gauss=2_500), scheme)
 
     @settings(deadline=None, max_examples=100)
@@ -371,15 +372,27 @@ class TestCellTable:
 
     def test_keyed_schemes_share_one_build(self):
         circ = make_standard_scheme("qam16_circ")
-        circ.cell_table
+        _scheme_cell_table.cache_clear()
+        _scheme_cell_table(circ)
         before = _point_cell_table.cache_info()
         tables = [
-            make_keyed_scheme(circ, random_key(16, seed)).cell_table for seed in (1, 2)
+            _scheme_cell_table(make_keyed_scheme(circ, random_key(16, seed)))
+            for seed in (1, 2)
         ]
         after = _point_cell_table.cache_info()
         assert after.hits == before.hits + 2
         assert after.misses == before.misses
         assert not np.array_equal(tables[0].values, tables[1].values)
+
+    def test_equal_schemes_share_one_relabelled_table(self):
+        circ = make_standard_scheme("qam16_circ")
+        first, second = (make_keyed_scheme(circ, random_key(16, 9)) for _ in range(2))
+        assert first is not second and first == second
+        _scheme_cell_table.cache_clear()
+        table = _scheme_cell_table(first)
+        assert _scheme_cell_table(second) is table
+        info = _scheme_cell_table.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
     def test_grid_is_cut_at_guarded_midpoints(self):
         # n midpoints per axis give 2n + 3 bins: one between each pair of
@@ -387,7 +400,7 @@ class TestCellTable:
         # n + 1 between the bands are pure, so each point owns one bin.
         for name in GRID_SCHEMES:
             scheme = keyed_scheme(name, 3)
-            table = scheme.cell_table
+            table = _scheme_cell_table(scheme)
             assert table.scale is None
             sizes = []
             for levels, edges in (
@@ -399,13 +412,14 @@ class TestCellTable:
                 assert np.array_equal(edges, np.sort(cuts))
                 sizes.append(2 * mids.size + 3)
             assert table.values.size == sizes[0] * sizes[1] != (_TABLE_BINS + 2) ** 2
-            pure = table.values[table.values != table.mixed]
+            pure = table.values[table.values != scheme.order]
             assert sorted(pure) == list(range(scheme.order))
-        assert keyed_scheme("qam16_rect", 3).cell_table.values.size == (2 * 3 + 3) ** 2
+        rect = _scheme_cell_table(keyed_scheme("qam16_rect", 3))
+        assert rect.values.size == (2 * 3 + 3) ** 2
 
     def test_non_product_geometries_not_separable(self):
         for scheme in (make_standard_scheme("qam16_circ"), rotated_qpsk()):
-            table = scheme.cell_table
+            table = _scheme_cell_table(scheme)
             assert table.scale is not None
             assert table.real_edges.size == table.imag_edges.size == _TABLE_BINS + 1
             assert table.values.size == (_TABLE_BINS + 2) ** 2
