@@ -21,7 +21,7 @@ from .constellations import (
     save_scheme,
     serialize_key,
 )
-from .modem import cross_decode_bits, demodulate, modulate
+from .modem import cross_decode_bits, modulate
 from .experiment import (
     BerRecord,
     ExperimentConfig,
@@ -34,7 +34,7 @@ from .experiment import (
     write_results,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ChannelSpec",
@@ -52,7 +52,6 @@ __all__ = [
     "save_scheme",
     "serialize_key",
     "cross_decode_bits",
-    "demodulate",
     "modulate",
     "BerRecord",
     "ExperimentConfig",

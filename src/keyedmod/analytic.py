@@ -25,7 +25,6 @@ __all__ = [
     "SnrPoint",
     "SymbolCondProb",
     "Region",
-    "erfc",
     "REPRESENTATIVE_SYMBOLS",
     "p_correct_symbol",
     "p_correct_total",
@@ -39,14 +38,7 @@ __all__ = [
 
 
 class ConsistencyError(ArithmeticError):
-    """Two evaluation routes for the same probability disagreed."""
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, (2/sqrt(pi)) * integral_x^inf exp(-t^2) dt."""
-    if math.isnan(x):
-        raise ValueError("erfc argument must not be NaN")
-    return math.erfc(x)
+    """A closed form evaluated to a probability outside [0, 1]."""
 
 
 @dataclass(frozen=True)
@@ -191,29 +183,6 @@ def p_correct_symbol(i: int, snr) -> SymbolCondProb:
     return SymbolCondProb(symbol=REPRESENTATIVE_SYMBOLS[i], prob_correct=p)
 
 
-def _p_correct_total_expanded(u: float) -> float:
-    """Aggregate probability as one expanded erfc polynomial.
-
-    Algebraic simplification of the quarter-sum of the four symbol
-    forms; kept as a second evaluation route to flag transcription bugs
-    in either version.
-    """
-    b = math.erfc(_K1_RE * u)
-    c = math.erfc(-_K1_IM_LO * u)
-    e = math.erfc(_K2_RE_HI * u)
-    f = math.erfc(_K2_IM_LO * u)
-    g = math.erfc(_K2_IM_HI * u)
-    return 0.25 * (
-        1.0
-        + 0.25 * b * c
-        - 0.5 * e
-        - 0.5 * f
-        - 0.5 * g
-        + 0.25 * e * f
-        + 0.25 * e * g
-    )
-
-
 def p_correct_total(snr) -> float:
     """Mean correct-decode probability over the four representative symbols.
 
@@ -221,18 +190,10 @@ def p_correct_total(snr) -> float:
     average equally describes the eight symbols in the representatives'
     conjugation classes; the other eight labels see different cell
     geometries and are covered exactly by
-    :func:`p_correct_all_symbols`. Raises :class:`ConsistencyError` if
-    the symbol-sum and expanded evaluation routes disagree beyond 1e-9.
+    :func:`p_correct_all_symbols`.
     """
-    point = _as_snr(snr)
-    u = point.u
+    u = _as_snr(snr).u
     total = sum(_closed_form(i, u) for i in range(4)) / 4.0
-    expanded = _p_correct_total_expanded(u)
-    if abs(total - expanded) > 1e-9:
-        raise ConsistencyError(
-            f"aggregate forms disagree at Es/N0={point.es_over_n0!r}:"
-            f" {total!r} vs {expanded!r}"
-        )
     return _check_prob(total, "aggregate")
 
 
@@ -271,7 +232,13 @@ def _interval_probability(lo: float, hi: float, mean: float, q: float) -> float:
 
     One-sided terms lie in [0, 1] and the two-sided one is clamped at 0.
     A NaN erfc argument (a NaN mean, or an infinite one at q = 0) gives NaN.
+    At q = inf (no noise) it is the limit: 1 inside, 0 outside, and
+    erfc(0) / 2 for a mean on an edge, where (edge - mean) * q is 0 * inf.
     """
+    if q == math.inf:
+        if lo < mean < hi:
+            return 1.0
+        return 0.5 if mean in (lo, hi) else 0.0
     if lo == -math.inf:
         if hi == math.inf:
             return 1.0
@@ -324,15 +291,14 @@ def p_correct_all_symbols(snr, point_scale: float = 1.0) -> float:
     :func:`p_correct_numeric` uses. It gives the same float as the route
     ``sum(p_correct_numeric(circular_tx_point(v) * point_scale,
     rect_decision_region(v), n0) for v in range(16)) / 16``, term by term
-    and in the same order; Es/N0 = 0 (N0 infinite) gives 1/16.
+    and in the same order; Es/N0 = 0 (N0 infinite) gives 1/16, and
+    Es/N0 = inf (N0 = 0), which that route refuses, the noiseless limit.
     """
     point = _as_snr(snr)
     if not math.isfinite(point_scale):
         raise ValueError(f"point scale must be finite, got {point_scale}")
     n0 = math.inf if point.es_over_n0 == 0 else 1.0 / point.es_over_n0
-    if not n0 > 0:
-        raise ValueError(f"noise density must be positive, got {n0}")
-    q = 1.0 / math.sqrt(n0)
+    q = math.inf if n0 == 0 else 1.0 / math.sqrt(n0)
     total = 0.0
     for (re, re_lo, re_hi), (im, im_lo, im_hi) in _ALL_SYMBOL_CELLS:
         p_re = _interval_probability(re_lo, re_hi, re * point_scale, q)

@@ -27,6 +27,7 @@ from .constellations import (
 )
 from .experiment import (
     _FIGURE_IDS,
+    _format_value,
     config_digest,
     emit_figure_data,
     load_config,
@@ -52,7 +53,7 @@ def _write_csv(path, header, rows):
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([_format_value(v) for v in row])
     finally:
         if path:
             out.close()
@@ -147,6 +148,13 @@ def _cmd_permanent(args):
 
 def _cmd_sim_run(args):
     cfg = load_config(args.config)
+    # Fail on an unwritable --out before the sweep, and leave the path as it
+    # was: an existing results file is replaced only by the finished sweep.
+    try:
+        open(args.out, "x").close()
+        os.remove(args.out)
+    except FileExistsError:
+        open(args.out, "a").close()
     records = run_experiment(cfg)
     metadata = {
         "config": args.config,

@@ -279,6 +279,25 @@ def _check_keys(doc, allowed: tuple[str, ...], where: str) -> dict:
     return doc
 
 
+def _number(value, field: str) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{field} exceeds the float64 range") from None
+
+
+def _integer(value, field: str) -> int:
+    """A JSON integer, or a float with an integral value, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from its JSON form, rejecting unknown keys at every level."""
     try:
@@ -299,15 +318,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         sweep_spec = doc["snr_sweep_db"]
         if isinstance(sweep_spec, dict):
             _check_keys(sweep_spec, ("start", "stop", "step"), "snr_sweep_db")
-            sweep = tuple(
-                snr_grid_db(
-                    float(sweep_spec["start"]),
-                    float(sweep_spec["stop"]),
-                    float(sweep_spec["step"]),
-                )
+            start, stop, step = (
+                _number(sweep_spec[name], f"snr_sweep_db.{name}")
+                for name in ("start", "stop", "step")
             )
+            sweep = tuple(snr_grid_db(start, stop, step))
         else:
-            sweep = tuple(float(v) for v in sweep_spec)
+            sweep = tuple(
+                _number(v, f"snr_sweep_db[{i}]") for i, v in enumerate(sweep_spec)
+            )
         receivers = []
         for i, r in enumerate(doc["receivers"]):
             _check_keys(r, ("label", "scheme", "key", "distance_m"), f"receiver {i}")
@@ -316,7 +335,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                     label=r["label"],
                     scheme=r["scheme"],
                     key=parse_key(r["key"]) if r.get("key") else None,
-                    distance_m=float(r.get("distance_m", 1.0)),
+                    distance_m=_number(
+                        r.get("distance_m", 1.0), f"receiver {i} distance_m"
+                    ),
                 )
             )
         path_loss = _check_keys(
@@ -327,13 +348,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             sender_key=parse_key(sender["key"]) if sender.get("key") else None,
             receivers=tuple(receivers),
             path_loss=PathLossModel(
-                alpha=float(path_loss.get("alpha", 2.0)),
-                d_ref=float(path_loss.get("d_ref_m", 1.0)),
+                alpha=_number(path_loss.get("alpha", 2.0), "path_loss.alpha"),
+                d_ref=_number(path_loss.get("d_ref_m", 1.0), "path_loss.d_ref_m"),
             ),
             snr_sweep_db=sweep,
             sweep_mode=doc.get("sweep_mode", "receive"),
-            symbols_per_point=int(doc["symbols_per_point"]),
-            seed=int(doc["seed"]),
+            symbols_per_point=_integer(doc["symbols_per_point"], "symbols_per_point"),
+            seed=_integer(doc["seed"], "seed"),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed experiment config: {exc}") from exc

@@ -23,7 +23,6 @@ from .constellations import ConstellationScheme
 
 __all__ = [
     "modulate",
-    "demodulate",
     "nearest_point_values",
     "cross_decode_bits",
     "count_prefix_errors",
@@ -280,12 +279,6 @@ def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
         unsafe = np.flatnonzero(values == scheme.order)
         block[unsafe] = _fallback_values(chunk[unsafe], pts)
     return out
-
-
-def demodulate(symbols, scheme: ConstellationScheme) -> np.ndarray:
-    """Minimum-distance demodulation: symbol stream back to a bit stream."""
-    values = nearest_point_values(symbols, scheme)
-    return values_to_bits(values, scheme.bits_per_symbol)
 
 
 def count_prefix_errors(tx_values, m_tx: int, rx_values, m_rx: int) -> tuple[int, int]:

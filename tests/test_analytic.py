@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from keyedmod.analytic import (
@@ -13,7 +15,6 @@ from keyedmod.analytic import (
     SnrPoint,
     SymbolCondProb,
     circular_tx_point,
-    erfc,
     p_correct_all_symbols,
     p_correct_numeric,
     p_correct_symbol,
@@ -22,6 +23,7 @@ from keyedmod.analytic import (
     snr_grid_db,
     sweep,
 )
+from keyedmod.constellations import QAM16_CIRC_GRID
 
 A = math.sqrt(1.0 / 10.0)
 
@@ -56,30 +58,48 @@ def quad_region_loose(tx, region, n0):
     ) * quad_interval_loose(region.im_lo, region.im_hi, tx.imag, n0)
 
 
+def expanded_total(u):
+    """Oracle: the four-symbol mean as one expanded erfc polynomial.
+
+    An algebraic simplification of the quarter-sum of the closed forms,
+    written from the sender table, so a transcription slip in either
+    shows as a disagreement.
+    """
+    side, inner = QAM16_CIRC_GRID[0b0100], QAM16_CIRC_GRID[0b0101]
+    b = math.erfc((side.real + 2.0) * u)
+    c = math.erfc(-side.imag * u)
+    e = math.erfc(-inner.real * u)
+    f = math.erfc(inner.imag * u)
+    g = math.erfc((2.0 - inner.imag) * u)
+    return 0.25 * (
+        1.0 + 0.25 * b * c - 0.5 * e - 0.5 * f - 0.5 * g + 0.25 * e * f + 0.25 * e * g
+    )
+
+
 class TestErfc:
+    """``math.erfc``, which the closed forms and the interval kernel call."""
+
     def test_at_zero(self):
-        assert erfc(0.0) == 1.0
+        assert math.erfc(0.0) == 1.0
 
     def test_at_one_frozen(self):
-        assert erfc(1.0) == pytest.approx(ERFC_ONE, rel=1e-12)
+        assert math.erfc(1.0) == pytest.approx(ERFC_ONE, rel=1e-12)
 
     def test_far_tail_underflows_cleanly(self):
-        assert 0.0 <= erfc(40.0) < 1e-300
+        assert 0.0 <= math.erfc(40.0) < 1e-300
 
     def test_against_mpmath_grid(self):
         mpmath.mp.dps = 40
         for x in np.linspace(-6.0, 6.0, 121):
             reference = float(mpmath.erfc(mpmath.mpf(float(x))))
             if reference != 0.0:
-                assert abs(erfc(float(x)) - reference) / reference <= 1e-12
+                assert abs(math.erfc(float(x)) - reference) / reference <= 1e-12
 
     def test_reflection_identity(self):
         for x in np.linspace(-5.0, 5.0, 101):
-            assert erfc(-float(x)) == pytest.approx(2.0 - erfc(float(x)), abs=1e-12)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            erfc(math.nan)
+            assert math.erfc(-float(x)) == pytest.approx(
+                2.0 - math.erfc(float(x)), abs=1e-12
+            )
 
 
 class TestSnrPoint:
@@ -167,6 +187,17 @@ class TestAggregate:
         values = [p_correct_total(SnrPoint.from_db(db)) for db in snr_grid_db(0, 25, 0.5)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert all(0.0 <= v <= 1.0 for v in values)
+
+    def test_matches_expanded_polynomial_on_grid(self):
+        for snr_db in snr_grid_db(0, 25, 0.01):
+            point = SnrPoint.from_db(snr_db)
+            assert abs(p_correct_total(point) - expanded_total(point.u)) <= 1e-9, snr_db
+
+    @settings(deadline=None, max_examples=200)
+    @given(snr_db=st.floats(-40.0, 60.0))
+    def test_matches_expanded_polynomial_property(self, snr_db):
+        point = SnrPoint.from_db(snr_db)
+        assert abs(p_correct_total(point) - expanded_total(point.u)) <= 1e-9
 
     def test_matches_numeric_oracle_on_grid(self):
         for snr_db in snr_grid_db(0, 25, 0.5):
@@ -301,9 +332,14 @@ class TestAllSymbolsAverage:
         for scale in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="point scale"):
                 p_correct_all_symbols(SnrPoint.from_db(5.0), point_scale=scale)
-        # Infinite Es/N0 means N0 = 0, which p_correct_numeric refuses too.
-        with pytest.raises(ValueError, match="noise density"):
-            p_correct_all_symbols(SnrPoint(math.inf))
+
+    @pytest.mark.parametrize("scale, limit", [(1.0, 0.0), (0.0, 0.0625)])
+    def test_infinite_snr_is_noiseless_limit(self, scale, limit):
+        # At scale 0 every sender point sits on the grid's 0 edges, so each
+        # inner cell keeps half of each axis: 4 * (1/2 * 1/2) / 16.
+        at_inf = p_correct_all_symbols(SnrPoint.from_db(4000), point_scale=scale)
+        assert at_inf == p_correct_all_symbols(SnrPoint(1e300), point_scale=scale)
+        assert at_inf == limit
 
 
 class TestSweep:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from keyedmod import cli
 from keyedmod.cli import main
 from keyedmod.experiment import (
     _FIGURE_IDS,
@@ -214,6 +215,28 @@ class TestSimCommands:
         assert proc.returncode == 2
         assert "SNR sweep value -4000.0 dB is too low" in proc.stderr
         assert not out.exists()
+
+    def test_unwritable_out_fails_before_the_sweep(
+        self, config_path, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: calls.append(cfg))
+        out = tmp_path / "missing" / "o.csv"
+        assert main(["sim", "run", "--config", str(config_path), "--out", str(out)]) == 2
+        assert calls == []
+        assert str(out) in capsys.readouterr().err
+
+    def test_failed_sweep_leaves_out_as_it_was(self, config_path, tmp_path, monkeypatch):
+        def fail(cfg):
+            raise ValueError("sweep failed")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("earlier results\n")
+        for out in (old, new):
+            assert main(["sim", "run", "--config", str(config_path), "--out", str(out)]) == 2
+        assert old.read_text() == "earlier results\n"
+        assert not new.exists()
 
     def test_figure_without_input(self, tmp_path):
         proc = run_cli("sim", "figure", "--id", "fig7", "--out", str(tmp_path / "f.csv"))

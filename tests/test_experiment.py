@@ -27,7 +27,7 @@ from keyedmod.experiment import (
     scenario_config,
     write_results,
 )
-from keyedmod.modem import demodulate, modulate
+from keyedmod.modem import modulate, nearest_point_values, values_to_bits
 
 A = math.sqrt(1.0 / 10.0)
 
@@ -175,6 +175,64 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "where, key, value, field",
+        [
+            ((), "symbols_per_point", 20000.9, "symbols_per_point must be an integer"),
+            ((), "symbols_per_point", "20000", "symbols_per_point must be an integer"),
+            ((), "symbols_per_point", True, "symbols_per_point must be an integer"),
+            ((), "seed", True, "seed must be an integer"),
+            ((), "seed", 7.5, "seed must be an integer"),
+            ((), "seed", math.inf, "seed must be an integer"),
+            (("receivers", 0), "distance_m", True, r"receiver 0 distance_m must be a number"),
+            (("receivers", 1), "distance_m", "10", r"receiver 1 distance_m must be a number"),
+            (("path_loss",), "alpha", True, r"path_loss\.alpha must be a number"),
+            (("path_loss",), "alpha", 10**400, r"path_loss\.alpha exceeds the float64 range"),
+            (("path_loss",), "d_ref_m", "1", r"path_loss\.d_ref_m must be a number"),
+            (("snr_sweep_db",), 1, True, r"snr_sweep_db\[1\] must be a number"),
+            (("snr_sweep_db",), 0, "0", r"snr_sweep_db\[0\] must be a number"),
+        ],
+        ids=[
+            "symbols_fraction",
+            "symbols_string",
+            "symbols_bool",
+            "seed_bool",
+            "seed_fraction",
+            "seed_inf",
+            "distance_bool",
+            "distance_string",
+            "alpha_bool",
+            "alpha_huge_int",
+            "d_ref_string",
+            "sweep_bool",
+            "sweep_string",
+        ],
+    )
+    def test_rejects_non_numbers(self, where, key, value, field):
+        doc = config_to_dict(small_config())
+        target = doc
+        for part in where:
+            target = target[part]
+        target[key] = value
+        with pytest.raises(ValueError, match=field):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["start", "stop", "step"])
+    def test_rejects_non_number_sweep_grid(self, key):
+        doc = config_to_dict(small_config())
+        doc["snr_sweep_db"] = {"start": 0, "stop": 10, "step": 5}
+        doc["snr_sweep_db"][key] = True
+        with pytest.raises(ValueError, match=rf"snr_sweep_db\.{key} must be a number"):
+            config_from_dict(doc)
+
+    def test_integral_float_counts_load_as_int(self):
+        doc = config_to_dict(small_config())
+        doc["symbols_per_point"] = 2e4
+        doc["seed"] = 7.0
+        cfg = config_from_dict(doc)
+        assert (cfg.symbols_per_point, cfg.seed) == (20000, 7)
+        assert type(cfg.symbols_per_point) is int and type(cfg.seed) is int
+
     def test_dict_round_trip(self):
         cfg = small_config(sender_key=random_key(16, 3))
         assert config_from_dict(config_to_dict(cfg)) == cfg
@@ -214,7 +272,8 @@ def bit_domain_records(cfg):
             bits = np.random.default_rng(seeds[0]).integers(0, 2, n_sym * m_tx, dtype=np.uint8)
             received = add_awgn(modulate(bits, sender), ChannelSpec(snr_db, seeds[1]))
             m_rx = rx_scheme.bits_per_symbol
-            rx_groups = demodulate(received, rx_scheme).reshape(n_sym, m_rx)
+            rx_bits = values_to_bits(nearest_point_values(received, rx_scheme), m_rx)
+            rx_groups = rx_bits.reshape(n_sym, m_rx)
             mismatch = bits.reshape(n_sym, m_tx)[:, :m_rx] != rx_groups
             bit_errors = int(mismatch.sum())
             symbol_errors = int(mismatch.any(axis=1).sum())

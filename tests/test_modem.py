@@ -22,8 +22,8 @@ from keyedmod.modem import (
     _point_cell_table,
     _scheme_cell_table,
     bits_to_values,
+    count_prefix_errors,
     cross_decode_bits,
-    demodulate,
     modulate,
     nearest_point_values,
     values_to_bits,
@@ -53,7 +53,7 @@ class TestModulate:
     def test_empty_stream(self):
         scheme = make_standard_scheme("qam16_circ")
         assert modulate([], scheme).size == 0
-        assert demodulate([], scheme).size == 0
+        assert nearest_point_values([], scheme).size == 0
 
     def test_indivisible_length(self):
         scheme = make_standard_scheme("qpsk")
@@ -88,13 +88,17 @@ class TestModulate:
         assert np.array_equal(bits_to_values(values_to_bits(values, 4), 4), values)
 
 
+def decode_bits(symbols, scheme):
+    return values_to_bits(nearest_point_values(symbols, scheme), scheme.bits_per_symbol)
+
+
 class TestDemodulate:
     @pytest.mark.parametrize("name", ALL_SCHEMES)
     def test_round_trip_noiseless(self, name):
         scheme = make_standard_scheme(name)
         rng = np.random.default_rng(42)
         bits = rng.integers(0, 2, 240, dtype=np.uint8)
-        assert np.array_equal(demodulate(modulate(bits, scheme), scheme), bits)
+        assert np.array_equal(decode_bits(modulate(bits, scheme), scheme), bits)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -109,7 +113,7 @@ class TestDemodulate:
             scheme = make_keyed_scheme(scheme, random_key(scheme.order, key_seed))
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, n_groups * scheme.bits_per_symbol, dtype=np.uint8)
-        assert np.array_equal(demodulate(modulate(bits, scheme), scheme), bits)
+        assert np.array_equal(decode_bits(modulate(bits, scheme), scheme), bits)
 
     def test_circ_point_0110_on_rect(self):
         # Frozen oracle outcome: the two-ring 0110 point decodes to the grid
@@ -118,7 +122,7 @@ class TestDemodulate:
         rect = make_standard_scheme("qam16_rect")
         point = circ.point_for_value(0b0110)
         assert brute_force_rect_decode(point) == "0100"
-        assert np.array_equal(demodulate([point], rect), [0, 1, 0, 0])
+        assert np.array_equal(nearest_point_values([point], rect), [0b0100])
 
     def test_circ_point_0101_on_rect(self):
         # Frozen oracle outcome: nearest grid point is 1a-1a*j, label 1111.
@@ -126,19 +130,19 @@ class TestDemodulate:
         rect = make_standard_scheme("qam16_rect")
         point = circ.point_for_value(0b0101)
         assert brute_force_rect_decode(point) == "1111"
-        assert np.array_equal(demodulate([point], rect), [1, 1, 1, 1])
+        assert np.array_equal(nearest_point_values([point], rect), [0b1111])
 
     def test_all_circ_points_on_rect_match_oracle(self):
         circ = make_standard_scheme("qam16_circ")
         rect = make_standard_scheme("qam16_rect")
         for value in range(16):
             point = circ.point_for_value(value)
-            expected = [int(b) for b in brute_force_rect_decode(point)]
-            assert np.array_equal(demodulate([point], rect), expected), value
+            expected = [int(brute_force_rect_decode(point), 2)]
+            assert np.array_equal(nearest_point_values([point], rect), expected), value
 
     def test_tie_breaks_to_lowest_bit_value(self):
         scheme = make_standard_scheme("bpsk")
-        assert np.array_equal(demodulate([0j], scheme), [0])
+        assert np.array_equal(nearest_point_values([0j], scheme), [0])
 
     def test_rect_nearest_equals_axis_thresholds(self):
         # Dual implementation: for the grid scheme, nearest-point decoding
@@ -538,6 +542,34 @@ class TestCrossDecode:
         circ = make_standard_scheme("qam16_circ")
         with pytest.raises(ValueError, match="received symbols"):
             cross_decode_bits([0] * 8, circ, circ, received=np.zeros(3, complex))
+
+
+def per_bit_prefix_errors(tx, m_tx, rx, m_rx) -> tuple[int, int]:
+    """Oracle: compare the first ``m_rx`` of ``m_tx`` bits of each value as strings."""
+    bit_errors = symbol_errors = 0
+    for t, r in zip(tx.tolist(), rx.tolist()):
+        prefix, decoded = f"{t:0{m_tx}b}"[:m_rx], f"{r:0{m_rx}b}"
+        wrong = sum(a != b for a, b in zip(prefix, decoded))
+        bit_errors += wrong
+        symbol_errors += wrong > 0
+    return bit_errors, symbol_errors
+
+
+class TestCountPrefixErrors:
+    # m_tx = 10 gives uint16 values, which are counted byte by byte.
+    @pytest.mark.parametrize("m_tx, m_rx", [(4, 1), (4, 2), (4, 4), (10, 3), (10, 10)])
+    def test_matches_per_bit_count(self, m_tx, m_rx):
+        rng = np.random.default_rng(m_tx * 16 + m_rx)
+        tx = rng.integers(0, 1 << m_tx, 3000).astype(np.min_scalar_type((1 << m_tx) - 1))
+        rx = rng.integers(0, 1 << m_rx, 3000).astype(np.min_scalar_type((1 << m_rx) - 1))
+        expected = per_bit_prefix_errors(tx, m_tx, rx, m_rx)
+        assert count_prefix_errors(tx, m_tx, rx, m_rx) == expected
+        assert expected[1] > 0
+
+    def test_wider_receiver_rejected(self):
+        values = np.zeros(3, dtype=np.uint8)
+        with pytest.raises(ValueError, match="alignment"):
+            count_prefix_errors(values, 2, values, 4)
 
 
 def exact_mismatch_rate(scheme_a, scheme_b) -> float:
