@@ -34,7 +34,7 @@ from .experiment import (
     write_results,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "ChannelSpec",

@@ -4,8 +4,10 @@ The complex-baseband noise model: a symbol stream with unit average
 energy (Es = 1) receives independent zero-mean Gaussian noise on each
 axis with per-axis variance N0/2, where N0 = 10**(-snr_db/10). Noise is
 drawn from numpy's PCG64 generator (ziggurat Gaussian sampling), so a
-fixed seed reproduces the stream bit for bit; parallel workers must
-derive independent per-worker seeds to keep runs reproducible.
+fixed seed reproduces the stream bit for bit. ``add_awgn`` keeps no
+state, so threads may call it at once; a parallel sweep keeps its runs
+reproducible by seeding every block from its own key, never from the
+worker that draws it (see :mod:`keyedmod.experiment`).
 """
 
 from __future__ import annotations
@@ -26,10 +28,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Receive-side SNR (Es/N0, dB) plus the noise-stream seed."""
+    """Receive-side SNR (Es/N0, dB) plus the noise-stream seed.
+
+    ``rng_seed`` is anything ``np.random.default_rng`` takes as a seed:
+    an int or a ``SeedSequence``.
+    """
 
     es_over_n0_db: float
-    rng_seed: int
+    rng_seed: int | np.random.SeedSequence
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.es_over_n0_db):

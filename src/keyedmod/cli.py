@@ -26,6 +26,7 @@ from .constellations import (
     serialize_key,
 )
 from .experiment import (
+    RNG_STREAM,
     _FIGURE_IDS,
     _format_value,
     config_digest,
@@ -168,6 +169,7 @@ def _cmd_sim_run(args):
         "keyedmod_version": __version__,
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
+        "rng_stream": RNG_STREAM,
     }
     write_results(records, args.out, metadata)
     print(f"wrote {len(records)} records to {args.out}")

@@ -1,14 +1,22 @@
 """Monte Carlo BER experiments: seeded sweeps, persistence, figure data.
 
 One experiment fixes a sender scheme and a roster of receivers (each
-with its own scheme, key, and distance), then sweeps SNR. Per sweep
-point and receiver, fresh uniform bits are modulated, passed through
-AWGN at the receiver's effective SNR, and decoded with the receiver's
-scheme. RNG substreams derive from (seed, sweep index, receiver
-label), so results are bit-reproducible and adding, removing, or
-reordering receivers never perturbs the other series; sweep points x
-receivers parallelize with no shared state, and the record list is
-canonically ordered before persistence.
+with its own scheme, key, and distance), then sweeps SNR. At each sweep
+point the sender makes one broadcast transmission of uniform m-bit
+values, mapped once through its scheme. Every receiver hears that same
+transmission through its own AWGN at its effective SNR and decodes it
+with its own scheme.
+
+RNG stream contract, version 2 (:data:`RNG_STREAM`). Every stream is
+cut into blocks of 2**16 symbols, the last one shorter when the budget
+is not a multiple, and each block draws from its own ``SeedSequence``
+keyed by (seed, sweep index, lane, label word, block index). Lane 0
+holds the broadcast values; lane 1 holds one receiver's noise, keyed by
+a hash of its label, real axis first, then imaginary. So records are
+bit-reproducible, adding, removing, or reordering receivers never
+perturbs the other series, and blocks may run on worker threads in any
+order: neither memory nor worker count changes a record. The record
+list is canonically ordered before persistence.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
@@ -38,7 +47,7 @@ from .constellations import (
     parse_key,
     serialize_key,
 )
-from .modem import bits_to_values, count_prefix_errors, nearest_point_values
+from .modem import _scheme_cell_table, count_prefix_errors, nearest_point_values
 
 __all__ = [
     "IntegrityError",
@@ -46,6 +55,7 @@ __all__ = [
     "ExperimentConfig",
     "BerRecord",
     "RESULT_FIELDS",
+    "RNG_STREAM",
     "FIGURE_SCENARIOS",
     "REQUIRED_RECEIVER_LABELS",
     "load_config",
@@ -59,6 +69,18 @@ __all__ = [
 ]
 
 MIN_SYMBOLS_PER_POINT = 10_000
+
+#: Version of the RNG stream contract that records follow; see the module
+#: docstring. Any change to the draws that changes a record bumps it.
+RNG_STREAM = 2
+
+#: Symbols per RNG block. Part of the stream contract: changing it
+#: changes every record.
+_BLOCK = 1 << 16
+
+#: Lane words of a block's substream key.
+_VALUE_LANE = 0
+_NOISE_LANE = 1
 
 RESULT_FIELDS = (
     "receiver_label",
@@ -161,6 +183,11 @@ class ExperimentConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.seed >= 1 << 64:
+            raise ValueError(
+                f"seed must be below 2**64, got {self.seed}: the RNG stream"
+                " keys hold it in one 64-bit word"
+            )
         if self.path_loss.snr_ref_db != 0.0:
             raise ValueError(
                 f"path-loss snr_ref_db must be 0, got {self.path_loss.snr_ref_db}:"
@@ -399,41 +426,105 @@ def scenario_config(
     )
 
 
-def _substream_seed(seed: int, sweep_idx: int, receiver_label: str, lane: int) -> int:
-    label_word = int.from_bytes(
-        hashlib.sha256(receiver_label.encode()).digest()[:8], "big"
-    )
-    ss = np.random.SeedSequence((seed, sweep_idx, label_word, lane))
-    return int(ss.generate_state(1, np.uint64)[0])
+def _label_word(label: str) -> int:
+    """The 64-bit word that keys a receiver's noise streams."""
+    return int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
-    """Run the full sweep and return records ordered by (receiver, SNR)."""
+def _substream(
+    seed: int, sweep_idx: int, lane: int, label_word: int, block: int
+) -> np.random.SeedSequence:
+    """The ``SeedSequence`` of one block of one stream.
+
+    Each key is five 64-bit words, each given as two 32-bit words, low
+    first. numpy would split a plain int into as many words as it needs
+    and treat short entropy as zero-padded, so two different keys could
+    meet; a fixed width keeps every key distinct.
+    """
+    words = []
+    for value in (seed, sweep_idx, lane, label_word, block):
+        words += (value & 0xFFFFFFFF, value >> 32)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def run_experiment(cfg: ExperimentConfig, *, workers: int | None = None) -> list[BerRecord]:
+    """Run the full sweep and return records ordered by (receiver, SNR).
+
+    Blocks run on one pool of ``workers`` threads, started only when a
+    sweep point has more than one block; ``None`` means
+    ``min(2, usable CPUs)``. The records do not depend on ``workers``.
+    """
+    if workers is None:
+        workers = min(2, _usable_cpus())
+    elif workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     sender, rx_schemes = cfg.resolve_schemes()
     m_tx = sender.bits_per_symbol
     n_sym = cfg.symbols_per_point
+    value_dtype = np.min_scalar_type(sender.order - 1)
+    # Build every cached lookup here, so worker threads only read them.
+    tx_points = sender.mapped_points
+    for rx_scheme in rx_schemes:
+        rx_scheme.mapped_points
+        _scheme_cell_table(rx_scheme)
+    label_words = [_label_word(spec.label) for spec in cfg.receivers]
+    eff_snrs = [
+        [cfg._effective_snr_db(snr_db, spec) for spec in cfg.receivers]
+        for snr_db in cfg.snr_sweep_db
+    ]
+
+    def block_counts(task):
+        sweep_idx, block = task
+        size = min(_BLOCK, n_sym - block * _BLOCK)
+        value_rng = np.random.default_rng(
+            _substream(cfg.seed, sweep_idx, _VALUE_LANE, 0, block)
+        )
+        tx_values = value_rng.integers(0, sender.order, size, dtype=value_dtype)
+        sent = tx_points[tx_values]
+        counts = []
+        for eff_snr, label_word, rx_scheme in zip(
+            eff_snrs[sweep_idx], label_words, rx_schemes
+        ):
+            noise = _substream(cfg.seed, sweep_idx, _NOISE_LANE, label_word, block)
+            received = add_awgn(sent, ChannelSpec(eff_snr, noise))
+            rx_values = nearest_point_values(received, rx_scheme)
+            counts.append(
+                count_prefix_errors(tx_values, m_tx, rx_values, rx_scheme.bits_per_symbol)
+            )
+        return sweep_idx, counts
+
+    n_blocks = -(-n_sym // _BLOCK)
+    tasks = [(s, b) for s in range(len(cfg.snr_sweep_db)) for b in range(n_blocks)]
+    pool = None
+    if n_blocks > 1 and workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(
+            min(workers, len(tasks)), thread_name_prefix="keyedmod-block"
+        )
+    totals = [[[0, 0] for _ in cfg.receivers] for _ in cfg.snr_sweep_db]
+    try:
+        for sweep_idx, counts in (pool.map if pool else map)(block_counts, tasks):
+            for total, (bit_errors, symbol_errors) in zip(totals[sweep_idx], counts):
+                total[0] += bit_errors
+                total[1] += symbol_errors
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
     records = []
-    for sweep_idx, snr_db in enumerate(cfg.snr_sweep_db):
-        for spec, rx_scheme in zip(cfg.receivers, rx_schemes):
-            eff_snr = cfg._effective_snr_db(snr_db, spec)
-            bits_rng = np.random.default_rng(
-                _substream_seed(cfg.seed, sweep_idx, spec.label, 0)
-            )
-            tx_values = bits_to_values(
-                bits_rng.integers(0, 2, n_sym * m_tx, dtype=np.uint8), m_tx
-            )
-            rx_symbols = add_awgn(
-                sender.mapped_points[tx_values],
-                ChannelSpec(
-                    es_over_n0_db=eff_snr,
-                    rng_seed=_substream_seed(cfg.seed, sweep_idx, spec.label, 1),
-                ),
-            )
-            m_rx = rx_scheme.bits_per_symbol
-            errors, symbol_errors = count_prefix_errors(
-                tx_values, m_tx, nearest_point_values(rx_symbols, rx_scheme), m_rx
-            )
-            compared = n_sym * m_rx
+    for snrs, point_totals in zip(eff_snrs, totals):
+        for spec, rx_scheme, eff_snr, (errors, symbol_errors) in zip(
+            cfg.receivers, rx_schemes, snrs, point_totals
+        ):
+            compared = n_sym * rx_scheme.bits_per_symbol
             records.append(
                 BerRecord(
                     receiver_label=spec.label,

@@ -194,6 +194,10 @@ class TestSimCommands:
         assert any(l.startswith("# config_digest:") for l in body1)
         for name in ("keyedmod", "numpy", "python"):
             assert sum(l.startswith(f"# {name}_version: ") for l in body1) == 1, name
+        assert sum(l.startswith("# rng_stream:") for l in body1) == 1
+        assert body1.index("# rng_stream: 2") == body1.index(
+            next(l for l in body1 if l.startswith("# python_version: "))
+        ) + 1
         assert len(read_results(out1)) == 8
 
     def test_every_figure_id_is_accepted(self, config_path, tmp_path):

@@ -1,7 +1,11 @@
 """Experiment runner, persistence, and figure emission."""
 
+import hashlib
 import json
 import math
+import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -257,39 +261,91 @@ class TestConfigValidation:
             load_config(path)
 
 
+#: Symbols per RNG block in stream contract 2.
+BLOCK = 1 << 16
+
+
+def contract_seed_sequence(seed, sweep_idx, lane, label_word, block):
+    """A block's substream, keyed as stream contract 2 states it.
+
+    Five little-endian 64-bit words, read as ten 32-bit words.
+    """
+    words = np.array([seed, sweep_idx, lane, label_word, block], dtype="<u8")
+    return np.random.SeedSequence(words.view("<u4").astype(np.uint32))
+
+
 def bit_domain_records(cfg):
-    """Oracle: each ``receive``-mode cell in the bit domain, with per-group prefix comparison."""
+    """Oracle: each ``receive``-mode cell in the bit domain, with per-group prefix comparison.
+
+    Per sweep point and block, the sender's values (lane 0) are drawn
+    once, expanded to bits and modulated; every receiver adds noise from
+    its own (label word, block) substream (lane 1) and decodes.
+    """
     sender, rx_schemes = cfg.resolve_schemes()
     m_tx = sender.bits_per_symbol
     n_sym = cfg.symbols_per_point
+    label_words = [
+        int.from_bytes(hashlib.sha256(spec.label.encode()).digest()[:8], "big")
+        for spec in cfg.receivers
+    ]
     records = []
     for sweep_idx, snr_db in enumerate(cfg.snr_sweep_db):
-        for spec, rx_scheme in zip(cfg.receivers, rx_schemes):
-            seeds = [
-                experiment._substream_seed(cfg.seed, sweep_idx, spec.label, lane)
-                for lane in (0, 1)
-            ]
-            bits = np.random.default_rng(seeds[0]).integers(0, 2, n_sym * m_tx, dtype=np.uint8)
-            received = add_awgn(modulate(bits, sender), ChannelSpec(snr_db, seeds[1]))
-            m_rx = rx_scheme.bits_per_symbol
-            rx_bits = values_to_bits(nearest_point_values(received, rx_scheme), m_rx)
-            rx_groups = rx_bits.reshape(n_sym, m_rx)
-            mismatch = bits.reshape(n_sym, m_tx)[:, :m_rx] != rx_groups
-            bit_errors = int(mismatch.sum())
-            symbol_errors = int(mismatch.any(axis=1).sum())
+        bit_errors = [0] * len(rx_schemes)
+        symbol_errors = [0] * len(rx_schemes)
+        for block, start in enumerate(range(0, n_sym, BLOCK)):
+            size = min(BLOCK, n_sym - start)
+            value_rng = np.random.default_rng(
+                contract_seed_sequence(cfg.seed, sweep_idx, 0, 0, block)
+            )
+            values = value_rng.integers(0, sender.order, size, dtype=np.uint8)
+            bits = values_to_bits(values, m_tx)
+            sent = modulate(bits, sender)
+            for i, (word, rx_scheme) in enumerate(zip(label_words, rx_schemes)):
+                noise = contract_seed_sequence(cfg.seed, sweep_idx, 1, word, block)
+                received = add_awgn(sent, ChannelSpec(snr_db, noise))
+                m_rx = rx_scheme.bits_per_symbol
+                rx_bits = values_to_bits(nearest_point_values(received, rx_scheme), m_rx)
+                mismatch = bits.reshape(size, m_tx)[:, :m_rx] != rx_bits.reshape(size, m_rx)
+                bit_errors[i] += int(mismatch.sum())
+                symbol_errors[i] += int(mismatch.any(axis=1).sum())
+        for spec, rx_scheme, errors, sym_errors in zip(
+            cfg.receivers, rx_schemes, bit_errors, symbol_errors
+        ):
+            compared = n_sym * rx_scheme.bits_per_symbol
             records.append(
                 BerRecord(
                     receiver_label=spec.label,
                     snr_db=snr_db,
-                    tx_bits=bits.size,
-                    compared_bits=mismatch.size,
-                    bit_errors=bit_errors,
-                    ber=bit_errors / mismatch.size,
-                    symbol_errors=symbol_errors,
-                    ser=symbol_errors / n_sym,
+                    tx_bits=n_sym * m_tx,
+                    compared_bits=compared,
+                    bit_errors=errors,
+                    ber=errors / compared,
+                    symbol_errors=sym_errors,
+                    ser=sym_errors / n_sym,
                 )
             )
     return sorted(records, key=lambda r: (r.receiver_label, r.snr_db))
+
+
+def oracle_config(symbols_per_point):
+    """Keyed and unkeyed receivers of every scheme at three SNRs."""
+    key = random_key(16, 41)
+    return small_config(
+        sender_key=key,
+        receivers=(
+            ReceiverSpec("intended", "qam16_circ", key=key),
+            ReceiverSpec("eve_wrong_key", "qam16_circ", key=random_key(16, 42)),
+            ReceiverSpec("eve_rect", "qam16_rect"),
+            ReceiverSpec("eve_qpsk", "qpsk"),
+            ReceiverSpec("eve_bpsk", "bpsk"),
+        ),
+        snr_sweep_db=(0.0, 12.0, 24.0),
+        symbols_per_point=symbols_per_point,
+    )
+
+
+def pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("keyedmod-block")]
 
 
 class TestRunExperiment:
@@ -409,21 +465,135 @@ class TestRunExperiment:
         assert abs((1.0 - record.ser) - predicted) <= 4 * sigma
 
     def test_records_equal_bit_domain_oracle(self):
-        key = random_key(16, 41)
-        cfg = small_config(
-            sender_key=key,
-            receivers=(
-                ReceiverSpec("intended", "qam16_circ", key=key),
-                ReceiverSpec("eve_wrong_key", "qam16_circ", key=random_key(16, 42)),
-                ReceiverSpec("eve_rect", "qam16_rect"),
-                ReceiverSpec("eve_qpsk", "qpsk"),
-                ReceiverSpec("eve_bpsk", "bpsk"),
-            ),
-            snr_sweep_db=(0.0, 12.0, 24.0),
-        )
+        cfg = oracle_config(10_000)
         records = run_experiment(cfg)
         assert len(records) == 15
         assert records == bit_domain_records(cfg)
+
+    def test_records_equal_bit_domain_oracle_with_one_symbol_last_block(self):
+        cfg = oracle_config(BLOCK + 1)
+        records = run_experiment(cfg)
+        assert len(records) == 15
+        assert records == bit_domain_records(cfg)
+
+
+class TestStreamContract:
+    def test_block_size_is_part_of_the_contract(self):
+        assert experiment._BLOCK == BLOCK
+        assert experiment.RNG_STREAM == 2
+
+    def test_workers_do_not_change_records(self):
+        # Three blocks, the last one ragged; three workers outnumber the
+        # cores of a small host, and a short switch interval interleaves them.
+        cfg = small_config(symbols_per_point=2 * BLOCK + 4097)
+        serial = run_experiment(cfg, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run_experiment(cfg, workers=2) == serial
+            assert run_experiment(cfg, workers=3) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_every_receiver_decodes_one_broadcast_transmission(self, monkeypatch):
+        sent = []
+
+        def spy(symbols, spec):
+            sent.append(np.array(symbols))
+            return add_awgn(symbols, spec)
+
+        monkeypatch.setattr(experiment, "add_awgn", spy)
+        cfg = small_config(snr_sweep_db=(5.0,))
+        run_experiment(cfg)
+        assert len(sent) == len(cfg.receivers)
+        assert all(np.array_equal(sent[0], other) for other in sent[1:])
+
+    def test_single_block_sweep_starts_no_thread(self, monkeypatch):
+        before = threading.active_count()
+        decoding_threads = set()
+
+        def spy(symbols, scheme):
+            decoding_threads.add((threading.current_thread().name, threading.active_count()))
+            return nearest_point_values(symbols, scheme)
+
+        monkeypatch.setattr(experiment, "nearest_point_values", spy)
+        run_experiment(small_config(symbols_per_point=10_000))
+        assert decoding_threads == {(threading.main_thread().name, before)}
+        assert threading.active_count() == before
+
+    def test_worker_exception_propagates_and_leaves_no_thread(self, monkeypatch):
+        raised_in = []
+
+        def broken(symbols, scheme):
+            raised_in.append(threading.current_thread().name)
+            raise RuntimeError("decoder failed")
+
+        monkeypatch.setattr(experiment, "nearest_point_values", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="decoder failed"):
+            run_experiment(small_config(symbols_per_point=BLOCK + 1), workers=2)
+        assert raised_in and all(n.startswith("keyedmod-block") for n in raised_in)
+        assert pool_threads() == []
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_pooled_call(self):
+        before = threading.active_count()
+        run_experiment(small_config(symbols_per_point=BLOCK + 1), workers=2)
+        assert pool_threads() == []
+        assert threading.active_count() == before
+
+    def test_rejects_non_positive_workers(self):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(small_config(), workers=0)
+
+    def test_seed_must_fit_one_word(self):
+        with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+            small_config(seed=2**64)
+        doc = config_to_dict(small_config())
+        doc["seed"] = 2**64
+        with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+            config_from_dict(doc)
+        records = run_experiment(small_config(seed=2**64 - 1))
+        assert records != run_experiment(small_config(seed=2**32 - 1))
+
+    def test_substream_keys_have_fixed_width(self):
+        # As plain ints, numpy reads (2**32,) and (0, 1) as the same words,
+        # and (1,) and (1, 0) as the same zero-padded entropy.
+        def state(*key):
+            return tuple(experiment._substream(*key).generate_state(4))
+
+        assert state(2**32, 0, 0, 0, 0) != state(0, 1, 0, 0, 0)
+        assert state(1, 0, 0, 0, 0) != state(1, 0, 0, 0, 1)
+        assert state(1, 0, 0, 0, 0) == tuple(
+            contract_seed_sequence(1, 0, 0, 0, 0).generate_state(4)
+        )
+
+    def test_peak_memory_does_not_grow_with_the_budget(self):
+        def config(symbols):
+            return ExperimentConfig(
+                sender_scheme="bpsk",
+                sender_key=None,
+                receivers=(ReceiverSpec("eve_bpsk", "bpsk"),),
+                path_loss=PathLossModel(alpha=2.0),
+                snr_sweep_db=(5.0,),
+                sweep_mode="receive",
+                symbols_per_point=symbols,
+                seed=3,
+            )
+
+        def peak_mb(symbols):
+            tracemalloc.start()
+            try:
+                run_experiment(config(symbols))
+                return tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+
+        # The first decode builds the cached cell table; keep it out of the peaks.
+        run_experiment(config(10_000))
+        small, large = peak_mb(2**18), peak_mb(2**21)
+        assert large < 16.0
+        assert abs(large - small) <= 2.0
 
 
 class TestBerRecord:
