@@ -47,7 +47,7 @@ from .constellations import (
     parse_key,
     serialize_key,
 )
-from .modem import _scheme_cell_table, count_prefix_errors, nearest_point_values
+from .modem import count_prefix_errors, nearest_point_values, value_dtype
 
 __all__ = [
     "IntegrityError",
@@ -81,6 +81,9 @@ _BLOCK = 1 << 16
 #: Lane words of a block's substream key.
 _VALUE_LANE = 0
 _NOISE_LANE = 1
+
+#: Most threads a sweep runs its blocks on; fewer if fewer CPUs are usable.
+_MAX_WORKERS = 2
 
 RESULT_FIELDS = (
     "receiver_label",
@@ -454,26 +457,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_experiment(cfg: ExperimentConfig, *, workers: int | None = None) -> list[BerRecord]:
+def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
     """Run the full sweep and return records ordered by (receiver, SNR).
 
-    Blocks run on one pool of ``workers`` threads, started only when a
-    sweep point has more than one block; ``None`` means
-    ``min(2, usable CPUs)``. The records do not depend on ``workers``.
+    Blocks run on one pool of ``min(2, usable CPUs)`` threads, started
+    only when a sweep point has more than one block. The records do not
+    depend on the number of threads.
     """
-    if workers is None:
-        workers = min(2, _usable_cpus())
-    elif workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(_MAX_WORKERS, _usable_cpus())
     sender, rx_schemes = cfg.resolve_schemes()
     m_tx = sender.bits_per_symbol
     n_sym = cfg.symbols_per_point
-    value_dtype = np.min_scalar_type(sender.order - 1)
-    # Build every cached lookup here, so worker threads only read them.
     tx_points = sender.mapped_points
-    for rx_scheme in rx_schemes:
-        rx_scheme.mapped_points
-        _scheme_cell_table(rx_scheme)
+    tx_dtype = value_dtype(m_tx)
     label_words = [_label_word(spec.label) for spec in cfg.receivers]
     eff_snrs = [
         [cfg._effective_snr_db(snr_db, spec) for spec in cfg.receivers]
@@ -486,7 +482,7 @@ def run_experiment(cfg: ExperimentConfig, *, workers: int | None = None) -> list
         value_rng = np.random.default_rng(
             _substream(cfg.seed, sweep_idx, _VALUE_LANE, 0, block)
         )
-        tx_values = value_rng.integers(0, sender.order, size, dtype=value_dtype)
+        tx_values = value_rng.integers(0, sender.order, size, dtype=tx_dtype)
         sent = tx_points[tx_values]
         counts = []
         for eff_snr, label_word, rx_scheme in zip(

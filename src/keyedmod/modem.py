@@ -28,6 +28,7 @@ __all__ = [
     "count_prefix_errors",
     "bits_to_values",
     "values_to_bits",
+    "value_dtype",
 ]
 
 _DEMOD_CHUNK = 1 << 17
@@ -44,7 +45,8 @@ _EXACT_SHIFT = 1074
 _BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 
-def _value_dtype(bits_per_symbol: int) -> np.dtype:
+def value_dtype(bits_per_symbol: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every m-bit value."""
     return np.min_scalar_type((1 << bits_per_symbol) - 1)
 
 
@@ -64,7 +66,7 @@ def bits_to_values(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
         raise ValueError(
             f"bit stream length {bits.size} is not divisible by {bits_per_symbol}"
         )
-    dtype = _value_dtype(bits_per_symbol)
+    dtype = value_dtype(bits_per_symbol)
     weights = (1 << np.arange(bits_per_symbol - 1, -1, -1)).astype(dtype)
     return bits.astype(dtype, copy=False).reshape(-1, bits_per_symbol) @ weights
 
@@ -266,7 +268,7 @@ def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
         raise ValueError("symbol stream must be one-dimensional")
     pts = scheme.mapped_points
     table = _scheme_cell_table(scheme)
-    out = np.empty(y.size, dtype=_value_dtype(scheme.bits_per_symbol))
+    out = np.empty(y.size, dtype=value_dtype(scheme.bits_per_symbol))
     for start in range(0, y.size, _DEMOD_CHUNK):
         chunk = y[start : start + _DEMOD_CHUNK]
         cell = _bin_index(chunk.real, table, table.real_edges)

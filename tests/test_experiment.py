@@ -31,7 +31,7 @@ from keyedmod.experiment import (
     scenario_config,
     write_results,
 )
-from keyedmod.modem import modulate, nearest_point_values, values_to_bits
+from keyedmod.modem import modulate, nearest_point_values, value_dtype, values_to_bits
 
 A = math.sqrt(1.0 / 10.0)
 
@@ -297,7 +297,7 @@ def bit_domain_records(cfg):
             value_rng = np.random.default_rng(
                 contract_seed_sequence(cfg.seed, sweep_idx, 0, 0, block)
             )
-            values = value_rng.integers(0, sender.order, size, dtype=np.uint8)
+            values = value_rng.integers(0, sender.order, size, dtype=value_dtype(m_tx))
             bits = values_to_bits(values, m_tx)
             sent = modulate(bits, sender)
             for i, (word, rx_scheme) in enumerate(zip(label_words, rx_schemes)):
@@ -346,6 +346,11 @@ def oracle_config(symbols_per_point):
 
 def pool_threads():
     return [t for t in threading.enumerate() if t.name.startswith("keyedmod-block")]
+
+
+def set_thread_budget(monkeypatch, max_workers, usable_cpus):
+    monkeypatch.setattr(experiment, "_MAX_WORKERS", max_workers)
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: usable_cpus)
 
 
 class TestRunExperiment:
@@ -482,18 +487,40 @@ class TestStreamContract:
         assert experiment._BLOCK == BLOCK
         assert experiment.RNG_STREAM == 2
 
-    def test_workers_do_not_change_records(self):
+    def test_workers_do_not_change_records(self, monkeypatch):
         # Three blocks, the last one ragged; three workers outnumber the
         # cores of a small host, and a short switch interval interleaves them.
         cfg = small_config(symbols_per_point=2 * BLOCK + 4097)
-        serial = run_experiment(cfg, workers=1)
+        set_thread_budget(monkeypatch, 1, 1)
+        serial = run_experiment(cfg)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert run_experiment(cfg, workers=2) == serial
-            assert run_experiment(cfg, workers=3) == serial
+            for workers in (2, 3):
+                set_thread_budget(monkeypatch, workers, workers)
+                assert run_experiment(cfg) == serial
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("usable_cpus", [1, 2, 8])
+    def test_pool_holds_at_most_two_usable_cpus(self, monkeypatch, usable_cpus):
+        set_thread_budget(monkeypatch, experiment._MAX_WORKERS, usable_cpus)
+        decoding_threads = set()
+        most_pool_threads = 0
+
+        def spy(symbols, scheme):
+            nonlocal most_pool_threads
+            decoding_threads.add(threading.current_thread().name)
+            most_pool_threads = max(most_pool_threads, len(pool_threads()))
+            return nearest_point_values(symbols, scheme)
+
+        monkeypatch.setattr(experiment, "nearest_point_values", spy)
+        run_experiment(small_config(symbols_per_point=2 * BLOCK + 1))
+        if usable_cpus == 1:
+            assert decoding_threads == {threading.main_thread().name}
+        else:
+            assert all(n.startswith("keyedmod-block") for n in decoding_threads)
+        assert most_pool_threads <= min(2, usable_cpus)
 
     def test_every_receiver_decodes_one_broadcast_transmission(self, monkeypatch):
         sent = []
@@ -529,22 +556,20 @@ class TestStreamContract:
             raise RuntimeError("decoder failed")
 
         monkeypatch.setattr(experiment, "nearest_point_values", broken)
+        set_thread_budget(monkeypatch, 2, 2)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="decoder failed"):
-            run_experiment(small_config(symbols_per_point=BLOCK + 1), workers=2)
+            run_experiment(small_config(symbols_per_point=BLOCK + 1))
         assert raised_in and all(n.startswith("keyedmod-block") for n in raised_in)
         assert pool_threads() == []
         assert threading.active_count() == before
 
-    def test_no_thread_outlives_a_pooled_call(self):
+    def test_no_thread_outlives_a_pooled_call(self, monkeypatch):
+        set_thread_budget(monkeypatch, 2, 2)
         before = threading.active_count()
-        run_experiment(small_config(symbols_per_point=BLOCK + 1), workers=2)
+        run_experiment(small_config(symbols_per_point=BLOCK + 1))
         assert pool_threads() == []
         assert threading.active_count() == before
-
-    def test_rejects_non_positive_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            run_experiment(small_config(), workers=0)
 
     def test_seed_must_fit_one_word(self):
         with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
