@@ -13,12 +13,10 @@ from .constellations import (
     ConstellationScheme,
     MappingKey,
     STANDARD_SCHEME_NAMES,
-    load_scheme,
     make_keyed_scheme,
     make_standard_scheme,
     parse_key,
     random_key,
-    save_scheme,
     serialize_key,
 )
 from .modem import cross_decode_bits, modulate
@@ -34,7 +32,7 @@ from .experiment import (
     write_results,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "ChannelSpec",
@@ -44,12 +42,10 @@ __all__ = [
     "ConstellationScheme",
     "MappingKey",
     "STANDARD_SCHEME_NAMES",
-    "load_scheme",
     "make_keyed_scheme",
     "make_standard_scheme",
     "parse_key",
     "random_key",
-    "save_scheme",
     "serialize_key",
     "cross_decode_bits",
     "modulate",

@@ -3,8 +3,9 @@
 Evaluates the probability that a receiver decoding with the rectangular
 16-point grid recovers the exact 4-bit label a two-ring (circular)
 16-point sender transmitted, per symbol and aggregated, as a function of
-Es/N0. Works in nominal table units: ring/grid coordinates times
-a = sqrt(Es/10), with the grid's decision boundaries at 0 and +-2a.
+Es/N0. Works in nominal table units at Es = 1: ring/grid coordinates
+times a = sqrt(1/10) (``constellations.QAM16_AMPLITUDE``), with the
+grid's decision boundaries at 0 and +-2a.
 
 Every closed form has an independent check: the same probability as a
 product of two one-dimensional Gaussian interval integrals over the
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constellations import QAM16_CIRC_GRID, QAM16_RECT_GRID
+from .constellations import QAM16_AMPLITUDE, QAM16_CIRC_GRID, QAM16_RECT_GRID
 
 __all__ = [
     "ConsistencyError",
@@ -209,22 +210,21 @@ def _axis_cell(coord: float, a: float) -> tuple[float, float]:
     raise ValueError(f"not a grid coordinate: {coord}")
 
 
-def rect_decision_region(bit_value: int, es: float = 1.0) -> Region:
-    """Decision cell of the grid decoder for one 4-bit label, in absolute units."""
+def rect_decision_region(bit_value: int) -> Region:
+    """Decision cell of the grid decoder for one 4-bit label, at Es = 1."""
     if not 0 <= bit_value < 16:
         raise ValueError(f"bit value must be 0..15, got {bit_value}")
-    a = math.sqrt(es / 10.0)
     pt = QAM16_RECT_GRID[bit_value]
-    re_lo, re_hi = _axis_cell(pt.real, a)
-    im_lo, im_hi = _axis_cell(pt.imag, a)
+    re_lo, re_hi = _axis_cell(pt.real, QAM16_AMPLITUDE)
+    im_lo, im_hi = _axis_cell(pt.imag, QAM16_AMPLITUDE)
     return Region(re_lo, re_hi, im_lo, im_hi)
 
 
-def circular_tx_point(bit_value: int, es: float = 1.0) -> complex:
-    """Nominal two-ring sender point for one 4-bit label, in absolute units."""
+def circular_tx_point(bit_value: int) -> complex:
+    """Nominal two-ring sender point for one 4-bit label, at Es = 1."""
     if not 0 <= bit_value < 16:
         raise ValueError(f"bit value must be 0..15, got {bit_value}")
-    return QAM16_CIRC_GRID[bit_value] * math.sqrt(es / 10.0)
+    return QAM16_CIRC_GRID[bit_value] * QAM16_AMPLITUDE
 
 
 def _interval_probability(lo: float, hi: float, mean: float, q: float) -> float:
@@ -268,7 +268,7 @@ def p_correct_numeric(tx_point: complex, region: Region, n0: float) -> float:
     return p
 
 
-# The sixteen (sent point, grid cell) pairs at es = 1, from the public
+# The sixteen (sent point, grid cell) pairs, from the public
 # constructors: per label, the re-axis then the im-axis entry as (nominal
 # sender coordinate, lo, hi), with -inf/+inf for the unbounded outer cells.
 _ALL_SYMBOL_CELLS = tuple(

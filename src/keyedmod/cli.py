@@ -8,7 +8,6 @@ that closes standard output early, as ``| head`` does, is not an error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import platform
@@ -26,14 +25,14 @@ from .constellations import (
     serialize_key,
 )
 from .experiment import (
+    FIGURE_IDS,
     RNG_STREAM,
-    _FIGURE_IDS,
-    _format_value,
     config_digest,
     emit_figure_data,
     load_config,
     read_results,
     run_experiment,
+    write_csv_rows,
     write_results,
 )
 
@@ -51,10 +50,7 @@ class _Parser(argparse.ArgumentParser):
 def _write_csv(path, header, rows):
     out = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_value(v) for v in row])
+        write_csv_rows(out, header, rows)
     finally:
         if path:
             out.close()
@@ -232,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     run.set_defaults(func=_cmd_sim_run)
     fig = sim_sub.add_parser("figure", help="emit plot data from results")
-    fig.add_argument("--id", required=True, choices=_FIGURE_IDS)
+    fig.add_argument("--id", required=True, choices=FIGURE_IDS)
     fig.add_argument("--in", dest="infile")
     fig.add_argument("--out", help="output CSV (default stdout)")
     fig.set_defaults(func=_cmd_sim_figure)

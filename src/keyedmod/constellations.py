@@ -13,7 +13,6 @@ across threads.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -30,8 +29,6 @@ __all__ = [
     "random_key",
     "serialize_key",
     "parse_key",
-    "save_scheme",
-    "load_scheme",
 ]
 
 #: Gain applied to the 16-point grids so that a unit-energy grid uses
@@ -85,16 +82,9 @@ class MappingKey:
     def __len__(self) -> int:
         return len(self.perm)
 
-    @property
-    def order(self) -> int:
-        return len(self.perm)
-
     @classmethod
     def identity(cls, order: int) -> "MappingKey":
         return cls(tuple(range(order)))
-
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(len(self.perm)))
 
     def inverse(self) -> "MappingKey":
         inv = [0] * len(self.perm)
@@ -180,15 +170,9 @@ class ConstellationScheme:
         return self.order.bit_length() - 1
 
     @cached_property
-    def points_array(self) -> np.ndarray:
-        arr = np.asarray(self.points, dtype=np.complex128)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
     def mapped_points(self) -> np.ndarray:
         """Points in bit-value order: ``mapped_points[b]`` is sent for bit value ``b``."""
-        arr = self.points_array[np.asarray(self.key.perm, dtype=np.intp)]
+        arr = np.asarray(self.points, dtype=np.complex128)[list(self.key.perm)]
         arr.setflags(write=False)
         return arr
 
@@ -242,33 +226,3 @@ def make_keyed_scheme(base: ConstellationScheme, key: MappingKey) -> Constellati
         label=base.label, points=base.points, key=key.compose(base.key)
     )
 
-
-def save_scheme(scheme: ConstellationScheme, path) -> None:
-    """Write a scheme to a JSON file: label, order, (re, im) pairs, key text."""
-    doc = {
-        "label": scheme.label,
-        "order": scheme.order,
-        "points": [[p.real, p.imag] for p in scheme.points],
-        "key": serialize_key(scheme.key),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def load_scheme(path) -> ConstellationScheme:
-    """Read a scheme file written by :func:`save_scheme`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        label = doc["label"]
-        order = int(doc["order"])
-        points = tuple(complex(re, im) for re, im in doc["points"])
-        key = parse_key(doc["key"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed scheme file {path}: {exc}") from exc
-    if len(points) != order:
-        raise ValueError(
-            f"scheme file {path} declares order {order} but has {len(points)} points"
-        )
-    return ConstellationScheme(label=label, points=points, key=key)

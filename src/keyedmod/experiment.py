@@ -57,12 +57,14 @@ __all__ = [
     "RESULT_FIELDS",
     "RNG_STREAM",
     "FIGURE_SCENARIOS",
+    "FIGURE_IDS",
     "REQUIRED_RECEIVER_LABELS",
     "load_config",
     "config_from_dict",
     "config_to_dict",
     "scenario_config",
     "run_experiment",
+    "write_csv_rows",
     "write_results",
     "read_results",
     "emit_figure_data",
@@ -119,7 +121,7 @@ FIGURE_SCENARIOS = {
 }
 
 #: Every figure id that :func:`emit_figure_data` accepts.
-_FIGURE_IDS = ("fig5", *FIGURE_SCENARIOS, "fig13")
+FIGURE_IDS = ("fig5", *FIGURE_SCENARIOS, "fig13")
 
 
 class IntegrityError(ValueError):
@@ -138,6 +140,12 @@ class ReceiverSpec:
             raise ValueError("receiver label must not be empty")
         if "," in self.label:
             raise ValueError("receiver label must not contain commas")
+        # A results file is read line by line, and "#" starts a metadata line.
+        if self.label.startswith("#") or "\n" in self.label or "\r" in self.label:
+            raise ValueError(
+                f"receiver label {self.label!r} must not start with '#'"
+                " or hold a line break"
+            )
         if not 0 < self.distance_m < math.inf:
             raise ValueError(
                 f"distance must be positive and finite, got {self.distance_m}"
@@ -328,6 +336,20 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _key(value, field: str) -> MappingKey | None:
+    """A config key: null (unkeyed) or a comma-separated permutation string."""
+    if value is None:
+        return None
+    if not isinstance(value, str) or not value:
+        raise ValueError(
+            f"{field} must be null or a comma-separated permutation, got {value!r}"
+        )
+    try:
+        return parse_key(value)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from its JSON form, rejecting unknown keys at every level."""
     try:
@@ -364,7 +386,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 ReceiverSpec(
                     label=r["label"],
                     scheme=r["scheme"],
-                    key=parse_key(r["key"]) if r.get("key") else None,
+                    key=_key(r.get("key"), f"receiver {i} key"),
                     distance_m=_number(
                         r.get("distance_m", 1.0), f"receiver {i} distance_m"
                     ),
@@ -375,7 +397,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         )
         return ExperimentConfig(
             sender_scheme=sender["scheme"],
-            sender_key=parse_key(sender["key"]) if sender.get("key") else None,
+            sender_key=_key(sender.get("key"), "sender.key"),
             receivers=tuple(receivers),
             path_loss=PathLossModel(
                 alpha=_number(path_loss.get("alpha", 2.0), "path_loss.alpha"),
@@ -537,8 +559,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
     return records
 
 
-def _format_value(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+def write_csv_rows(fh, header, rows) -> None:
+    """Write a header and rows as CSV; floats as ``repr``, so they read back exactly."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
 
 
 def write_results(records, path, metadata: dict | None = None) -> None:
@@ -547,12 +573,8 @@ def write_results(records, path, metadata: dict | None = None) -> None:
         fh.write(f"# generated: {datetime.now(timezone.utc).isoformat()}\n")
         for key, value in (metadata or {}).items():
             fh.write(f"# {key}: {value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_FIELDS)
-        for rec in records:
-            writer.writerow(
-                [_format_value(getattr(rec, field)) for field in RESULT_FIELDS]
-            )
+        rows = ([getattr(rec, field) for field in RESULT_FIELDS] for rec in records)
+        write_csv_rows(fh, RESULT_FIELDS, rows)
 
 
 def read_results(path) -> list[BerRecord]:
@@ -667,5 +689,5 @@ def emit_figure_data(records, figure_id: str):
     if figure_id == "fig13":
         return _eavesdropper_summary(records or [])
     raise ValueError(
-        f"unknown figure id {figure_id!r}; expected one of {', '.join(_FIGURE_IDS)}"
+        f"unknown figure id {figure_id!r}; expected one of {', '.join(FIGURE_IDS)}"
     )

@@ -42,8 +42,6 @@ _DEMOD_CHUNK = 1 << 17
 _FAR_BOUND = 2.0**53
 _EXACT_SHIFT = 1074
 
-_BYTE_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
-
 
 def value_dtype(bits_per_symbol: int) -> np.dtype:
     """The narrowest unsigned dtype that holds every m-bit value."""
@@ -295,8 +293,7 @@ def count_prefix_errors(tx_values, m_tx: int, rx_values, m_rx: int) -> tuple[int
             " alignment is undefined"
         )
     diff = (np.asarray(tx_values) >> (m_tx - m_rx)) ^ rx_values
-    # Values wider than a byte are counted byte by byte.
-    bit_errors = int(_BYTE_POPCOUNT[diff.view(np.uint8)].sum())
+    bit_errors = int(np.bitwise_count(diff).sum())
     return bit_errors, int(np.count_nonzero(diff))
 
 

@@ -272,7 +272,7 @@ class TestGeometryHelpers:
 
     def test_circular_point_table(self):
         assert circular_tx_point(0b0000) == pytest.approx((1.53 - 3.69j) * A)
-        assert circular_tx_point(0b0101, es=10.0) == pytest.approx(1.84 - 0.76j)
+        assert circular_tx_point(0b0101) == pytest.approx((1.84 - 0.76j) * A)
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):

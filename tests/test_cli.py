@@ -4,18 +4,21 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from keyedmod import cli
 from keyedmod.cli import main
 from keyedmod.experiment import (
-    _FIGURE_IDS,
+    FIGURE_IDS,
     config_to_dict,
     emit_figure_data,
     read_results,
     scenario_config,
 )
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
 
 
 def run_cli(*args, **kwargs):
@@ -204,7 +207,7 @@ class TestSimCommands:
         results = tmp_path / "results.csv"
         assert main(["sim", "run", "--config", str(config_path), "--out", str(results)]) == 0
         records = read_results(results)
-        for fig in _FIGURE_IDS:
+        for fig in FIGURE_IDS:
             emit_figure_data(records, fig)
             out = tmp_path / f"{fig}.csv"
             assert main(["sim", "figure", "--id", fig, "--in", str(results), "--out", str(out)]) == 0
@@ -263,6 +266,29 @@ class TestSimCommands:
             assert proc.returncode == 2
         assert "unknown key 'sweep_mod'" in proc.stderr
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "where, value, field",
+        [
+            (("sender",), 7, "sender.key"),
+            (("sender",), "", "sender.key"),
+            (("receivers", 2), [0, 1, 2, 3], "receiver 2 key"),
+            (("receivers", 0), False, "receiver 0 key"),
+        ],
+        ids=["sender_int", "sender_empty", "receiver_list", "receiver_false"],
+    )
+    def test_bad_key_is_data_error(self, tmp_path, capsys, where, value, field):
+        doc = json.loads(DEMO_CONFIG.read_text())
+        target = doc
+        for part in where:
+            target = target[part]
+        target["key"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        assert main(["sim", "run", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{field} must be null or a comma-separated permutation" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsageErrors:

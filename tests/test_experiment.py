@@ -10,11 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyedmod import experiment
 from keyedmod.analytic import SnrPoint, p_correct_all_symbols, snr_grid_db
 from keyedmod.channel import ChannelSpec, PathLossModel, add_awgn
-from keyedmod.constellations import random_key
+from keyedmod.constellations import (
+    STANDARD_SCHEME_NAMES,
+    MappingKey,
+    make_standard_scheme,
+    random_key,
+)
 from keyedmod.experiment import (
     FIGURE_SCENARIOS,
     REQUIRED_RECEIVER_LABELS,
@@ -36,6 +43,47 @@ from keyedmod.modem import modulate, nearest_point_values, value_dtype, values_t
 A = math.sqrt(1.0 / 10.0)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def is_receiver_label(text):
+    try:
+        ReceiverSpec(text, "bpsk")
+    except ValueError:
+        return False
+    return True
+
+
+labels = st.text(min_size=1, max_size=12).filter(is_receiver_label)
+
+
+@st.composite
+def scheme_and_key(draw):
+    name = draw(st.sampled_from(STANDARD_SCHEME_NAMES))
+    order = make_standard_scheme(name).order
+    perm = st.permutations(range(order)).map(lambda p: MappingKey(tuple(p)))
+    return name, draw(st.none() | perm)
+
+
+@st.composite
+def configs(draw):
+    d_ref = draw(st.floats(1e-3, 100.0))
+    receivers = []
+    for label in draw(st.lists(labels, min_size=1, max_size=5, unique=True)):
+        name, key = draw(scheme_and_key())
+        distance = draw(st.floats(d_ref, 1e6))
+        receivers.append(ReceiverSpec(label, name, key, distance))
+    sender_scheme, sender_key = draw(scheme_and_key())
+    sweep = draw(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8))
+    return ExperimentConfig(
+        sender_scheme=sender_scheme,
+        sender_key=sender_key,
+        receivers=tuple(receivers),
+        path_loss=PathLossModel(alpha=draw(st.floats(0.1, 10.0)), d_ref=d_ref),
+        snr_sweep_db=tuple(sorted(sweep)),
+        sweep_mode=draw(st.sampled_from(["receive", "reference"])),
+        symbols_per_point=draw(st.integers(10_000, 10**12)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
 
 
 def small_config(**overrides):
@@ -77,6 +125,21 @@ class TestConfigValidation:
                     ReceiverSpec("x", "qpsk"),
                 )
             )
+
+    @pytest.mark.parametrize(
+        "label, match",
+        [
+            ("", "must not be empty"),
+            ("a,b", "commas"),
+            ("#eve", "must not start with '#'"),
+            ("eve\nrect", "line break"),
+            ("eve\rrect", "line break"),
+        ],
+        ids=["empty", "comma", "hash", "newline", "carriage_return"],
+    )
+    def test_rejects_labels_a_results_file_cannot_hold(self, label, match):
+        with pytest.raises(ValueError, match=match):
+            ReceiverSpec(label, "bpsk")
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="sweep mode"):
@@ -221,6 +284,54 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "where, value, field",
+        [
+            (("sender",), 7, r"sender\.key must be null or"),
+            (("sender",), [0, 1, 2, 3], r"sender\.key must be null or"),
+            (("sender",), 0, r"sender\.key must be null or"),
+            (("sender",), False, r"sender\.key must be null or"),
+            (("sender",), "", r"sender\.key must be null or"),
+            (("sender",), "0,x", r"sender\.key: malformed key text"),
+            (("receivers", 0), 7, "receiver 0 key must be null or"),
+            (("receivers", 1), [0, 1, 2, 3], "receiver 1 key must be null or"),
+            (("receivers", 0), 0, "receiver 0 key must be null or"),
+            (("receivers", 1), False, "receiver 1 key must be null or"),
+            (("receivers", 0), "", "receiver 0 key must be null or"),
+            (("receivers", 1), "0,0,1,2", "receiver 1 key: key .* is not a permutation"),
+        ],
+        ids=[
+            "sender_int",
+            "sender_list",
+            "sender_zero",
+            "sender_false",
+            "sender_empty",
+            "sender_malformed",
+            "receiver_int",
+            "receiver_list",
+            "receiver_zero",
+            "receiver_false",
+            "receiver_empty",
+            "receiver_not_permutation",
+        ],
+    )
+    def test_rejects_bad_keys(self, where, value, field):
+        doc = config_to_dict(small_config())
+        target = doc
+        for part in where:
+            target = target[part]
+        target["key"] = value
+        with pytest.raises(ValueError, match=field):
+            config_from_dict(doc)
+
+    def test_null_or_absent_key_loads_unkeyed(self):
+        doc = config_to_dict(small_config())
+        del doc["sender"]["key"]
+        del doc["receivers"][0]["key"]
+        cfg = config_from_dict(doc)
+        assert cfg.sender_key is None
+        assert [r.key for r in cfg.receivers] == [None, None]
+
     @pytest.mark.parametrize("key", ["start", "stop", "step"])
     def test_rejects_non_number_sweep_grid(self, key):
         doc = config_to_dict(small_config())
@@ -240,6 +351,12 @@ class TestConfigValidation:
     def test_dict_round_trip(self):
         cfg = small_config(sender_key=random_key(16, 3))
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    @settings(deadline=None, max_examples=200)
+    @given(configs())
+    def test_dict_round_trip_property(self, cfg):
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
     def test_load_config_file(self, tmp_path):
         cfg = small_config()
@@ -643,6 +760,33 @@ class TestResultsIO:
         records = self.make_records()
         path = tmp_path / "out.csv"
         write_results(records, path, {"symbols_per_point": 10_000})
+        assert read_results(path) == records
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(10_000, 10**12), st.data())
+    def test_round_trip_property(self, tmp_path_factory, symbols, data):
+        records = []
+        for label in data.draw(st.lists(labels, max_size=4, unique=True)):
+            m_tx = data.draw(st.integers(1, 8))
+            m_rx = data.draw(st.integers(1, m_tx))
+            compared = symbols * m_rx
+            bit_errors = data.draw(st.integers(0, compared))
+            symbol_errors = data.draw(st.integers(0, symbols))
+            for snr_db in data.draw(st.lists(st.floats(-1e6, 1e6), max_size=3)):
+                records.append(
+                    BerRecord(
+                        receiver_label=label,
+                        snr_db=snr_db,
+                        tx_bits=symbols * m_tx,
+                        compared_bits=compared,
+                        bit_errors=bit_errors,
+                        ber=bit_errors / compared,
+                        symbol_errors=symbol_errors,
+                        ser=symbol_errors / symbols,
+                    )
+                )
+        path = tmp_path_factory.mktemp("results") / "out.csv"
+        write_results(records, path, {"symbols_per_point": symbols})
         assert read_results(path) == records
 
     def test_empty_round_trip(self, tmp_path):

@@ -408,8 +408,8 @@ class TestCellTable:
             assert table.scale is None
             sizes = []
             for levels, edges in (
-                (np.unique(scheme.points_array.real), table.real_edges),
-                (np.unique(scheme.points_array.imag), table.imag_edges),
+                (np.unique(np.asarray(scheme.points).real), table.real_edges),
+                (np.unique(np.asarray(scheme.points).imag), table.imag_edges),
             ):
                 mids = (levels[:-1] + levels[1:]) / 2
                 cuts = np.concatenate((mids - 1e-6, mids + 1e-6, [-1e3, 1e3]))
@@ -556,7 +556,6 @@ def per_bit_prefix_errors(tx, m_tx, rx, m_rx) -> tuple[int, int]:
 
 
 class TestCountPrefixErrors:
-    # m_tx = 10 gives uint16 values, which are counted byte by byte.
     @pytest.mark.parametrize("m_tx, m_rx", [(4, 1), (4, 2), (4, 4), (10, 3), (10, 10)])
     def test_matches_per_bit_count(self, m_tx, m_rx):
         rng = np.random.default_rng(m_tx * 16 + m_rx)
