@@ -24,7 +24,6 @@ from .constellations import QAM16_AMPLITUDE, QAM16_CIRC_GRID, QAM16_RECT_GRID
 __all__ = [
     "ConsistencyError",
     "SnrPoint",
-    "SymbolCondProb",
     "Region",
     "REPRESENTATIVE_SYMBOLS",
     "p_correct_symbol",
@@ -64,18 +63,6 @@ class SnrPoint:
     def u(self) -> float:
         """Common erfc scale sqrt(Es/(10*N0)): table coordinates times u feed erfc."""
         return math.sqrt(self.es_over_n0 / 10.0)
-
-
-@dataclass(frozen=True)
-class SymbolCondProb:
-    """Probability that one transmitted symbol decodes to its own bit label."""
-
-    symbol: int
-    prob_correct: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.prob_correct <= 1.0:
-            raise ValueError(f"probability out of range: {self.prob_correct}")
 
 
 @dataclass(frozen=True)
@@ -130,12 +117,6 @@ _K3_RE_HI = -_C3.real               # -0.76
 _K3_IM = _BOUND - _C3.imag          # 3.84
 
 
-def _as_snr(snr) -> SnrPoint:
-    if isinstance(snr, SnrPoint):
-        return snr
-    return SnrPoint(float(snr))
-
-
 def _check_prob(p: float, what: str) -> float:
     if p < -1e-12 or p > 1.0 + 1e-12:
         raise ConsistencyError(f"{what} evaluated outside [0, 1]: {p!r}")
@@ -168,7 +149,7 @@ def _closed_form(i: int, u: float) -> float:
     return _check_prob(p, f"symbol {i}")
 
 
-def p_correct_symbol(i: int, snr) -> SymbolCondProb:
+def p_correct_symbol(i: int, snr: SnrPoint) -> float:
     """Closed-form P(decoded label == sent label) for representative symbol ``i``.
 
     ``i`` indexes :data:`REPRESENTATIVE_SYMBOLS`: the outer-ring corner
@@ -177,14 +158,12 @@ def p_correct_symbol(i: int, snr) -> SymbolCondProb:
     noisy decision variable lands inside the grid decoder's cell for the
     sent bit label.
     """
-    u = _as_snr(snr).u
     if i not in (0, 1, 2, 3):
         raise ValueError(f"representative symbol index must be 0..3, got {i}")
-    p = _closed_form(i, u)
-    return SymbolCondProb(symbol=REPRESENTATIVE_SYMBOLS[i], prob_correct=p)
+    return _closed_form(i, snr.u)
 
 
-def p_correct_total(snr) -> float:
+def p_correct_total(snr: SnrPoint) -> float:
     """Mean correct-decode probability over the four representative symbols.
 
     Conjugate bit labels share the same conditional probability, so this
@@ -193,7 +172,7 @@ def p_correct_total(snr) -> float:
     geometries and are covered exactly by
     :func:`p_correct_all_symbols`.
     """
-    u = _as_snr(snr).u
+    u = snr.u
     total = sum(_closed_form(i, u) for i in range(4)) / 4.0
     return _check_prob(total, "aggregate")
 
@@ -277,7 +256,7 @@ _ALL_SYMBOL_CELLS = tuple(
 )
 
 
-def p_correct_all_symbols(snr, point_scale: float = 1.0) -> float:
+def p_correct_all_symbols(snr: SnrPoint, point_scale: float = 1.0) -> float:
     """Exact correct-decode probability averaged over all sixteen symbols.
 
     Unlike :func:`p_correct_total`, this makes no symmetry reduction: it
@@ -294,10 +273,9 @@ def p_correct_all_symbols(snr, point_scale: float = 1.0) -> float:
     and in the same order; Es/N0 = 0 (N0 infinite) gives 1/16, and
     Es/N0 = inf (N0 = 0), which that route refuses, the noiseless limit.
     """
-    point = _as_snr(snr)
     if not math.isfinite(point_scale):
         raise ValueError(f"point scale must be finite, got {point_scale}")
-    n0 = math.inf if point.es_over_n0 == 0 else 1.0 / point.es_over_n0
+    n0 = math.inf if snr.es_over_n0 == 0 else 1.0 / snr.es_over_n0
     q = math.inf if n0 == 0 else 1.0 / math.sqrt(n0)
     total = 0.0
     for (re, re_lo, re_hi), (im, im_lo, im_hi) in _ALL_SYMBOL_CELLS:

@@ -65,8 +65,8 @@ def _cmd_scheme_show(args):
     print(f"bits_per_symbol: {scheme.bits_per_symbol}")
     print(f"key: {serialize_key(scheme.key)}")
     print("bit_value,point_re,point_im")
-    for value in range(scheme.order):
-        p = scheme.point_for_value(value)
+    # tolist() gives Python complexes, whose parts repr as plain floats.
+    for value, p in enumerate(scheme.mapped_points.tolist()):
         print(f"{value:0{scheme.bits_per_symbol}b},{p.real!r},{p.imag!r}")
     return 0
 

@@ -176,10 +176,6 @@ class ConstellationScheme:
         arr.setflags(write=False)
         return arr
 
-    def point_for_value(self, value: int) -> complex:
-        """Point transmitted for the m-bit value ``value``."""
-        return self.points[self.key.perm[value]]
-
 
 def _normalized(points: tuple[complex, ...]) -> tuple[complex, ...]:
     energy = sum(abs(p) ** 2 for p in points) / len(points)

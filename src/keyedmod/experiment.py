@@ -580,7 +580,7 @@ def write_results(records, path, metadata: dict | None = None) -> None:
 def read_results(path) -> list[BerRecord]:
     """Read a results CSV, re-deriving and checking the stored rates."""
     records = []
-    metadata: dict[str, str] = {}
+    n_sym = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = None
         for lineno, line in enumerate(fh, start=1):
@@ -588,9 +588,15 @@ def read_results(path) -> list[BerRecord]:
             if not line:
                 continue
             if line.startswith("#"):
-                if ":" in line:
-                    key, _, value = line[1:].partition(":")
-                    metadata[key.strip()] = value.strip()
+                key, colon, value = line[1:].partition(":")
+                if colon and key.strip() == "symbols_per_point":
+                    value = value.strip()
+                    if not value.isdecimal() or int(value) < 1:
+                        raise IntegrityError(
+                            f"{path}:{lineno}: symbols_per_point must be a positive"
+                            f" integer, got {value!r}"
+                        )
+                    n_sym = int(value)
                 continue
             row = next(csv.reader([line]))
             if header is None:
@@ -618,13 +624,11 @@ def read_results(path) -> list[BerRecord]:
                 )
             except ValueError as exc:
                 raise IntegrityError(f"{path}:{lineno}: {exc}") from exc
-            if "symbols_per_point" in metadata:
-                n_sym = int(metadata["symbols_per_point"])
-                if rec.ser != rec.symbol_errors / n_sym:
-                    raise IntegrityError(
-                        f"{path}:{lineno}: ser {rec.ser!r} != symbol_errors/symbols"
-                        f" ({rec.symbol_errors}/{n_sym})"
-                    )
+            if n_sym is not None and rec.ser != rec.symbol_errors / n_sym:
+                raise IntegrityError(
+                    f"{path}:{lineno}: ser {rec.ser!r} != symbol_errors/symbols"
+                    f" ({rec.symbol_errors}/{n_sym})"
+                )
             records.append(rec)
     if header is None:
         raise IntegrityError(f"{path}: missing header row")
@@ -641,7 +645,13 @@ def _figure_series(records, figure_id):
         )
     by_label: dict[str, dict[float, float]] = {}
     for rec in records:
-        by_label.setdefault(rec.receiver_label, {})[rec.snr_db] = rec.ber
+        series = by_label.setdefault(rec.receiver_label, {})
+        if rec.snr_db in series:
+            raise IntegrityError(
+                f"{figure_id}: series {rec.receiver_label!r} has two records"
+                f" at {rec.snr_db} dB"
+            )
+        series[rec.snr_db] = rec.ber
     snrs = sorted({r.snr_db for r in records})
     header = ["snr_db"] + list(REQUIRED_RECEIVER_LABELS)
     rows = []

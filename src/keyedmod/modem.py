@@ -82,48 +82,34 @@ def modulate(bits, scheme: ConstellationScheme) -> np.ndarray:
     return scheme.mapped_points[values]
 
 
-def _argmin_values(symbols: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    # A non-finite component beside a huge one overflows the squares; such
-    # rows hold NaN or inf and decode to value 0 either way.
-    with np.errstate(over="ignore", invalid="ignore"):
-        d2 = (symbols.real[:, None] - pts.real) ** 2
-        d2 += (symbols.imag[:, None] - pts.imag) ** 2
-    return np.argmin(d2, axis=1)
-
-
 def _exact_int(x: float) -> int:
     num, den = x.as_integer_ratio()
     return num << (_EXACT_SHIFT - den.bit_length() + 1)
 
 
-def _far_value(symbol: complex, exact_pts: list[tuple[int, int, int]]) -> int:
-    """Value of the nearest point by exact arithmetic; ties keep the lower value.
-
-    Point q beats the running best p only when 2 Re(y conj(q - p)) > |q|^2 - |p|^2,
-    with y and the points scaled by the same power of two into integers.
-    """
-    yr, yi = _exact_int(symbol.real), _exact_int(symbol.imag)
-    best = 0
-    pr, pi, pn = exact_pts[0]
-    for value, (qr, qi, qn) in enumerate(exact_pts[1:], start=1):
-        if 2 * (yr * (qr - pr) + yi * (qi - pi)) > qn - pn:
-            best, pr, pi, pn = value, qr, qi, qn
-    return best
-
-
 def _fallback_values(symbols: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Argmin values, with finite symbols beyond ``_FAR_BOUND`` decided exactly."""
+    """Argmin values, with finite symbols beyond ``_FAR_BOUND`` decided exactly.
+
+    Out there the nearest point q maximises 2 Re(y conj q) - |q|^2, with y and
+    the points scaled by the same power of two into integers; ``max`` keeps the
+    first maximum, so ties go to the lowest value, as argmin's do.
+    """
+    # A non-finite component beside a huge one overflows the squares; such
+    # rows hold NaN or inf and decode to value 0 either way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = (symbols.real[:, None] - pts.real) ** 2
+        d2 += (symbols.imag[:, None] - pts.imag) ** 2
+    values = np.argmin(d2, axis=1)
     far = np.isfinite(symbols)
     far &= np.maximum(np.abs(symbols.real), np.abs(symbols.imag)) > _FAR_BOUND
-    if not far.any():
-        return _argmin_values(symbols, pts)
-    values = np.zeros(symbols.size, dtype=np.intp)
-    values[~far] = _argmin_values(symbols[~far], pts)
-    exact_pts = []
-    for p in pts.tolist():
-        pr, pi = _exact_int(p.real), _exact_int(p.imag)
-        exact_pts.append((pr, pi, pr * pr + pi * pi))
-    values[far] = [_far_value(y, exact_pts) for y in symbols[far].tolist()]
+    if far.any():
+        exact_pts = [(_exact_int(q.real), _exact_int(q.imag)) for q in pts.tolist()]
+        decided = []
+        for y in symbols[far].tolist():
+            yr, yi = _exact_int(y.real), _exact_int(y.imag)
+            scores = [2 * (yr * qr + yi * qi) - qr * qr - qi * qi for qr, qi in exact_pts]
+            decided.append(max(range(len(scores)), key=scores.__getitem__))
+        values[far] = decided
     return values
 
 

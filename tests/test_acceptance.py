@@ -51,7 +51,7 @@ def test_criterion_1_analytic_matches_numeric_oracle():
         n0 = 1.0 / point.es_over_n0
         oracle_sum = 0.0
         for i, value in enumerate(REPRESENTATIVE_SYMBOLS):
-            closed = p_correct_symbol(i, point).prob_correct
+            closed = p_correct_symbol(i, point)
             oracle = p_correct_numeric(
                 circular_tx_point(value), rect_decision_region(value), n0
             )

@@ -13,7 +13,6 @@ from keyedmod.analytic import (
     REPRESENTATIVE_SYMBOLS,
     Region,
     SnrPoint,
-    SymbolCondProb,
     circular_tx_point,
     p_correct_all_symbols,
     p_correct_numeric,
@@ -111,9 +110,20 @@ class TestSnrPoint:
         assert SnrPoint.from_db(10.0).es_over_n0 == pytest.approx(10.0)
         assert SnrPoint.from_db(0.0).u == pytest.approx(math.sqrt(0.1))
 
-    def test_prob_range_enforced(self):
-        with pytest.raises(ValueError):
-            SymbolCondProb(symbol=0, prob_correct=1.5)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda snr: p_correct_symbol(0, snr),
+            p_correct_total,
+            p_correct_all_symbols,
+        ],
+        ids=["p_correct_symbol", "p_correct_total", "p_correct_all_symbols"],
+    )
+    def test_float_snr_refused(self, call):
+        # A bare number is not read as linear Es/N0: every SNR in the CLI
+        # and configs is in dB, so a float here is a likely unit mistake.
+        with pytest.raises(AttributeError):
+            call(10.0)
 
 
 def region_mean_pair(i):
@@ -127,7 +137,7 @@ class TestPerSymbolForms:
         tx, region = region_mean_pair(i)
         for snr_db in snr_grid_db(0, 25, 0.5):
             point = SnrPoint.from_db(snr_db)
-            closed = p_correct_symbol(i, point).prob_correct
+            closed = p_correct_symbol(i, point)
             oracle = p_correct_numeric(tx, region, 1.0 / point.es_over_n0)
             assert abs(closed - oracle) <= 1e-9, (i, snr_db)
 
@@ -136,28 +146,23 @@ class TestPerSymbolForms:
         tx, region = region_mean_pair(i)
         for snr_db in (0.0, 5.0, 10.0):
             n0 = 1.0 / SnrPoint.from_db(snr_db).es_over_n0
-            closed = p_correct_symbol(i, SnrPoint.from_db(snr_db)).prob_correct
+            closed = p_correct_symbol(i, SnrPoint.from_db(snr_db))
             assert closed == pytest.approx(quad_region(tx, region, n0), abs=1e-10)
 
     def test_symbol_labels(self):
-        assert [p_correct_symbol(i, SnrPoint(1.0)).symbol for i in range(4)] == [
-            0b0000,
-            0b0100,
-            0b0101,
-            0b0001,
-        ]
+        assert REPRESENTATIVE_SYMBOLS == (0b0000, 0b0100, 0b0101, 0b0001)
 
     def test_outer_corner_vanishes_at_high_snr(self):
         # u = 50 corresponds to Es/N0 = 25000.
-        assert p_correct_symbol(0, SnrPoint(25000.0)).prob_correct == 0.0
+        assert p_correct_symbol(0, SnrPoint(25000.0)) == 0.0
 
     def test_inner_symbol_zero_at_zero_snr(self):
-        assert p_correct_symbol(2, SnrPoint(0.0)).prob_correct == 0.0
+        assert p_correct_symbol(2, SnrPoint(0.0)) == 0.0
 
     def test_side_symbol_frozen_at_0db(self):
         # Frozen from the quadrature oracle over re < -2a, 0 < im < 2a
         # centered at (3.69a, -1.53a).
-        got = p_correct_symbol(1, SnrPoint.from_db(0.0)).prob_correct
+        got = p_correct_symbol(1, SnrPoint.from_db(0.0))
         assert got == pytest.approx(1.0375866903043587e-03, rel=1e-12)
 
     def test_bad_index(self):
@@ -177,7 +182,7 @@ class TestAggregate:
     def test_equals_mean_of_symbol_forms(self):
         for snr_db in (0.0, 7.5, 14.0):
             point = SnrPoint.from_db(snr_db)
-            mean = sum(p_correct_symbol(i, point).prob_correct for i in range(4)) / 4
+            mean = sum(p_correct_symbol(i, point) for i in range(4)) / 4
             assert p_correct_total(point) == pytest.approx(mean, rel=1e-12)
 
     def test_vanishes_at_extreme_snr(self):
@@ -245,7 +250,7 @@ class TestNumericOracle:
         tx, region = region_mean_pair(0)
         for snr_db in (0.0, 10.0):
             point = SnrPoint.from_db(snr_db)
-            closed = p_correct_symbol(0, point).prob_correct
+            closed = p_correct_symbol(0, point)
             numeric = p_correct_numeric(tx, region, 1.0 / point.es_over_n0)
             assert abs(closed - numeric) <= 1e-12
 

@@ -10,12 +10,16 @@ import pytest
 
 from keyedmod import cli
 from keyedmod.cli import main
+from keyedmod.constellations import make_keyed_scheme, make_standard_scheme, parse_key
 from keyedmod.experiment import (
     FIGURE_IDS,
+    REQUIRED_RECEIVER_LABELS,
+    BerRecord,
     config_to_dict,
     emit_figure_data,
     read_results,
     scenario_config,
+    write_results,
 )
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
@@ -41,6 +45,17 @@ class TestSchemeCommands:
         proc = run_cli("scheme", "show", "--name", "qpsk", "--key", "3,2,1,0")
         assert proc.returncode == 0
         assert "key: 3,2,1,0" in proc.stdout
+
+    def test_show_pins_keyed_point_rows(self):
+        proc = run_cli("scheme", "show", "--name", "qpsk", "--key", "3,2,1,0")
+        assert proc.returncode == 0
+        scheme = make_keyed_scheme(make_standard_scheme("qpsk"), parse_key("3,2,1,0"))
+        points = [scheme.points[p] for p in scheme.key.perm]
+        lines = proc.stdout.splitlines()
+        rows = lines[lines.index("bit_value,point_re,point_im") + 1 :]
+        assert rows == [f"{v:02b},{p.real!r},{p.imag!r}" for v, p in enumerate(points)]
+        assert rows[0] == "00,-0.7071067811865475,-0.7071067811865475"
+        assert "np.float64" not in proc.stdout
 
     def test_show_unknown_scheme_is_data_error(self):
         proc = run_cli("scheme", "show", "--name", "qam1024")
@@ -249,6 +264,20 @@ class TestSimCommands:
         proc = run_cli("sim", "figure", "--id", "fig7", "--out", str(tmp_path / "f.csv"))
         assert proc.returncode == 2
         assert "requires --in" in proc.stderr
+
+    def test_figure_rejects_repeated_point(self, tmp_path):
+        records = [
+            BerRecord(label, 0.0, 40000, 10000, 10, 1e-3, 10, 1e-3)
+            for label in REQUIRED_RECEIVER_LABELS
+        ]
+        records.insert(0, BerRecord("intended", 0.0, 40000, 10000, 1, 1e-4, 1, 1e-4))
+        results = tmp_path / "results.csv"
+        write_results(records, results)
+        out = tmp_path / "fig7.csv"
+        proc = run_cli("sim", "figure", "--id", "fig7", "--in", str(results), "--out", str(out))
+        assert proc.returncode == 2
+        assert "fig7: series 'intended' has two records at 0.0 dB" in proc.stderr
+        assert not out.exists()
 
     def test_fig5_needs_no_input(self, tmp_path):
         out = tmp_path / "fig5.csv"

@@ -57,12 +57,12 @@ class TestStandardSchemes:
     def test_rect_matches_table(self):
         scheme = make_standard_scheme("qam16_rect")
         for bits, point in RECT_TABLE.items():
-            got = scheme.point_for_value(int(bits, 2))
+            got = scheme.mapped_points[int(bits, 2)]
             assert got == pytest.approx(point * A, abs=1e-15)
 
     def test_rect_0111_example(self):
         scheme = make_standard_scheme("qam16_rect")
-        assert scheme.point_for_value(0b0111) == pytest.approx((1 + 1j) * A, abs=1e-15)
+        assert scheme.mapped_points[0b0111] == pytest.approx((1 + 1j) * A, abs=1e-15)
 
     def test_circ_matches_table_up_to_normalization(self):
         # Ring coordinates are stored verbatim, then rescaled by one common
@@ -77,7 +77,7 @@ class TestStandardSchemes:
 
     def test_circ_0000_example(self):
         scheme = make_standard_scheme("qam16_circ")
-        point = scheme.point_for_value(0b0000)
+        point = scheme.mapped_points[0b0000]
         direction = (1.53 - 3.69j) * A
         # Same direction as the table entry, length within the 0.3%
         # normalization gain.
@@ -85,8 +85,8 @@ class TestStandardSchemes:
 
     def test_bpsk_points(self):
         scheme = make_standard_scheme("bpsk")
-        assert scheme.point_for_value(0) == 1 + 0j
-        assert scheme.point_for_value(1) == -1 + 0j
+        assert scheme.mapped_points[0] == 1 + 0j
+        assert scheme.mapped_points[1] == -1 + 0j
 
     def test_qpsk_gray_neighbors(self):
         scheme = make_standard_scheme("qpsk")
@@ -206,8 +206,8 @@ class TestMakeKeyedScheme:
         base = make_standard_scheme("qam16_rect")
         reverse = MappingKey(tuple(range(15, -1, -1)))
         keyed = make_keyed_scheme(base, reverse)
-        assert keyed.point_for_value(0b0000) == base.point_for_value(0b1111)
-        assert keyed.point_for_value(0b1111) == base.point_for_value(0b0000)
+        assert keyed.mapped_points[0b0000] == base.mapped_points[0b1111]
+        assert keyed.mapped_points[0b1111] == base.mapped_points[0b0000]
 
     def test_same_key_same_scheme(self):
         base = make_standard_scheme("qam16_circ")
@@ -227,5 +227,5 @@ class TestMakeKeyedScheme:
         twice = make_keyed_scheme(make_keyed_scheme(base, k1), k2)
         once = make_keyed_scheme(base, k2.compose(k1))
         for v in range(4):
-            assert twice.point_for_value(v) == once.point_for_value(v)
+            assert twice.mapped_points[v] == once.mapped_points[v]
 

@@ -833,6 +833,17 @@ class TestResultsIO:
         with pytest.raises(IntegrityError, match="ser"):
             read_results(path)
 
+    @pytest.mark.parametrize("value", ["0", "-5", "1.5", "abc"])
+    def test_bad_symbols_per_point_rejected_with_line(self, tmp_path, value):
+        rec = BerRecord("eve_rect", 0.0, 400, 100, 40, 0.4, 20, 0.2)
+        path = tmp_path / "out.csv"
+        write_results([rec], path, {"symbols_per_point": value})
+        lineno = next(
+            i for i, l in enumerate(path.read_text().splitlines(), 1) if "symbols_per_point" in l
+        )
+        with pytest.raises(IntegrityError, match=rf":{lineno}: symbols_per_point .*{value!r}"):
+            read_results(path)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "none.csv"
         path.write_text("# only metadata\n")
@@ -879,6 +890,21 @@ class TestFigureData:
         ]
         with pytest.raises(IntegrityError, match="eve_qpsk"):
             emit_figure_data(records, "fig7")
+
+    def test_scenario_figure_rejects_repeated_point(self):
+        labels = ("intended", "eve_rect", "eve_qpsk", "eve_bpsk")
+        records = self.synthetic_records(labels, (0.0, 5.0))
+        records += self.synthetic_records(("eve_qpsk",), (5.0,), ber=0.25)
+        with pytest.raises(IntegrityError, match=r"fig9: series 'eve_qpsk' .* 5\.0 dB"):
+            emit_figure_data(records, "fig9")
+
+    def test_pooled_repeats_read_and_summarized(self, tmp_path):
+        records = self.synthetic_records(("eve_rect", "eve_qpsk"), (0.0,), ber=0.4) * 2
+        path = tmp_path / "pooled.csv"
+        write_results(records, path, {"symbols_per_point": 1000})
+        assert read_results(path) == records
+        header, rows = emit_figure_data(read_results(path), "fig13")
+        assert dict(rows)["count"] == 4
 
     def test_fig13_summary(self):
         records = self.synthetic_records(("eve_rect",), (0.0,), ber=0.4)

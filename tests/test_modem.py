@@ -42,7 +42,7 @@ class TestModulate:
     def test_circ_0000(self):
         scheme = make_standard_scheme("qam16_circ")
         (symbol,) = modulate([0, 0, 0, 0], scheme)
-        assert symbol == scheme.point_for_value(0b0000)
+        assert symbol == scheme.mapped_points[0b0000]
         assert symbol / ((1.53 - 3.69j) * A) == pytest.approx(1.002001, rel=1e-5)
 
     def test_circ_0100(self):
@@ -81,7 +81,7 @@ class TestModulate:
     def test_msb_first_grouping(self):
         scheme = make_standard_scheme("qam16_rect")
         (symbol,) = modulate([1, 0, 0, 0], scheme)
-        assert symbol == scheme.point_for_value(0b1000)
+        assert symbol == scheme.mapped_points[0b1000]
 
     def test_values_bits_round_trip(self):
         values = np.arange(16)
@@ -120,7 +120,7 @@ class TestDemodulate:
         # point at -3a+1a*j, whose table label is 0100.
         circ = make_standard_scheme("qam16_circ")
         rect = make_standard_scheme("qam16_rect")
-        point = circ.point_for_value(0b0110)
+        point = circ.mapped_points[0b0110]
         assert brute_force_rect_decode(point) == "0100"
         assert np.array_equal(nearest_point_values([point], rect), [0b0100])
 
@@ -128,7 +128,7 @@ class TestDemodulate:
         # Frozen oracle outcome: nearest grid point is 1a-1a*j, label 1111.
         circ = make_standard_scheme("qam16_circ")
         rect = make_standard_scheme("qam16_rect")
-        point = circ.point_for_value(0b0101)
+        point = circ.mapped_points[0b0101]
         assert brute_force_rect_decode(point) == "1111"
         assert np.array_equal(nearest_point_values([point], rect), [0b1111])
 
@@ -136,7 +136,7 @@ class TestDemodulate:
         circ = make_standard_scheme("qam16_circ")
         rect = make_standard_scheme("qam16_rect")
         for value in range(16):
-            point = circ.point_for_value(value)
+            point = circ.mapped_points[value]
             expected = [int(brute_force_rect_decode(point), 2)]
             assert np.array_equal(nearest_point_values([point], rect), expected), value
 
@@ -485,7 +485,7 @@ def assert_prefix_popcount_oracle(rx_name, key_seed):
     for i, y in enumerate(received):
         sent = int("".join(map(str, tx[4 * i : 4 * i + 4])), 2)
         decoded = min(
-            range(rx_scheme.order), key=lambda v: abs(y - rx_scheme.point_for_value(v))
+            range(rx_scheme.order), key=lambda v: abs(y - rx_scheme.mapped_points[v])
         )
         assert "".join(map(str, rx[m_rx * i : m_rx * i + m_rx])) == f"{decoded:0{m_rx}b}"
         expected += bin((sent >> (4 - m_rx)) ^ decoded).count("1")
@@ -576,7 +576,7 @@ def exact_mismatch_rate(scheme_a, scheme_b) -> float:
     m = scheme_a.bits_per_symbol
     total = 0
     for value in range(scheme_a.order):
-        point = scheme_a.point_for_value(value)
+        point = scheme_a.mapped_points[value]
         decoded = int(nearest_point_values([point], scheme_b)[0])
         total += bin(value ^ decoded).count("1")
     return total / (scheme_a.order * m)
