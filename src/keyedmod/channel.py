@@ -7,7 +7,9 @@ drawn from numpy's PCG64 generator (ziggurat Gaussian sampling), so a
 fixed seed reproduces the stream bit for bit. ``add_awgn`` keeps no
 state, so threads may call it at once; a parallel sweep keeps its runs
 reproducible by seeding every block from its own key, never from the
-worker that draws it (see :mod:`keyedmod.experiment`).
+worker that draws it (see :mod:`keyedmod.experiment`). An ``out`` array
+passed to ``add_awgn`` belongs to the caller, and two threads must not
+share one.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ __all__ = [
 class ChannelSpec:
     """Receive-side SNR (Es/N0, dB) plus the noise-stream seed.
 
-    ``rng_seed`` is anything ``np.random.default_rng`` takes as a seed:
-    an int or a ``SeedSequence``.
+    ``rng_seed`` is a nonnegative int or a ``SeedSequence``. A
+    ``Generator`` or ``None`` would make two calls with one spec draw
+    different noise, so neither is accepted.
     """
 
     es_over_n0_db: float
@@ -41,6 +44,13 @@ class ChannelSpec:
         if not math.isfinite(self.es_over_n0_db):
             raise ValueError("es_over_n0_db must be finite")
         noise_spectral_density(self.es_over_n0_db)
+        seed = self.rng_seed
+        if not isinstance(seed, np.random.SeedSequence) and (
+            isinstance(seed, bool) or not isinstance(seed, int) or seed < 0
+        ):
+            raise ValueError(
+                f"rng_seed must be a nonnegative int or a SeedSequence, got {seed!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -78,22 +88,37 @@ def noise_spectral_density(es_over_n0_db: float) -> float:
         ) from None
 
 
-def add_awgn(symbols, spec: ChannelSpec) -> np.ndarray:
+def add_awgn(symbols, spec: ChannelSpec, out=None) -> np.ndarray:
     """Return ``symbols`` plus complex AWGN at the spec's Es/N0.
 
     Per-axis noise variance is N0/2; the input must come from a
     unit-mean-energy scheme for the dB figure to mean Es/N0. Two calls
     with the same spec produce identical output.
+
+    ``out``, if given, is a writable complex128 array of the shape of
+    ``symbols`` (it may be ``symbols`` itself); the result is written
+    there and ``out`` is returned. Otherwise a new array is returned.
     """
     y = np.asarray(symbols, dtype=np.complex128)
+    if out is None:
+        out = np.empty(y.shape, dtype=np.complex128)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.complex128
+        and out.shape == y.shape
+        and out.flags.writeable
+    ):
+        raise ValueError(f"out must be a writable complex128 array of shape {y.shape}")
     sigma = math.sqrt(noise_spectral_density(spec.es_over_n0_db) / 2.0)
     rng = np.random.default_rng(spec.rng_seed)
     # The real axis takes the first y.size draws, the imaginary axis the next.
-    # Writing them straight into the output needs no complex temporary.
-    out = np.empty(y.shape, dtype=np.complex128)
-    out.real = rng.normal(0.0, sigma, y.shape)
-    out.imag = rng.normal(0.0, sigma, y.shape)
-    out += y
+    # y + sigma*z equals numpy's y + normal(0, sigma) = y + (0.0 + sigma*z)
+    # but for the sign of an exact zero.
+    scratch = np.empty(y.shape, dtype=np.float64)
+    for y_axis, out_axis in ((y.real, out.real), (y.imag, out.imag)):
+        rng.standard_normal(out=scratch)
+        scratch *= sigma
+        np.add(y_axis, scratch, out=out_axis)
     return out
 
 

@@ -24,6 +24,21 @@ def symbols():
     return modulate(bits, scheme)
 
 
+#: Where ``add_awgn`` writes its result: a new array, a given ``out``, or
+#: over the input itself.
+TARGETS = ("new", "out", "in_place")
+
+
+def awgn_into(target, y, spec):
+    """``add_awgn(y, spec)`` with its result written to ``target``."""
+    if target == "new":
+        return add_awgn(y, spec)
+    y = np.array(y)
+    out = np.empty_like(y) if target == "out" else y
+    assert add_awgn(y, spec, out=out) is out
+    return out
+
+
 class TestAddAwgn:
     def test_vanishing_noise_at_200_db(self, symbols):
         out = add_awgn(symbols[:10_000], ChannelSpec(200.0, rng_seed=1))
@@ -74,7 +89,9 @@ class TestAddAwgn:
         rng = np.random.default_rng(seed)
         n = y.size
         expected = y + (rng.normal(0, s, n) + 1j * rng.normal(0, s, n))
-        assert np.array_equal(add_awgn(y, ChannelSpec(snr_db, rng_seed=seed)), expected)
+        for target in TARGETS:
+            got = awgn_into(target, y, ChannelSpec(snr_db, rng_seed=seed))
+            assert np.array_equal(got, expected), target
 
     @pytest.mark.parametrize("y", [np.complex128(0.5 - 1j), np.zeros(0, complex)])
     def test_scalar_and_empty_inputs(self, y):
@@ -82,9 +99,37 @@ class TestAddAwgn:
         rng = np.random.default_rng(9)
         n = np.size(y)
         expected = y + (rng.normal(0, s, n) + 1j * rng.normal(0, s, n)).reshape(np.shape(y))
-        got = add_awgn(y, ChannelSpec(3.0, rng_seed=9))
-        assert got.shape == np.shape(y)
-        assert np.array_equal(got, expected)
+        for target in TARGETS:
+            got = awgn_into(target, y, ChannelSpec(3.0, rng_seed=9))
+            assert got.shape == np.shape(y), target
+            assert np.array_equal(got, expected), target
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda n: np.empty(n, np.complex64),
+            lambda n: np.empty(n, np.float64),
+            lambda n: np.empty(n + 1, np.complex128),
+            lambda n: np.empty((n, 1), np.complex128),
+            lambda n: np.zeros(n, np.complex128).tolist(),
+            lambda n: np.broadcast_to(np.complex128(0), (n,)),
+        ],
+        ids=["complex64", "float64", "longer", "2-d", "list", "read-only"],
+    )
+    def test_rejects_unusable_out(self, symbols, make_out):
+        with pytest.raises(ValueError, match="out must be a writable complex128 array"):
+            add_awgn(symbols[:8], ChannelSpec(0.0, rng_seed=1), out=make_out(8))
+
+    @pytest.mark.parametrize(
+        "seed",
+        [np.random.default_rng(1), None, True, -1, 1.5, "3"],
+        ids=["generator", "none", "bool", "negative", "float", "str"],
+    )
+    def test_rejects_seed_that_is_not_a_fixed_stream(self, seed):
+        # A Generator advances between calls and None draws OS entropy, so
+        # two calls with one spec would add different noise.
+        with pytest.raises(ValueError, match="rng_seed must be a nonnegative int"):
+            ChannelSpec(0.0, rng_seed=seed)
 
     def test_rejects_non_finite_snr(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 """Experiment runner, persistence, and figure emission."""
 
+import functools
 import hashlib
 import json
 import math
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -642,15 +644,63 @@ class TestStreamContract:
     def test_every_receiver_decodes_one_broadcast_transmission(self, monkeypatch):
         sent = []
 
-        def spy(symbols, spec):
+        def spy(symbols, spec, out=None):
             sent.append(np.array(symbols))
-            return add_awgn(symbols, spec)
+            return add_awgn(symbols, spec, out=out)
 
         monkeypatch.setattr(experiment, "add_awgn", spy)
         cfg = small_config(snr_sweep_db=(5.0,))
         run_experiment(cfg)
         assert len(sent) == len(cfg.receivers)
         assert all(np.array_equal(sent[0], other) for other in sent[1:])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_worker_reuses_one_received_buffer(self, monkeypatch, workers):
+        # Three blocks, the last one ragged, for two receivers at two SNRs.
+        cfg = small_config(symbols_per_point=2 * BLOCK + 4097)
+        buffers = []
+
+        def spy(symbols, spec, out=None):
+            buffers.append(out.__array_interface__["data"][0])
+            return add_awgn(symbols, spec, out=out)
+
+        monkeypatch.setattr(experiment, "add_awgn", spy)
+        set_thread_budget(monkeypatch, workers, workers)
+        records = run_experiment(cfg)
+        assert len(buffers) == 3 * len(cfg.snr_sweep_db) * len(cfg.receivers)
+        assert len(set(buffers)) <= workers
+        assert records == bit_domain_records(cfg)
+
+    def test_traced_layer_functions_see_every_block(self, monkeypatch):
+        # bench/run.py --trace 1 wraps the layer functions as below and names
+        # each span by calling the namer with the call's own arguments. The
+        # decoder's namer takes (symbols, scheme) and nothing more, so a call
+        # that passes the decoder any other argument fails under tracing.
+        names = []
+
+        def wrap(fn, namer):
+            @functools.wraps(fn)
+            def traced(*args, **kwargs):
+                names.append(namer(*args, **kwargs) if callable(namer) else namer)
+                return fn(*args, **kwargs)
+
+            return traced
+
+        def nearest_point(symbols, scheme):
+            return f"modem.nearest_point.{scheme.label}"
+
+        monkeypatch.setattr(experiment, "add_awgn", wrap(add_awgn, "channel.add_awgn"))
+        monkeypatch.setattr(
+            experiment, "nearest_point_values", wrap(nearest_point_values, nearest_point)
+        )
+        cfg = small_config(symbols_per_point=2 * BLOCK + 4097)
+        run_experiment(cfg)
+        blocks = 3 * len(cfg.snr_sweep_db)
+        assert Counter(names) == {
+            "channel.add_awgn": blocks * len(cfg.receivers),
+            "modem.nearest_point.qam16_circ": blocks,
+            "modem.nearest_point.qam16_rect": blocks,
+        }
 
     def test_single_block_sweep_starts_no_thread(self, monkeypatch):
         before = threading.active_count()
