@@ -32,7 +32,7 @@ from .experiment import (
     write_results,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "ChannelSpec",

@@ -9,13 +9,15 @@ grid's decision boundaries at 0 and +-2a.
 
 Every closed form has an independent check: the same probability as a
 product of two one-dimensional Gaussian interval integrals over the
-decoder's rectangular decision cell (:func:`p_correct_numeric`). One
-interval kernel serves that oracle and the all-symbol average
+decoder's rectangular decision cell (:func:`p_correct_numeric`). The
+cells are derived once, from ``QAM16_RECT_GRID``, and one interval
+kernel serves that oracle and the all-symbol average
 (:func:`p_correct_all_symbols`).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,13 +26,11 @@ from .constellations import QAM16_AMPLITUDE, QAM16_CIRC_GRID, QAM16_RECT_GRID
 __all__ = [
     "ConsistencyError",
     "SnrPoint",
-    "Region",
     "REPRESENTATIVE_SYMBOLS",
     "p_correct_symbol",
     "p_correct_total",
     "p_correct_numeric",
     "p_correct_all_symbols",
-    "rect_decision_region",
     "circular_tx_point",
     "snr_grid_db",
     "sweep",
@@ -65,32 +65,18 @@ class SnrPoint:
         return math.sqrt(self.es_over_n0 / 10.0)
 
 
-@dataclass(frozen=True)
-class Region:
-    """Axis-aligned rectangle, possibly unbounded; bounds must be ordered."""
-
-    re_lo: float
-    re_hi: float
-    im_lo: float
-    im_hi: float
-
-    def __post_init__(self) -> None:
-        for lo, hi, axis in (
-            (self.re_lo, self.re_hi, "re"),
-            (self.im_lo, self.im_hi, "im"),
-        ):
-            if math.isnan(lo) or math.isnan(hi):
-                raise ValueError("region bounds must not be NaN")
-            if lo > hi:
-                raise ValueError(f"{axis} bounds out of order: {lo} > {hi}")
-
-    @property
-    def degenerate(self) -> bool:
-        return self.re_lo == self.re_hi or self.im_lo == self.im_hi
-
+# The grid decoder's cells, one axis at a time: each distinct grid level
+# (table units) owns the interval between the midpoints to its neighbours,
+# open-ended at the outer levels. Both axes of the 4x4 grid share the levels.
+_LEVELS = sorted({c for p in QAM16_RECT_GRID for c in (p.real, p.imag)})
+_EDGES = [-math.inf] + [(a + b) / 2 for a, b in zip(_LEVELS, _LEVELS[1:])] + [math.inf]
+_AXIS_CELL = {
+    level: (_EDGES[k] * QAM16_AMPLITUDE, _EDGES[k + 1] * QAM16_AMPLITUDE)
+    for k, level in enumerate(_LEVELS)
+}
 
 #: Grid decision boundaries sit at 0 and +-_BOUND table units.
-_BOUND = 2.0
+_BOUND = _EDGES[-2]
 
 #: The four symbols whose conditional probabilities the closed forms cover,
 #: one per ring/octant class under the conjugation symmetry of the tables.
@@ -177,41 +163,37 @@ def p_correct_total(snr: SnrPoint) -> float:
     return _check_prob(total, "aggregate")
 
 
-def _axis_cell(coord: float, a: float) -> tuple[float, float]:
-    if coord == -3:
-        return (-math.inf, -_BOUND * a)
-    if coord == -1:
-        return (-_BOUND * a, 0.0)
-    if coord == 1:
-        return (0.0, _BOUND * a)
-    if coord == 3:
-        return (_BOUND * a, math.inf)
-    raise ValueError(f"not a grid coordinate: {coord}")
-
-
-def rect_decision_region(bit_value: int) -> Region:
-    """Decision cell of the grid decoder for one 4-bit label, at Es = 1."""
+def _check_label(bit_value: int) -> int:
     if not 0 <= bit_value < 16:
         raise ValueError(f"bit value must be 0..15, got {bit_value}")
-    pt = QAM16_RECT_GRID[bit_value]
-    re_lo, re_hi = _axis_cell(pt.real, QAM16_AMPLITUDE)
-    im_lo, im_hi = _axis_cell(pt.imag, QAM16_AMPLITUDE)
-    return Region(re_lo, re_hi, im_lo, im_hi)
+    return bit_value
 
 
 def circular_tx_point(bit_value: int) -> complex:
     """Nominal two-ring sender point for one 4-bit label, at Es = 1."""
-    if not 0 <= bit_value < 16:
-        raise ValueError(f"bit value must be 0..15, got {bit_value}")
-    return QAM16_CIRC_GRID[bit_value] * QAM16_AMPLITUDE
+    return QAM16_CIRC_GRID[_check_label(bit_value)] * QAM16_AMPLITUDE
+
+
+# The sixteen (sent point, grid cell) pairs: per label, the re-axis then
+# the im-axis entry as (nominal sender coordinate, lo, hi).
+_ALL_SYMBOL_CELLS = tuple(
+    ((tx.real, *_AXIS_CELL[grid.real]), (tx.imag, *_AXIS_CELL[grid.imag]))
+    for tx, grid in ((circular_tx_point(v), QAM16_RECT_GRID[v]) for v in range(16))
+)
+
+
+def _noise_scale(snr: SnrPoint) -> float:
+    """q = 1/sqrt(N0) at Es = 1: 0 at Es/N0 = 0 (N0 infinite), inf at Es/N0 = inf."""
+    n0 = math.inf if snr.es_over_n0 == 0 else 1.0 / snr.es_over_n0
+    return math.inf if n0 == 0 else 1.0 / math.sqrt(n0)
 
 
 def _interval_probability(lo: float, hi: float, mean: float, q: float) -> float:
     """P(lo < mean + n < hi) for n ~ N(0, N0/2), lo < hi and q = 1/sqrt(N0).
 
-    One-sided terms lie in [0, 1] and the two-sided one is clamped at 0.
-    A NaN erfc argument (a NaN mean, or an infinite one at q = 0) gives NaN.
-    At q = inf (no noise) it is the limit: 1 inside, 0 outside, and
+    ``mean`` is finite and at most one bound is infinite, as in every grid
+    cell. One-sided terms lie in [0, 1] and the two-sided one is clamped
+    at 0. At q = inf (no noise) it is the limit: 1 inside, 0 outside, and
     erfc(0) / 2 for a mean on an edge, where (edge - mean) * q is 0 * inf.
     """
     if q == math.inf:
@@ -219,41 +201,28 @@ def _interval_probability(lo: float, hi: float, mean: float, q: float) -> float:
             return 1.0
         return 0.5 if mean in (lo, hi) else 0.0
     if lo == -math.inf:
-        if hi == math.inf:
-            return 1.0
         return 0.5 * math.erfc((mean - hi) * q)
     if hi == math.inf:
         return 0.5 * math.erfc((lo - mean) * q)
     return max(0.5 * (math.erfc((lo - mean) * q) - math.erfc((hi - mean) * q)), 0.0)
 
 
-def p_correct_numeric(tx_point: complex, region: Region, n0: float) -> float:
-    """Probability a symbol sent at ``tx_point`` lands inside ``region``.
+def p_correct_numeric(tx_point: complex, bit_value: int, snr: SnrPoint) -> float:
+    """Probability a symbol sent at ``tx_point`` lands in the grid cell of a label.
 
     Independent oracle for the closed forms: the two-dimensional
-    Gaussian (per-axis variance N0/2) integrates over an axis-aligned
-    rectangle as the product of two one-dimensional interval
-    probabilities. Degenerate regions have measure zero.
+    Gaussian (per-axis variance N0/2, at Es = 1) integrates over the
+    grid decoder's rectangular cell for ``bit_value`` (0..15) as the
+    product of two one-dimensional interval probabilities. Es/N0 = 0
+    spreads the noise over the whole plane, and Es/N0 = inf gives the
+    noiseless limit.
     """
-    if not n0 > 0:
-        raise ValueError(f"noise density must be positive, got {n0}")
-    if region.degenerate:
-        return 0.0
-    q = 1.0 / math.sqrt(n0)
-    p_re = _interval_probability(region.re_lo, region.re_hi, tx_point.real, q)
-    p = p_re * _interval_probability(region.im_lo, region.im_hi, tx_point.imag, q)
-    if math.isnan(p):
-        raise ValueError(f"sender point {tx_point!r} gives a NaN erfc argument")
-    return p
-
-
-# The sixteen (sent point, grid cell) pairs, from the public
-# constructors: per label, the re-axis then the im-axis entry as (nominal
-# sender coordinate, lo, hi), with -inf/+inf for the unbounded outer cells.
-_ALL_SYMBOL_CELLS = tuple(
-    ((tx.real, cell.re_lo, cell.re_hi), (tx.imag, cell.im_lo, cell.im_hi))
-    for tx, cell in ((circular_tx_point(v), rect_decision_region(v)) for v in range(16))
-)
+    if not cmath.isfinite(tx_point):
+        raise ValueError(f"sender point must be finite, got {tx_point!r}")
+    (_, re_lo, re_hi), (_, im_lo, im_hi) = _ALL_SYMBOL_CELLS[_check_label(bit_value)]
+    q = _noise_scale(snr)
+    p_re = _interval_probability(re_lo, re_hi, tx_point.real, q)
+    return p_re * _interval_probability(im_lo, im_hi, tx_point.imag, q)
 
 
 def p_correct_all_symbols(snr: SnrPoint, point_scale: float = 1.0) -> float:
@@ -268,21 +237,24 @@ def p_correct_all_symbols(snr: SnrPoint, point_scale: float = 1.0) -> float:
     The geometry is fixed, so the cells and sender coordinates are module
     constants and a call makes 32 calls of the interval kernel that
     :func:`p_correct_numeric` uses. It gives the same float as the route
-    ``sum(p_correct_numeric(circular_tx_point(v) * point_scale,
-    rect_decision_region(v), n0) for v in range(16)) / 16``, term by term
-    and in the same order; Es/N0 = 0 (N0 infinite) gives 1/16, and
-    Es/N0 = inf (N0 = 0), which that route refuses, the noiseless limit.
+    ``sum(p_correct_numeric(circular_tx_point(v) * point_scale, v, snr)
+    for v in range(16)) / 16``, term by term and in the same order;
+    Es/N0 = 0 (N0 infinite) gives 1/16, and Es/N0 = inf the noiseless
+    limit.
     """
     if not math.isfinite(point_scale):
         raise ValueError(f"point scale must be finite, got {point_scale}")
-    n0 = math.inf if snr.es_over_n0 == 0 else 1.0 / snr.es_over_n0
-    q = math.inf if n0 == 0 else 1.0 / math.sqrt(n0)
+    q = _noise_scale(snr)
     total = 0.0
     for (re, re_lo, re_hi), (im, im_lo, im_hi) in _ALL_SYMBOL_CELLS:
         p_re = _interval_probability(re_lo, re_hi, re * point_scale, q)
         p_im = _interval_probability(im_lo, im_hi, im * point_scale, q)
         total += p_re * p_im
     return total / 16.0
+
+
+# The most points snr_grid_db builds; the list is refused before it exists.
+_MAX_SNR_GRID_POINTS = 10**6
 
 
 def snr_grid_db(start: float, stop: float, step: float) -> list[float]:
@@ -292,7 +264,10 @@ def snr_grid_db(start: float, stop: float, step: float) -> list[float]:
             raise ValueError(f"{name} must be finite, got {value}")
     if step <= 0:
         raise ValueError("step must be positive")
-    n = round((stop - start) / step)
+    steps = (stop - start) / step
+    if steps > _MAX_SNR_GRID_POINTS - 1:
+        raise ValueError(f"step {step} gives more than {_MAX_SNR_GRID_POINTS} points")
+    n = round(steps)
     if n < 0 or abs(start + n * step - stop) > 1e-9:
         raise ValueError(f"step {step} does not divide [{start}, {stop}]")
     return [start + k * step for k in range(n + 1)]

@@ -14,6 +14,7 @@ across threads.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,6 +66,21 @@ STANDARD_SCHEME_NAMES = ("bpsk", "qpsk", "qam16_rect", "qam16_circ")
 ENERGY_TOLERANCE = 1e-9
 
 
+def _integer(value, field: str) -> int:
+    """An int, a numpy integer, or a float with an integral value, as an int.
+
+    Booleans and every other type are refused with an error naming ``field``.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MappingKey:
     """Permutation of point indices; ``perm[b]`` is the point assigned to bit value ``b``."""
@@ -72,7 +88,7 @@ class MappingKey:
     perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        perm = tuple(int(p) for p in self.perm)
+        perm = tuple(_integer(p, f"key entry {b}") for b, p in enumerate(self.perm))
         object.__setattr__(self, "perm", perm)
         if len(perm) == 0:
             raise ValueError("key must not be empty")

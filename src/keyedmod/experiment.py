@@ -43,6 +43,7 @@ from .channel import (
 from .constellations import (
     ConstellationScheme,
     MappingKey,
+    _integer,
     make_keyed_scheme,
     make_standard_scheme,
     parse_key,
@@ -63,6 +64,7 @@ __all__ = [
     "load_config",
     "config_from_dict",
     "config_to_dict",
+    "config_digest",
     "scenario_config",
     "run_experiment",
     "write_csv_rows",
@@ -173,6 +175,8 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("symbols_per_point", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not self.receivers:
             raise ValueError("at least one receiver is required")
         labels = [r.label for r in self.receivers]
@@ -328,15 +332,6 @@ def _number(value, field: str) -> float:
         raise ValueError(f"{field} exceeds the float64 range") from None
 
 
-def _integer(value, field: str) -> int:
-    """A JSON integer, or a float with an integral value, as an int."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
-
-
 def _key(value, field: str) -> MappingKey | None:
     """A config key: null (unkeyed) or a comma-separated permutation string."""
     if value is None:
@@ -406,8 +401,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             ),
             snr_sweep_db=sweep,
             sweep_mode=doc.get("sweep_mode", "receive"),
-            symbols_per_point=_integer(doc["symbols_per_point"], "symbols_per_point"),
-            seed=_integer(doc["seed"], "seed"),
+            symbols_per_point=doc["symbols_per_point"],
+            seed=doc["seed"],
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed experiment config: {exc}") from exc

@@ -80,10 +80,11 @@ class UnicityResult:
 
 def unicity(entropy_bits: float, redundancy: float) -> UnicityResult:
     """Unicity distance for the given key entropy and per-symbol message redundancy."""
-    if entropy_bits < 0:
-        raise ValueError(f"entropy must be >= 0, got {entropy_bits}")
-    if redundancy < 0:
-        raise ValueError(f"redundancy must be >= 0, got {redundancy}")
+    for name, value in (("entropy", entropy_bits), ("redundancy", redundancy)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if entropy_bits == 0:
         distance = 0.0
     elif redundancy == 0:

@@ -21,7 +21,6 @@ from keyedmod.analytic import (
     p_correct_numeric,
     p_correct_symbol,
     p_correct_total,
-    rect_decision_region,
     snr_grid_db,
 )
 from keyedmod.channel import ChannelSpec, add_awgn
@@ -48,13 +47,10 @@ def test_criterion_1_analytic_matches_numeric_oracle():
     assert len(grid) == 51
     for snr_db in grid:
         point = SnrPoint.from_db(snr_db)
-        n0 = 1.0 / point.es_over_n0
         oracle_sum = 0.0
         for i, value in enumerate(REPRESENTATIVE_SYMBOLS):
             closed = p_correct_symbol(i, point)
-            oracle = p_correct_numeric(
-                circular_tx_point(value), rect_decision_region(value), n0
-            )
+            oracle = p_correct_numeric(circular_tx_point(value), value, point)
             assert abs(closed - oracle) <= 1e-9, (i, snr_db, closed, oracle)
             oracle_sum += oracle
         assert abs(p_correct_total(point) - oracle_sum / 4.0) <= 1e-9, snr_db
@@ -98,9 +94,9 @@ def test_criterion_3_monte_carlo_vs_analytic():
     # its operational scale rather than at the nominal table's.
     scale = abs(make_standard_scheme("qam16_circ").points[0]) / abs(circular_tx_point(0))
     for snr_db, seed in ((0.0, 301), (5.0, 302), (10.0, 307)):
-        n0 = 1.0 / SnrPoint.from_db(snr_db).es_over_n0
+        point = SnrPoint.from_db(snr_db)
         predicted = sum(
-            p_correct_numeric(circular_tx_point(v) * scale, rect_decision_region(v), n0)
+            p_correct_numeric(circular_tx_point(v) * scale, v, point)
             for v in REPRESENTATIVE_SYMBOLS
         ) / len(REPRESENTATIVE_SYMBOLS)
         rate = _simulated_representative_rate(seed, snr_db, n_symbols)

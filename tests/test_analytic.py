@@ -11,20 +11,23 @@ from scipy import integrate
 
 from keyedmod.analytic import (
     REPRESENTATIVE_SYMBOLS,
-    Region,
     SnrPoint,
     circular_tx_point,
     p_correct_all_symbols,
     p_correct_numeric,
     p_correct_symbol,
     p_correct_total,
-    rect_decision_region,
     snr_grid_db,
     sweep,
 )
-from keyedmod.constellations import QAM16_CIRC_GRID
+from keyedmod.constellations import QAM16_CIRC_GRID, QAM16_RECT_GRID
 
 A = math.sqrt(1.0 / 10.0)
+
+# The grid decoder's cell edges on each axis, written here from the grid
+# levels -3a, -a, a, 3a (midpoints, open-ended outside) so the quadrature
+# oracle does not share the program's cell table.
+EDGES = (-math.inf, -2 * A, 0.0, 2 * A, math.inf)
 
 # Frozen reference: mpmath.erfc(1) at 40 digits.
 ERFC_ONE = 0.15729920705028513
@@ -38,9 +41,17 @@ def quad_interval(lo, hi, mean, n0):
     return value
 
 
-def quad_region(tx, region, n0):
-    return quad_interval(region.re_lo, region.re_hi, tx.real, n0) * quad_interval(
-        region.im_lo, region.im_hi, tx.imag, n0
+def grid_cell(value):
+    """((re_lo, re_hi), (im_lo, im_hi)): the grid cell of a label, from ``EDGES``."""
+    point = QAM16_RECT_GRID[value]
+    re, im = int((point.real + 3) / 2), int((point.imag + 3) / 2)
+    return (EDGES[re], EDGES[re + 1]), (EDGES[im], EDGES[im + 1])
+
+
+def quad_region(tx, value, n0):
+    (re_lo, re_hi), (im_lo, im_hi) = grid_cell(value)
+    return quad_interval(re_lo, re_hi, tx.real, n0) * quad_interval(
+        im_lo, im_hi, tx.imag, n0
     )
 
 
@@ -51,10 +62,11 @@ def quad_interval_loose(lo, hi, mean, n0):
     return value
 
 
-def quad_region_loose(tx, region, n0):
-    return quad_interval_loose(
-        region.re_lo, region.re_hi, tx.real, n0
-    ) * quad_interval_loose(region.im_lo, region.im_hi, tx.imag, n0)
+def quad_region_loose(tx, value, n0):
+    (re_lo, re_hi), (im_lo, im_hi) = grid_cell(value)
+    return quad_interval_loose(re_lo, re_hi, tx.real, n0) * quad_interval_loose(
+        im_lo, im_hi, tx.imag, n0
+    )
 
 
 def expanded_total(u):
@@ -116,8 +128,14 @@ class TestSnrPoint:
             lambda snr: p_correct_symbol(0, snr),
             p_correct_total,
             p_correct_all_symbols,
+            lambda snr: p_correct_numeric(circular_tx_point(0), 0, snr),
         ],
-        ids=["p_correct_symbol", "p_correct_total", "p_correct_all_symbols"],
+        ids=[
+            "p_correct_symbol",
+            "p_correct_total",
+            "p_correct_all_symbols",
+            "p_correct_numeric",
+        ],
     )
     def test_float_snr_refused(self, call):
         # A bare number is not read as linear Es/N0: every SNR in the CLI
@@ -126,28 +144,28 @@ class TestSnrPoint:
             call(10.0)
 
 
-def region_mean_pair(i):
+def sender_and_label(i):
     value = REPRESENTATIVE_SYMBOLS[i]
-    return circular_tx_point(value), rect_decision_region(value)
+    return circular_tx_point(value), value
 
 
 class TestPerSymbolForms:
     @pytest.mark.parametrize("i", range(4))
     def test_matches_erfc_interval_oracle_everywhere(self, i):
-        tx, region = region_mean_pair(i)
+        tx, value = sender_and_label(i)
         for snr_db in snr_grid_db(0, 25, 0.5):
             point = SnrPoint.from_db(snr_db)
             closed = p_correct_symbol(i, point)
-            oracle = p_correct_numeric(tx, region, 1.0 / point.es_over_n0)
+            oracle = p_correct_numeric(tx, value, point)
             assert abs(closed - oracle) <= 1e-9, (i, snr_db)
 
     @pytest.mark.parametrize("i", range(4))
     def test_matches_quadrature_oracle(self, i):
-        tx, region = region_mean_pair(i)
+        tx, value = sender_and_label(i)
         for snr_db in (0.0, 5.0, 10.0):
             n0 = 1.0 / SnrPoint.from_db(snr_db).es_over_n0
             closed = p_correct_symbol(i, SnrPoint.from_db(snr_db))
-            assert closed == pytest.approx(quad_region(tx, region, n0), abs=1e-10)
+            assert closed == pytest.approx(quad_region(tx, value, n0), abs=1e-10)
 
     def test_symbol_labels(self):
         assert REPRESENTATIVE_SYMBOLS == (0b0000, 0b0100, 0b0101, 0b0001)
@@ -207,73 +225,71 @@ class TestAggregate:
     def test_matches_numeric_oracle_on_grid(self):
         for snr_db in snr_grid_db(0, 25, 0.5):
             point = SnrPoint.from_db(snr_db)
-            n0 = 1.0 / point.es_over_n0
             oracle = sum(
-                p_correct_numeric(*region_mean_pair(i), n0) for i in range(4)
+                p_correct_numeric(*sender_and_label(i), point) for i in range(4)
             ) / 4
             assert abs(p_correct_total(point) - oracle) <= 1e-9, snr_db
 
 
 class TestNumericOracle:
-    def test_whole_plane(self):
-        region = Region(-math.inf, math.inf, -math.inf, math.inf)
-        assert p_correct_numeric(0.3 - 0.7j, region, 0.5) == 1.0
-
     def test_half_plane_through_mean(self):
-        region = Region(0.3, math.inf, -math.inf, math.inf)
-        assert p_correct_numeric(0.3 - 0.7j, region, 0.5) == pytest.approx(0.5, abs=1e-15)
-
-    def test_degenerate_region_is_zero(self):
-        region = Region(0.1, 0.1, -1.0, 1.0)
-        assert p_correct_numeric(0.0j, region, 1.0) == 0.0
-
-    def test_unordered_bounds_rejected(self):
-        with pytest.raises(ValueError, match="out of order"):
-            Region(1.0, -1.0, 0.0, 1.0)
-
-    def test_rejects_bad_noise_density(self):
-        with pytest.raises(ValueError):
-            p_correct_numeric(0j, Region(0, 1, 0, 1), 0.0)
+        # Label 0b0101 owns -2a < re < 0, 0 < im < 2a. Without noise, a
+        # sender on an edge of its cell keeps half of that axis.
+        noiseless = SnrPoint(math.inf)
+        assert p_correct_numeric(0j, 0b0101, noiseless) == 0.25
+        assert p_correct_numeric(complex(-A, 0.0), 0b0101, noiseless) == 0.5
 
     @pytest.mark.parametrize(
-        "tx, n0",
-        [(complex(math.nan, 0.0), 1.0), (complex(math.inf, 0.0), math.inf)],
-        ids=["nan_point", "infinite_point_infinite_noise"],
+        "tx, snr",
+        [
+            (complex(math.nan, 0.0), SnrPoint(1.0)),
+            (complex(math.inf, 0.0), SnrPoint(0.0)),
+            (complex(0.0, -math.inf), SnrPoint(1.0)),
+            (complex(math.nan, 0.0), SnrPoint(math.inf)),
+        ],
+        ids=[
+            "nan_point",
+            "infinite_point_infinite_noise",
+            "infinite_point",
+            "nan_point_no_noise",
+        ],
     )
-    def test_rejects_nan_erfc_argument(self, tx, n0):
+    def test_rejects_nan_erfc_argument(self, tx, snr):
         # (lo - mean) * q is NaN for a NaN mean, and for an infinite mean
-        # at q = 1/sqrt(N0) = 0; neither may come back as a probability.
-        with pytest.raises(ValueError):
-            p_correct_numeric(tx, rect_decision_region(0b0101), n0)
+        # at q = 1/sqrt(N0) = 0, and at q = inf a NaN mean is neither inside
+        # nor on an edge; no such point may come back as a probability.
+        with pytest.raises(ValueError, match="sender point must be finite"):
+            p_correct_numeric(tx, 0b0101, snr)
 
     def test_outer_corner_definitional_equality(self):
-        tx, region = region_mean_pair(0)
+        tx, value = sender_and_label(0)
         for snr_db in (0.0, 10.0):
             point = SnrPoint.from_db(snr_db)
             closed = p_correct_symbol(0, point)
-            numeric = p_correct_numeric(tx, region, 1.0 / point.es_over_n0)
+            numeric = p_correct_numeric(tx, value, point)
             assert abs(closed - numeric) <= 1e-12
 
     def test_matches_quadrature_on_bounded_cell(self):
-        region = rect_decision_region(0b0101)
         tx = circular_tx_point(0b0101)
-        assert p_correct_numeric(tx, region, 0.25) == pytest.approx(
-            quad_region(tx, region, 0.25), abs=1e-11
+        assert p_correct_numeric(tx, 0b0101, SnrPoint(4.0)) == pytest.approx(
+            quad_region(tx, 0b0101, 0.25), abs=1e-11
         )
 
 
 class TestGeometryHelpers:
     def test_regions_tile_axes(self):
-        for value in range(16):
-            region = rect_decision_region(value)
-            assert region.re_lo < region.re_hi
-            assert region.im_lo < region.im_hi
+        # Without noise, each cell holds exactly its own grid point and no
+        # other one.
+        for w, grid_point in enumerate(QAM16_RECT_GRID):
+            for v in range(16):
+                got = p_correct_numeric(grid_point * A, v, SnrPoint(math.inf))
+                assert got == (1.0 if w == v else 0.0), (w, v)
 
     def test_region_of_grid_corner(self):
-        region = rect_decision_region(0b0000)
-        assert region.re_hi == pytest.approx(-2 * A)
-        assert region.im_lo == pytest.approx(2 * A)
-        assert math.isinf(region.re_lo) and math.isinf(region.im_hi)
+        # Grid corner -3a + 3a j owns re < -2a, im > 2a: a sender on both
+        # edges is inside each half-line with probability 1/2 at any SNR.
+        for snr in (SnrPoint(0.0), SnrPoint(1.0), SnrPoint(1e3), SnrPoint(math.inf)):
+            assert p_correct_numeric(complex(-2 * A, 2 * A), 0b0000, snr) == 0.25
 
     def test_circular_point_table(self):
         assert circular_tx_point(0b0000) == pytest.approx((1.53 - 3.69j) * A)
@@ -281,7 +297,7 @@ class TestGeometryHelpers:
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
-            rect_decision_region(16)
+            p_correct_numeric(0j, 16, SnrPoint(1.0))
         with pytest.raises(ValueError):
             circular_tx_point(-1)
 
@@ -292,7 +308,7 @@ class TestAllSymbolsAverage:
         # estimates (up to ~5e-9 each), so the aggregate is compared at 5e-8.
         n0 = 1.0
         oracle = sum(
-            quad_region_loose(circular_tx_point(v), rect_decision_region(v), n0)
+            quad_region_loose(circular_tx_point(v), v, n0)
             for v in range(16)
         ) / 16
         assert p_correct_all_symbols(SnrPoint.from_db(0.0)) == pytest.approx(
@@ -322,13 +338,10 @@ class TestAllSymbolsAverage:
         # The constant-geometry sum must give the very float of the public
         # per-symbol route: same interval expressions, same summation order.
         points = [SnrPoint.from_db(s) for s in snr_grid_db(0, 25, 0.01)]
-        points.append(SnrPoint(0.0))
+        points += [SnrPoint(0.0), SnrPoint(math.inf)]
         for point in points:
-            n0 = math.inf if point.es_over_n0 == 0 else 1.0 / point.es_over_n0
             explicit = sum(
-                p_correct_numeric(
-                    circular_tx_point(v) * scale, rect_decision_region(v), n0
-                )
+                p_correct_numeric(circular_tx_point(v) * scale, v, point)
                 for v in range(16)
             ) / 16
             assert p_correct_all_symbols(point, point_scale=scale) == explicit, point
@@ -370,3 +383,12 @@ class TestSweep:
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 snr_grid_db(*args)
         assert snr_grid_db(0, 25, 0.5)[-1] == 25.0
+
+    def test_point_count_is_bounded(self):
+        # Refused before the list is built: 1e-9 asks for 2.5e10 points.
+        for step in (1e-9, 1e-300):
+            with pytest.raises(ValueError, match=f"step {step} gives more than"):
+                snr_grid_db(0, 25, step)
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            snr_grid_db(0, 1_000_000, 1)
+        assert len(snr_grid_db(0, 999_999, 1)) == 1_000_000

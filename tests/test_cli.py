@@ -85,6 +85,11 @@ class TestAnalyticCommand:
         proc = run_cli("analytic", "sweep", "--snr-db", "0:25")
         assert proc.returncode == 2
 
+    def test_sweep_with_too_many_points(self):
+        proc = run_cli("analytic", "sweep", "--snr-db", "0:25:1e-9")
+        assert proc.returncode == 2
+        assert "step 1e-09 gives more than" in proc.stderr
+
     def test_sweep_past_float_range(self):
         # Es/N0 at 4000 dB is beyond float64 and counts as infinite.
         proc = run_cli("analytic", "sweep", "--snr-db", "0:4000:4000")

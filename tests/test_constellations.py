@@ -135,6 +135,19 @@ class TestMappingKey:
         with pytest.raises(ValueError, match="not a permutation"):
             MappingKey((1, 2, 3, 4))
 
+    @pytest.mark.parametrize(
+        "perm, bad",
+        [((0.7, 1.2), "0.7"), ((True, False), "True"), ((0, "1"), "'1'")],
+        ids=["fraction", "bool", "string"],
+    )
+    def test_rejects_non_integer_entries(self, perm, bad):
+        with pytest.raises(ValueError, match=f"key entry . must be an integer, got {bad}"):
+            MappingKey(perm)
+
+    def test_accepts_numpy_and_integral_entries(self):
+        assert MappingKey(tuple(np.array([1, 0], dtype=np.int64))).perm == (1, 0)
+        assert MappingKey((np.uint8(1), 0.0)).perm == (1, 0)
+
     def test_inverse_round_trip(self):
         key = MappingKey((2, 0, 3, 1))
         assert key.compose(key.inverse()) == MappingKey.identity(4)

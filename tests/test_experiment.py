@@ -119,6 +119,35 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="symbols_per_point"):
             small_config(symbols_per_point=100)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("symbols_per_point", 10000.5),
+            ("symbols_per_point", True),
+            ("symbols_per_point", "10000"),
+            ("seed", True),
+            ("seed", 7.5),
+            ("seed", np.float64(math.nan)),
+        ],
+        ids=[
+            "symbols_fraction",
+            "symbols_bool",
+            "symbols_string",
+            "seed_bool",
+            "seed_fraction",
+            "seed_nan",
+        ],
+    )
+    def test_rejects_non_integer_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            small_config(**{field: value})
+
+    def test_accepts_numpy_and_integral_fields(self):
+        cfg = small_config(symbols_per_point=np.int64(10_000), seed=np.uint32(7))
+        assert cfg == small_config()
+        assert type(cfg.symbols_per_point) is int and type(cfg.seed) is int
+        assert small_config(seed=7.0).seed == 7
+
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="duplicate"):
             small_config(
@@ -340,6 +369,12 @@ class TestConfigValidation:
         doc["snr_sweep_db"] = {"start": 0, "stop": 10, "step": 5}
         doc["snr_sweep_db"][key] = True
         with pytest.raises(ValueError, match=rf"snr_sweep_db\.{key} must be a number"):
+            config_from_dict(doc)
+
+    def test_rejects_sweep_grid_with_too_many_points(self):
+        doc = config_to_dict(small_config())
+        doc["snr_sweep_db"] = {"start": 0, "stop": 25, "step": 1e-9}
+        with pytest.raises(ValueError, match="step 1e-09 gives more than"):
             config_from_dict(doc)
 
     def test_integral_float_counts_load_as_int(self):

@@ -108,6 +108,20 @@ class TestUnicity:
         with pytest.raises(ValueError):
             unicity(1.0, -0.5)
 
+    @pytest.mark.parametrize(
+        "entropy, redundancy, name",
+        [
+            (math.nan, 0.5, "entropy"),
+            (math.inf, 0.5, "entropy"),
+            (44.25, math.nan, "redundancy"),
+            (44.25, math.inf, "redundancy"),
+            (-math.inf, 0.0, "entropy"),
+        ],
+    )
+    def test_rejects_non_finite(self, entropy, redundancy, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            unicity(entropy, redundancy)
+
     def test_infinite_iff_zero_redundancy_with_entropy(self):
         for entropy, redundancy in ((0.0, 0.0), (5.0, 0.0), (5.0, 1.0), (0.0, 1.0)):
             result = unicity(entropy, redundancy)
