@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -100,12 +101,15 @@ def _print_doc(doc, as_json):
 
 def _cmd_secrecy_report(args):
     report = secrecy.keyspace_report(args.order)
+    zero_redundancy = secrecy.unicity(report.key_entropy_bits, 0.0).distance
     doc = {
         "order": report.order,
         "keyspace_size": report.keyspace_size,
         "key_entropy_bits": report.key_entropy_bits,
         "shannon_bound_max_symbols": report.shannon_bound_max_symbols,
-        "unicity_distance_zero_redundancy": "infinite",
+        "unicity_distance_zero_redundancy": (
+            "infinite" if math.isinf(zero_redundancy) else zero_redundancy
+        ),
     }
     _print_doc(doc, args.json)
     return 0
@@ -256,7 +260,3 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"keyedmod: error: {exc}", file=sys.stderr)
         return DATA_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -54,13 +54,22 @@ QAM16_CIRC_GRID = (
     3.69 + 1.53j, 1.84 + 0.76j, -3.69 - 1.53j, -1.84 - 0.76j,
 )
 
-_QPSK_POINTS = tuple(
-    p / math.sqrt(2.0) for p in (1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j)
-)
 
-_BPSK_POINTS = (1 + 0j, -1 + 0j)
+def _normalized(points: tuple[complex, ...]) -> tuple[complex, ...]:
+    energy = sum(abs(p) ** 2 for p in points) / len(points)
+    gain = 1.0 / math.sqrt(energy)
+    return tuple(p * gain for p in points)
 
-STANDARD_SCHEME_NAMES = ("bpsk", "qpsk", "qam16_rect", "qam16_circ")
+
+#: Points of each stock scheme in bit-value order; see ``make_standard_scheme``.
+_STANDARD_POINTS = {
+    "bpsk": (1 + 0j, -1 + 0j),
+    "qpsk": tuple(p / math.sqrt(2.0) for p in (1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j)),
+    "qam16_rect": tuple(p * QAM16_AMPLITUDE for p in QAM16_RECT_GRID),
+    "qam16_circ": _normalized(tuple(p * QAM16_AMPLITUDE for p in QAM16_CIRC_GRID)),
+}
+
+STANDARD_SCHEME_NAMES = tuple(_STANDARD_POINTS)
 
 #: Average symbol energy must equal one within this tolerance.
 ENERGY_TOLERANCE = 1e-9
@@ -119,12 +128,14 @@ def random_key(order: int, seed: int) -> MappingKey:
     """Draw a uniformly random permutation of ``0..order-1``.
 
     Uses Fisher-Yates shuffling, so every one of the order! permutations
-    is equally likely. Deterministic for a fixed seed.
+    is equally likely. Deterministic for a fixed seed. ``order`` and
+    ``seed`` must be integers; an integral float counts as one.
     """
+    order = _integer(order, "order")
     if order < 2:
         raise ValueError(f"key order must be >= 2, got {order}")
     perm = list(range(order))
-    random.Random(seed).shuffle(perm)
+    random.Random(_integer(seed, "seed")).shuffle(perm)
     return MappingKey(tuple(perm))
 
 
@@ -193,12 +204,6 @@ class ConstellationScheme:
         return arr
 
 
-def _normalized(points: tuple[complex, ...]) -> tuple[complex, ...]:
-    energy = sum(abs(p) ** 2 for p in points) / len(points)
-    gain = 1.0 / math.sqrt(energy)
-    return tuple(p * gain for p in points)
-
-
 def make_standard_scheme(name: str) -> ConstellationScheme:
     """Build one of the four stock schemes with the identity key.
 
@@ -207,18 +212,11 @@ def make_standard_scheme(name: str) -> ConstellationScheme:
     renormalized so the average symbol energy is exactly one (the raw
     ring coordinates fall slightly short of the grid's mean energy).
     """
-    if name == "bpsk":
-        points = _BPSK_POINTS
-    elif name == "qpsk":
-        points = _QPSK_POINTS
-    elif name == "qam16_rect":
-        points = tuple(p * QAM16_AMPLITUDE for p in QAM16_RECT_GRID)
-    elif name == "qam16_circ":
-        points = _normalized(tuple(p * QAM16_AMPLITUDE for p in QAM16_CIRC_GRID))
-    else:
+    if name not in STANDARD_SCHEME_NAMES:
         raise ValueError(
             f"unknown scheme {name!r}; expected one of {STANDARD_SCHEME_NAMES}"
         )
+    points = _STANDARD_POINTS[name]
     return ConstellationScheme(
         label=name, points=points, key=MappingKey.identity(len(points))
     )

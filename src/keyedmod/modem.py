@@ -272,13 +272,20 @@ def count_prefix_errors(tx_values, m_tx: int, rx_values, m_rx: int) -> tuple[int
 
     A receiver resolving m' <= m bits per symbol is scored against the
     first (most significant) m' bits of each transmitted m-bit value.
+    Both streams must be one-dimensional and of equal length.
     """
     if m_rx > m_tx:
         raise ValueError(
             f"receiver resolves {m_rx} bits/symbol but sender packs only {m_tx};"
             " alignment is undefined"
         )
-    diff = (np.asarray(tx_values) >> (m_tx - m_rx)) ^ rx_values
+    tx_values, rx_values = np.asarray(tx_values), np.asarray(rx_values)
+    if tx_values.ndim != 1 or tx_values.shape != rx_values.shape:
+        raise ValueError(
+            "sent and decoded values must be one-dimensional and of equal length,"
+            f" got shapes {tx_values.shape} and {rx_values.shape}"
+        )
+    diff = (tx_values >> (m_tx - m_rx)) ^ rx_values
     bit_errors = int(np.bitwise_count(diff).sum())
     return bit_errors, int(np.count_nonzero(diff))
 

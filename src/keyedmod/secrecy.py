@@ -19,6 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .constellations import _integer
+
 __all__ = [
     "KeyspaceReport",
     "UnicityResult",
@@ -47,6 +49,7 @@ class KeyspaceReport:
 
 def keyspace_report(order: int) -> KeyspaceReport:
     """Exact keyspace size M!, its entropy in bits, and the largest n with M^n <= M!."""
+    order = _integer(order, "order")
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     if order > 64:
@@ -220,6 +223,7 @@ def verify_perfect_secrecy(order: int, prior=None) -> PerfectSecrecyReport:
     All arithmetic is rational, so the check is exact. Orders above
     ``MAX_SECRECY_ORDER`` are refused.
     """
+    order = _integer(order, "order")
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     if order > MAX_SECRECY_ORDER:

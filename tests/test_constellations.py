@@ -51,8 +51,21 @@ class TestStandardSchemes:
         assert scheme.key == MappingKey.identity(scheme.order)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            make_standard_scheme("qam64")
+        for name in ("qam64", "QPSK", None, ["bpsk"]):
+            with pytest.raises(ValueError, match="unknown scheme"):
+                make_standard_scheme(name)
+
+    def test_names_in_table_order(self):
+        assert STANDARD_SCHEME_NAMES == ("bpsk", "qpsk", "qam16_rect", "qam16_circ")
+        assert [make_standard_scheme(n).label for n in STANDARD_SCHEME_NAMES] == list(
+            STANDARD_SCHEME_NAMES
+        )
+
+    def test_grid_points_are_exact_products(self):
+        rect = tuple(RECT_TABLE[f"{v:04b}"] * A for v in range(16))
+        assert make_standard_scheme("qam16_rect").points == rect
+        qpsk = tuple(p / math.sqrt(2.0) for p in (1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j))
+        assert make_standard_scheme("qpsk").points == qpsk
 
     def test_rect_matches_table(self):
         scheme = make_standard_scheme("qam16_rect")
@@ -165,6 +178,20 @@ class TestMappingKey:
     def test_random_key_rejects_tiny_order(self):
         with pytest.raises(ValueError):
             random_key(0, 1)
+
+    def test_random_key_integer_arguments(self):
+        assert random_key(4.0, 1.0) == random_key(4, 1)
+        assert random_key(np.int64(16), np.uint32(7)) == random_key(16, 7)
+        for order, seed, field in [
+            (4, 1.5, "seed"),
+            (4, True, "seed"),
+            (4, "3", "seed"),
+            (4, None, "seed"),
+            (4.5, 1, "order"),
+            (True, 1, "order"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+                random_key(order, seed)
 
     def test_random_key_uniform_over_s4(self):
         # 24000 draws with distinct seeds: every one of the 24 permutations

@@ -1,8 +1,17 @@
-"""Export lists: ``__all__`` names every public definition, and only real names."""
+"""Export lists: ``__all__`` names every public definition, and only real names.
+
+Each public name has one import route, through the module that defines it.
+The package declares no ``__all__``, so what it exports is its public
+namespace: ``__version__``, plus each submodule once it is imported.
+"""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +21,16 @@ MODULES = ["keyedmod"] + [
     f"keyedmod.{info.name}" for info in pkgutil.iter_modules(keyedmod.__path__)
 ]
 
+#: The package and every module that declares ``__all__``.
+EXPORTING = [
+    n for n in MODULES if n == "keyedmod" or hasattr(importlib.import_module(n), "__all__")
+]
+
+
+def exported_names(module):
+    default = [n for n in vars(module) if not n.startswith("_")]
+    return getattr(module, "__all__", default)
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_exported_names_resolve(name):
@@ -20,9 +39,7 @@ def test_exported_names_resolve(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-@pytest.mark.parametrize(
-    "name", [n for n in MODULES if hasattr(importlib.import_module(n), "__all__")]
-)
+@pytest.mark.parametrize("name", EXPORTING)
 def test_public_definitions_are_exported(name):
     module = importlib.import_module(name)
     defined = [
@@ -32,4 +49,35 @@ def test_public_definitions_are_exported(name):
         and (inspect.isfunction(obj) or inspect.isclass(obj))
         and obj.__module__ == module.__name__
     ]
-    assert [n for n in defined if n not in module.__all__] == []
+    assert [n for n in defined if n not in exported_names(module)] == []
+
+
+@pytest.mark.parametrize("name", EXPORTING)
+def test_no_module_exports_another_modules_definitions(name):
+    module = importlib.import_module(name)
+    objects = [(n, getattr(module, n)) for n in exported_names(module)]
+    foreign = [
+        f"{n} ({obj.__module__})"
+        for n, obj in objects
+        if (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__.split(".")[0] == "keyedmod"
+        and obj.__module__ != name
+    ]
+    assert foreign == []
+
+
+def test_package_import_loads_no_module_and_no_numpy():
+    src = str(Path(keyedmod.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, keyedmod\n"
+        "print(keyedmod.__version__)\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith('keyedmod.') or m.split('.')[0] == 'numpy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [keyedmod.__version__, "[]"]

@@ -570,6 +570,18 @@ class TestCountPrefixErrors:
         with pytest.raises(ValueError, match="alignment"):
             count_prefix_errors(values, 2, values, 4)
 
+    def test_rejects_misshapen_streams(self):
+        values = np.array([0, 1, 2, 3], dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"shapes \(4,\) and \(1,\)"):
+            count_prefix_errors(values, 2, values[:1], 2)
+        with pytest.raises(ValueError, match=r"shapes \(3,\) and \(4,\)"):
+            count_prefix_errors(values[:3], 2, values, 2)
+        grid = values.reshape(2, 2)
+        pairs = [(grid, grid), (grid, values[:2]), (values[:2], grid), (values[0],) * 2]
+        for tx, rx in pairs:
+            with pytest.raises(ValueError, match="one-dimensional"):
+                count_prefix_errors(tx, 2, rx, 2)
+
 
 def exact_mismatch_rate(scheme_a, scheme_b) -> float:
     """Oracle: expected noiseless cross-decode BER over uniform symbols."""

@@ -89,6 +89,13 @@ class TestKeyspaceReport:
         with pytest.raises(ValueError):
             keyspace_report(65)
 
+    def test_integer_order(self):
+        assert keyspace_report(16.0) == keyspace_report(16)
+        assert keyspace_report(np.int64(16)) == keyspace_report(16)
+        for order in (16.5, True, "16", None):
+            with pytest.raises(ValueError, match="^order must be an integer"):
+                keyspace_report(order)
+
 
 class TestUnicity:
     def test_zero_redundancy_diverges(self):
@@ -259,6 +266,13 @@ class TestPerfectSecrecy:
             verify_perfect_secrecy(7)
         with pytest.raises(ValueError):
             verify_perfect_secrecy(1)
+
+    def test_integer_order(self):
+        assert verify_perfect_secrecy(3.0) == verify_perfect_secrecy(3)
+        assert verify_perfect_secrecy(np.int64(3)) == verify_perfect_secrecy(3)
+        for order in (3.5, True, "3", None):
+            with pytest.raises(ValueError, match="^order must be an integer"):
+                verify_perfect_secrecy(order)
 
     def test_rejects_bad_priors(self):
         with pytest.raises(ValueError, match="sum to 1"):
