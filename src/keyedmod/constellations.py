@@ -124,16 +124,21 @@ class MappingKey:
         return MappingKey(tuple(self.perm[p] for p in inner.perm))
 
 
+#: Largest order :func:`random_key` draws; no stock scheme has more than 16 points.
+_MAX_KEY_ORDER = 1 << 16
+
+
 def random_key(order: int, seed: int) -> MappingKey:
     """Draw a uniformly random permutation of ``0..order-1``.
 
     Uses Fisher-Yates shuffling, so every one of the order! permutations
     is equally likely. Deterministic for a fixed seed. ``order`` and
-    ``seed`` must be integers; an integral float counts as one.
+    ``seed`` must be integers; an integral float counts as one, and
+    ``order`` lies in 2..2**16.
     """
     order = _integer(order, "order")
-    if order < 2:
-        raise ValueError(f"key order must be >= 2, got {order}")
+    if not 2 <= order <= _MAX_KEY_ORDER:
+        raise ValueError(f"key order must be in 2..{_MAX_KEY_ORDER}, got {order}")
     perm = list(range(order))
     random.Random(_integer(seed, "seed")).shuffle(perm)
     return MappingKey(tuple(perm))
@@ -147,11 +152,10 @@ def serialize_key(key: MappingKey) -> str:
 def parse_key(text: str) -> MappingKey:
     """Parse the comma-separated key format; rejects non-permutations."""
     parts = [p.strip() for p in text.split(",")]
-    try:
-        indices = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ValueError(f"malformed key text {text!r}") from exc
-    return MappingKey(indices)
+    # int() alone would also read "+1", "1_0" and non-ASCII digits.
+    if not all(p.isascii() and p.isdecimal() for p in parts):
+        raise ValueError(f"malformed key text {text!r}")
+    return MappingKey(tuple(int(p) for p in parts))
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,6 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "config_digest",
-    "scenario_config",
     "run_experiment",
     "write_csv_rows",
     "write_results",
@@ -101,19 +100,12 @@ RESULT_FIELDS = (
     "ser",
 )
 
-#: (label, scheme) of the standard scenario's receivers: the matched
+#: Receiver roster every per-scenario BER figure expects: the matched
 #: receiver and three mismatched listeners.
-_SCENARIO_ROSTER = (
-    ("intended", "qam16_circ"),
-    ("eve_rect", "qam16_rect"),
-    ("eve_qpsk", "qpsk"),
-    ("eve_bpsk", "bpsk"),
-)
+REQUIRED_RECEIVER_LABELS = ("intended", "eve_rect", "eve_qpsk", "eve_bpsk")
 
-#: Receiver roster every per-scenario BER figure expects.
-REQUIRED_RECEIVER_LABELS = tuple(label for label, _ in _SCENARIO_ROSTER)
-
-#: (path-loss exponent, distance in meters) for the six scenario figures.
+#: (path-loss exponent, distance in meters) for the six scenario figures;
+#: ``configs/<figure id>.json`` is the full config of each.
 FIGURE_SCENARIOS = {
     "fig7": (2.0, 10.0),
     "fig8": (2.0, 50.0),
@@ -139,6 +131,8 @@ class ReceiverSpec:
     distance_m: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise ValueError(f"receiver label must be a string, got {self.label!r}")
         if not self.label:
             raise ValueError("receiver label must not be empty")
         if "," in self.label:
@@ -421,30 +415,6 @@ def load_config(path) -> ExperimentConfig:
 def config_digest(cfg: ExperimentConfig) -> str:
     blob = json.dumps(config_to_dict(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def scenario_config(
-    alpha: float,
-    distance_m: float,
-    snr_sweep_db,
-    symbols_per_point: int = 1_000_000,
-    seed: int = 1,
-) -> ExperimentConfig:
-    """Standard scenario: two-ring sender, matched receiver, three mismatched listeners."""
-    receivers = tuple(
-        ReceiverSpec(label, scheme, distance_m=distance_m)
-        for label, scheme in _SCENARIO_ROSTER
-    )
-    return ExperimentConfig(
-        sender_scheme="qam16_circ",
-        sender_key=None,
-        receivers=receivers,
-        path_loss=PathLossModel(alpha=alpha),
-        snr_sweep_db=tuple(float(s) for s in snr_sweep_db),
-        sweep_mode="receive",
-        symbols_per_point=symbols_per_point,
-        seed=seed,
-    )
 
 
 def _label_word(label: str) -> int:

@@ -294,12 +294,12 @@ def cross_decode_bits(
     tx_bits,
     tx_scheme: ConstellationScheme,
     rx_scheme: ConstellationScheme,
-    received=None,
+    received,
 ) -> tuple[np.ndarray, int, int]:
-    """Decode a transmission with a (possibly different) receive scheme.
+    """Decode received symbols with a (possibly different) receive scheme.
 
-    ``received`` defaults to the noiseless transmit symbols; pass the
-    post-channel symbol stream to decode a noisy transmission.
+    ``received`` is the symbol stream heard for ``tx_bits``; pass
+    ``modulate(tx_bits, tx_scheme)`` for a noiseless transmission.
 
     Returns ``(rx_bits, compared, errors)`` where ``compared`` counts
     the positions entering the comparison and ``errors`` the mismatches.
@@ -307,15 +307,6 @@ def cross_decode_bits(
     m_tx = tx_scheme.bits_per_symbol
     m_rx = rx_scheme.bits_per_symbol
     tx_values = bits_to_values(tx_bits, m_tx)
-    if received is None:
-        received = tx_scheme.mapped_points[tx_values]
-    else:
-        received = np.asarray(received, dtype=np.complex128)
-        if received.size != tx_values.size:
-            raise ValueError(
-                f"{received.size} received symbols do not match"
-                f" {tx_values.size * m_tx} transmitted bits at {m_tx} bits/symbol"
-            )
     rx_values = nearest_point_values(received, rx_scheme)
     errors, _ = count_prefix_errors(tx_values, m_tx, rx_values, m_rx)
     return values_to_bits(rx_values, m_rx), tx_values.size * m_rx, errors

@@ -10,7 +10,9 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -29,12 +31,14 @@ from keyedmod.experiment import (
     FIGURE_SCENARIOS,
     config_to_dict,
     emit_figure_data,
+    load_config,
     run_experiment,
-    scenario_config,
 )
 from keyedmod.modem import nearest_point_values
 from keyedmod.secrecy import keyspace_report, permanent, unicity, verify_perfect_secrecy
 from test_secrecy import naive_permanent
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def report(criterion, name):
@@ -112,12 +116,12 @@ def test_criterion_3_monte_carlo_vs_analytic():
 
 def test_criterion_4_full_scenario_bands():
     started = time.perf_counter()
-    sweep = snr_grid_db(0, 25, 1.0)
+    sweep = tuple(snr_grid_db(0, 25, 1.0))
     all_records = []
-    for fig_id, (alpha, distance) in FIGURE_SCENARIOS.items():
-        cfg = scenario_config(
-            alpha, distance, sweep, symbols_per_point=1_000_000, seed=400
-        )
+    for fig_id in FIGURE_SCENARIOS:
+        cfg = load_config(CONFIGS / f"{fig_id}.json")
+        # The budget this criterion states, so editing a file cannot weaken it.
+        assert (cfg.seed, cfg.symbols_per_point, cfg.snr_sweep_db) == (400, 1_000_000, sweep)
         records = run_experiment(cfg)
         all_records.extend(records)
 
@@ -185,7 +189,12 @@ def test_criterion_7_permanent_oracle():
 
 
 def test_criterion_8_run_determinism(tmp_path):
-    cfg = scenario_config(2.0, 10.0, (0.0, 10.0, 20.0), symbols_per_point=10_000, seed=8)
+    cfg = replace(
+        load_config(CONFIGS / "fig7.json"),
+        snr_sweep_db=(0.0, 10.0, 20.0),
+        symbols_per_point=10_000,
+        seed=8,
+    )
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config_to_dict(cfg)))
     outputs = []

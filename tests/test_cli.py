@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,13 @@ from keyedmod.experiment import (
     BerRecord,
     config_to_dict,
     emit_figure_data,
+    load_config,
     read_results,
-    scenario_config,
     write_results,
 )
 
-DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DEMO_CONFIG = CONFIGS / "demo.json"
 
 
 def run_cli(*args, **kwargs):
@@ -184,7 +186,12 @@ class TestSimCommands:
     @pytest.fixture()
     def config_path(self, tmp_path):
         path = tmp_path / "cfg.json"
-        cfg = scenario_config(2.0, 10.0, (0.0, 10.0), symbols_per_point=10_000, seed=7)
+        cfg = replace(
+            load_config(CONFIGS / "fig7.json"),
+            snr_sweep_db=(0.0, 10.0),
+            symbols_per_point=10_000,
+            seed=7,
+        )
         path.write_text(json.dumps(config_to_dict(cfg)))
         return path
 
@@ -322,6 +329,17 @@ class TestSimCommands:
         out = tmp_path / "o.csv"
         assert main(["sim", "run", "--config", str(path), "--out", str(out)]) == 2
         assert f"{field} must be null or a comma-separated permutation" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", [["a"], 5, True, None], ids=["list", "int", "bool", "null"])
+    def test_non_string_label_is_data_error(self, tmp_path, capsys, label):
+        doc = json.loads(DEMO_CONFIG.read_text())
+        doc["receivers"][0]["label"] = label
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        assert main(["sim", "run", "--config", str(path), "--out", str(out)]) == 2
+        assert f"receiver label must be a string, got {label!r}" in capsys.readouterr().err
         assert not out.exists()
 
 

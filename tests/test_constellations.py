@@ -148,6 +148,10 @@ class TestMappingKey:
         with pytest.raises(ValueError, match="not a permutation"):
             MappingKey((1, 2, 3, 4))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="key must not be empty"):
+            MappingKey(())
+
     @pytest.mark.parametrize(
         "perm, bad",
         [((0.7, 1.2), "0.7"), ((True, False), "True"), ((0, "1"), "'1'")],
@@ -166,6 +170,10 @@ class TestMappingKey:
         assert key.compose(key.inverse()) == MappingKey.identity(4)
         assert key.inverse().compose(key) == MappingKey.identity(4)
 
+    def test_compose_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="different length"):
+            MappingKey.identity(4).compose(MappingKey.identity(2))
+
     @given(st.integers(0, 2**32 - 1))
     def test_random_key_is_bijection_order_16(self, seed):
         key = random_key(16, seed)
@@ -178,6 +186,11 @@ class TestMappingKey:
     def test_random_key_rejects_tiny_order(self):
         with pytest.raises(ValueError):
             random_key(0, 1)
+
+    def test_random_key_rejects_huge_order(self):
+        assert sorted(random_key(2**16, 1).perm) == list(range(2**16))
+        with pytest.raises(ValueError, match=r"order must be in 2\.\.65536, got 65537"):
+            random_key(2**16 + 1, 1)
 
     def test_random_key_integer_arguments(self):
         assert random_key(4.0, 1.0) == random_key(4, 1)
@@ -219,8 +232,13 @@ class TestKeySerialization:
             parse_key("0,0,1,2")
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError, match="malformed"):
-            parse_key("0,x,1")
+        # int() would read the last three as the permutations they spell.
+        for text in ("0,x,1", "0,1,2,3,4,5,6,7,8,9,1_0", "+1,0", "\u0660,\u0661"):
+            with pytest.raises(ValueError, match="malformed key text"):
+                parse_key(text)
+
+    def test_parse_allows_surrounding_whitespace(self):
+        assert parse_key(" 1 ,\t0\n") == MappingKey((1, 0))
 
     def test_short_key_rejected_at_scheme_build(self):
         base = make_standard_scheme("qpsk")

@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyedmod import experiment
-from keyedmod.analytic import SnrPoint, p_correct_all_symbols, snr_grid_db
+from keyedmod.analytic import SnrPoint, p_correct_all_symbols
 from keyedmod.channel import ChannelSpec, PathLossModel, add_awgn
 from keyedmod.constellations import (
     STANDARD_SCHEME_NAMES,
@@ -37,7 +38,6 @@ from keyedmod.experiment import (
     load_config,
     read_results,
     run_experiment,
-    scenario_config,
     write_results,
 )
 from keyedmod.modem import modulate, nearest_point_values, value_dtype, values_to_bits
@@ -118,6 +118,18 @@ class TestConfigValidation:
     def test_requires_symbol_budget(self):
         with pytest.raises(ValueError, match="symbols_per_point"):
             small_config(symbols_per_point=100)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("snr_sweep_db", (), "SNR sweep must not be empty"),
+            ("seed", -1, "seed must be nonnegative, got -1"),
+        ],
+        ids=["empty_sweep", "negative_seed"],
+    )
+    def test_rejects_out_of_range_fields(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            small_config(**{field: value})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -252,6 +264,18 @@ class TestConfigValidation:
             run_experiment(load_config(path))
         assert calls == []
 
+    def test_rejects_missing_seed_and_non_object_receiver(self):
+        doc = config_to_dict(small_config())
+        del doc["seed"]
+        with pytest.raises(ValueError, match="malformed experiment config: 'seed'"):
+            config_from_dict(doc)
+        doc = config_to_dict(small_config())
+        doc["receivers"] = [3]
+        with pytest.raises(
+            ValueError, match="malformed experiment config: receiver 0 must be an object"
+        ):
+            config_from_dict(doc)
+
     @pytest.mark.parametrize(
         "where, key",
         [
@@ -324,6 +348,9 @@ class TestConfigValidation:
             (("sender",), False, r"sender\.key must be null or"),
             (("sender",), "", r"sender\.key must be null or"),
             (("sender",), "0,x", r"sender\.key: malformed key text"),
+            (("sender",), "0,1,2,3,4,5,6,7,8,9,1_0", r"sender\.key: malformed key text"),
+            (("sender",), "+1,0", r"sender\.key: malformed key text"),
+            (("sender",), "\u0660,\u0661", r"sender\.key: malformed key text"),
             (("receivers", 0), 7, "receiver 0 key must be null or"),
             (("receivers", 1), [0, 1, 2, 3], "receiver 1 key must be null or"),
             (("receivers", 0), 0, "receiver 0 key must be null or"),
@@ -338,6 +365,9 @@ class TestConfigValidation:
             "sender_false",
             "sender_empty",
             "sender_malformed",
+            "sender_underscore",
+            "sender_plus",
+            "sender_non_ascii_digits",
             "receiver_int",
             "receiver_list",
             "receiver_zero",
@@ -836,6 +866,19 @@ class TestBerRecord:
         with pytest.raises(ValueError, match="disagree"):
             BerRecord("x", 0.0, 100, 100, 10, 0.1, 0, 0.05)
 
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            ((101, 1.01, 5, 0.05), "bit_errors out of range: 101"),
+            ((10, 0.1, -1, 0.05), "symbol_errors must be nonnegative: -1"),
+            ((10, 0.1, 5, 1.5), "ser out of range: 1.5"),
+        ],
+        ids=["bit_errors_above_compared", "negative_symbol_errors", "ser_above_one"],
+    )
+    def test_rejects_out_of_range_counts(self, counts, match):
+        with pytest.raises(ValueError, match=match):
+            BerRecord("x", 0.0, 100, 100, *counts)
+
 
 class TestResultsIO:
     def make_records(self):
@@ -935,6 +978,12 @@ class TestResultsIO:
         with pytest.raises(IntegrityError, match="header"):
             read_results(path)
 
+    def test_unexpected_header(self, tmp_path):
+        path = tmp_path / "renamed.csv"
+        path.write_text("# generated: now\nlabel,snr_db\n")
+        with pytest.raises(IntegrityError, match=r":2: unexpected header \('label', 'snr_db'\)"):
+            read_results(path)
+
 
 class TestFigureData:
     def synthetic_records(self, labels, snrs, ber=0.5):
@@ -1016,27 +1065,36 @@ class TestFigureData:
 
 class TestScenarioConfig:
     def test_roster_and_mode(self):
-        cfg = scenario_config(2.0, 50.0, (0.0, 5.0), symbols_per_point=10_000, seed=2)
-        assert [r.label for r in cfg.receivers] == [
-            "intended",
-            "eve_rect",
-            "eve_qpsk",
-            "eve_bpsk",
+        cfg = load_config(CONFIGS / "fig8.json")
+        assert cfg.sender_scheme == "qam16_circ" and cfg.sender_key is None
+        assert [(r.label, r.scheme, r.key) for r in cfg.receivers] == [
+            ("intended", "qam16_circ", None),
+            ("eve_rect", "qam16_rect", None),
+            ("eve_qpsk", "qpsk", None),
+            ("eve_bpsk", "bpsk", None),
         ]
         assert all(r.distance_m == 50.0 for r in cfg.receivers)
         assert cfg.sweep_mode == "receive"
         assert cfg.path_loss.alpha == 2.0
 
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_config_loads(self, path):
+        load_config(path).resolve_schemes()
+
     @pytest.mark.parametrize("fig", sorted(FIGURE_SCENARIOS))
     def test_committed_figure_config(self, fig):
-        doc = json.loads((CONFIGS / f"{fig}.json").read_text(encoding="utf-8"))
-        cfg = scenario_config(
-            *FIGURE_SCENARIOS[fig],
-            snr_grid_db(0, 25, 1.0),
-            symbols_per_point=1_000_000,
-            seed=400,
+        alpha, distance = FIGURE_SCENARIOS[fig]
+        cfg = load_config(CONFIGS / f"{fig}.json")
+        assert cfg.path_loss.alpha == alpha
+        assert {r.distance_m for r in cfg.receivers} == {distance}
+        assert tuple(r.label for r in cfg.receivers) == REQUIRED_RECEIVER_LABELS
+        # Apart from alpha and distance, every figure runs fig7's config.
+        fig7 = load_config(CONFIGS / "fig7.json")
+        assert cfg == replace(
+            fig7,
+            path_loss=replace(fig7.path_loss, alpha=alpha),
+            receivers=tuple(replace(r, distance_m=distance) for r in fig7.receivers),
         )
-        assert doc == config_to_dict(cfg)
 
     def test_committed_demo_config_loads(self):
         cfg = load_config(CONFIGS / "demo.json")

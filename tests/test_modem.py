@@ -498,7 +498,7 @@ class TestCrossDecode:
         scheme = make_keyed_scheme(make_standard_scheme("qam16_circ"), random_key(16, 8))
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, 4000, dtype=np.uint8)
-        _, compared, errors = cross_decode_bits(bits, scheme, scheme)
+        _, compared, errors = cross_decode_bits(bits, scheme, scheme, modulate(bits, scheme))
         assert compared == 4000 and errors == 0
 
     def test_worked_stream_circ_to_rect(self):
@@ -507,7 +507,7 @@ class TestCrossDecode:
         circ = make_standard_scheme("qam16_circ")
         rect = make_standard_scheme("qam16_rect")
         tx = np.array([0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
-        rx, compared, errors = cross_decode_bits(tx, circ, rect)
+        rx, compared, errors = cross_decode_bits(tx, circ, rect, modulate(tx, circ))
         assert "".join(map(str, rx)) == "01001111"
         assert compared == 8
         assert errors == 3
@@ -517,7 +517,7 @@ class TestCrossDecode:
         circ = make_standard_scheme("qam16_circ")
         bpsk = make_standard_scheme("bpsk")
         tx = np.array([0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
-        rx, compared, errors = cross_decode_bits(tx, circ, bpsk)
+        rx, compared, errors = cross_decode_bits(tx, circ, bpsk, modulate(tx, circ))
         assert rx.size == 2
         assert compared == 2
         assert_prefix_popcount_oracle("bpsk", key_seed=11)
@@ -526,7 +526,7 @@ class TestCrossDecode:
         circ = make_standard_scheme("qam16_circ")
         qpsk = make_standard_scheme("qpsk")
         tx = np.array([0, 1, 1, 0], dtype=np.uint8)
-        rx, compared, errors = cross_decode_bits(tx, circ, qpsk)
+        rx, compared, errors = cross_decode_bits(tx, circ, qpsk, modulate(tx, circ))
         # 0110 sits at (-3.69, +1.53)a: negative re, positive im quadrant -> 01.
         assert np.array_equal(rx, [0, 1])
         assert compared == 2 and errors == 0
@@ -536,11 +536,11 @@ class TestCrossDecode:
         qpsk = make_standard_scheme("qpsk")
         rect = make_standard_scheme("qam16_rect")
         with pytest.raises(ValueError, match="alignment"):
-            cross_decode_bits([0, 1], qpsk, rect)
+            cross_decode_bits([0, 1], qpsk, rect, modulate([0, 1], qpsk))
 
     def test_received_length_checked(self):
         circ = make_standard_scheme("qam16_circ")
-        with pytest.raises(ValueError, match="received symbols"):
+        with pytest.raises(ValueError, match=r"shapes \(2,\) and \(3,\)"):
             cross_decode_bits([0] * 8, circ, circ, received=np.zeros(3, complex))
 
 
@@ -613,7 +613,7 @@ class TestKeyMismatch:
         expected = exact_mismatch_rate(s1, s2)
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2, 120_000, dtype=np.uint8)
-        _, compared, errors = cross_decode_bits(bits, s1, s2)
+        _, compared, errors = cross_decode_bits(bits, s1, s2, modulate(bits, s1))
         ber = errors / compared
         sigma = math.sqrt(expected * (1 - expected) / compared)
         assert abs(ber - expected) <= 4 * sigma
