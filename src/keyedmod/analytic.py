@@ -13,6 +13,10 @@ decoder's rectangular decision cell (:func:`p_correct_numeric`). The
 cells are derived once, from ``QAM16_RECT_GRID``, and one interval
 kernel serves that oracle and the all-symbol average
 (:func:`p_correct_all_symbols`).
+
+A call evaluates each distinct term once: the four closed forms share
+seven erfc values, and the sixteen labels' 32 axis intervals take 20
+distinct values. Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .constellations import QAM16_AMPLITUDE, QAM16_CIRC_GRID, QAM16_RECT_GRID
+import numpy as np
+
+from .constellations import QAM16_AMPLITUDE, QAM16_CIRC_GRID, QAM16_RECT_GRID, _integer
 
 __all__ = [
     "ConsistencyError",
@@ -38,7 +44,11 @@ __all__ = [
 
 
 class ConsistencyError(ArithmeticError):
-    """A closed form evaluated to a probability outside [0, 1]."""
+    """A closed form evaluated to NaN or to a probability outside [0, 1]."""
+
+
+# Es/N0 types SnrPoint accepts; bool, an int subclass, is refused apart.
+_REAL_TYPES = (float, int, np.floating, np.integer)
 
 
 @dataclass(frozen=True)
@@ -48,8 +58,11 @@ class SnrPoint:
     es_over_n0: float
 
     def __post_init__(self) -> None:
-        if not self.es_over_n0 >= 0:
-            raise ValueError(f"Es/N0 must be >= 0, got {self.es_over_n0}")
+        x = self.es_over_n0
+        if type(x) is bool or not isinstance(x, _REAL_TYPES):
+            raise ValueError(f"Es/N0 must be a real number, got {x!r}")
+        if not x >= 0:
+            raise ValueError(f"Es/N0 must be >= 0, got {x}")
 
     @classmethod
     def from_db(cls, snr_db: float) -> "SnrPoint":
@@ -84,55 +97,50 @@ REPRESENTATIVE_SYMBOLS = (0b0000, 0b0100, 0b0101, 0b0001)
 
 # Closed-form erfc coefficients, each tied to its geometric derivation as
 # |sender coordinate -+ boundary| so the four formulas cannot drift apart.
+# Symbols 1 and 3 are symbols 0 and 2 with the coordinates swapped and
+# negated, so the twelve erfc terms of the four forms take these seven
+# distinct coefficients. Beside each is its mirrored derivation from
+# symbol 1's point _C1 or symbol 3's point c3 = QAM16_CIRC_GRID[0b0001].
 _C0 = QAM16_CIRC_GRID[0b0000]
 _C1 = QAM16_CIRC_GRID[0b0100]
 _C2 = QAM16_CIRC_GRID[0b0101]
-_C3 = QAM16_CIRC_GRID[0b0001]
 
-_K0_RE = _C0.real + _BOUND          # 3.53: re mean to the left cell edge
-_K0_IM = _BOUND - _C0.imag          # 5.69: im mean up to the top band
-_K1_RE = _C1.real + _BOUND          # 5.69
-_K1_IM_LO = _C1.imag                # -1.53: im mean relative to the 0 edge
-_K1_IM_HI = _BOUND - _C1.imag       # 3.53
-_K2_RE_LO = _C2.real + _BOUND       # 3.84
+_K0_RE = _C0.real + _BOUND          # 3.53 (re mean to the left edge); _BOUND - _C1.imag
+_K0_IM = _BOUND - _C0.imag          # 5.69 (im mean to the top band); _C1.real + _BOUND
+_K1_IM_LO = _C1.imag                # -1.53 (im mean relative to the 0 edge)
+_K2_RE_LO = _C2.real + _BOUND       # 3.84; _BOUND - c3.imag
 _K2_RE_HI = -_C2.real               # -1.84
-_K2_IM_LO = _C2.imag                # -0.76
-_K2_IM_HI = _BOUND - _C2.imag       # 2.76
-_K3_RE_LO = _C3.real + _BOUND       # 2.76
-_K3_RE_HI = -_C3.real               # -0.76
-_K3_IM = _BOUND - _C3.imag          # 3.84
+_K2_IM_LO = _C2.imag                # -0.76; -c3.real
+_K2_IM_HI = _BOUND - _C2.imag       # 2.76; c3.real + _BOUND
 
 
 def _check_prob(p: float, what: str) -> float:
-    if p < -1e-12 or p > 1.0 + 1e-12:
+    """``p`` itself in [0, 1], clamped within 1e-12 of it; else, NaN too, raises."""
+    if 0.0 <= p <= 1.0:
+        return p
+    if not -1e-12 <= p <= 1.0 + 1e-12:
         raise ConsistencyError(f"{what} evaluated outside [0, 1]: {p!r}")
-    return min(max(p, 0.0), 1.0)
+    return 0.0 if p < 0.0 else 1.0
 
 
-def _closed_form(i: int, u: float) -> float:
-    """Clamped closed form of representative symbol ``i`` at erfc scale ``u``.
+def _closed_forms(u: float) -> tuple[float, float, float, float]:
+    """Clamped closed forms of the four representative symbols at erfc scale ``u``.
 
+    Each of the seven distinct erfc terms is evaluated once.
     :class:`SnrPoint` rejects NaN, so no erfc argument here is NaN.
     """
-    if i == 0:
-        p = 0.25 * math.erfc(_K0_RE * u) * math.erfc(_K0_IM * u)
-    elif i == 1:
-        p = (
-            0.5
-            * math.erfc(_K1_RE * u)
-            * (1.0 - 0.5 * math.erfc(_K1_IM_LO * u) - 0.5 * math.erfc(_K1_IM_HI * u))
-        )
-    elif i == 2:
-        p = (1.0 - 0.5 * math.erfc(_K2_RE_LO * u) - 0.5 * math.erfc(_K2_RE_HI * u)) * (
-            1.0 - 0.5 * math.erfc(_K2_IM_LO * u) - 0.5 * math.erfc(_K2_IM_HI * u)
-        )
-    else:
-        p = (
-            0.5
-            * math.erfc(_K3_IM * u)
-            * (1.0 - 0.5 * math.erfc(_K3_RE_LO * u) - 0.5 * math.erfc(_K3_RE_HI * u))
-        )
-    return _check_prob(p, f"symbol {i}")
+    e0r = math.erfc(_K0_RE * u)
+    e0i = math.erfc(_K0_IM * u)
+    e1i_lo = math.erfc(_K1_IM_LO * u)
+    e2r_lo = math.erfc(_K2_RE_LO * u)
+    e2r_hi = math.erfc(_K2_RE_HI * u)
+    e2i_lo = math.erfc(_K2_IM_LO * u)
+    e2i_hi = math.erfc(_K2_IM_HI * u)
+    p0 = _check_prob(0.25 * e0r * e0i, "symbol 0")
+    p1 = _check_prob(0.5 * e0i * (1.0 - 0.5 * e1i_lo - 0.5 * e0r), "symbol 1")
+    p2 = (1.0 - 0.5 * e2r_lo - 0.5 * e2r_hi) * (1.0 - 0.5 * e2i_lo - 0.5 * e2i_hi)
+    p3 = _check_prob(0.5 * e2r_lo * (1.0 - 0.5 * e2i_hi - 0.5 * e2i_lo), "symbol 3")
+    return p0, p1, _check_prob(p2, "symbol 2"), p3
 
 
 def p_correct_symbol(i: int, snr: SnrPoint) -> float:
@@ -144,9 +152,10 @@ def p_correct_symbol(i: int, snr: SnrPoint) -> float:
     noisy decision variable lands inside the grid decoder's cell for the
     sent bit label.
     """
-    if i not in (0, 1, 2, 3):
+    i = _integer(i, "representative symbol index")
+    if not 0 <= i < 4:
         raise ValueError(f"representative symbol index must be 0..3, got {i}")
-    return _closed_form(i, snr.u)
+    return _closed_forms(snr.u)[i]
 
 
 def p_correct_total(snr: SnrPoint) -> float:
@@ -158,12 +167,12 @@ def p_correct_total(snr: SnrPoint) -> float:
     geometries and are covered exactly by
     :func:`p_correct_all_symbols`.
     """
-    u = snr.u
-    total = sum(_closed_form(i, u) for i in range(4)) / 4.0
-    return _check_prob(total, "aggregate")
+    c0, c1, c2, c3 = _closed_forms(snr.u)
+    return _check_prob((c0 + c1 + c2 + c3) / 4.0, "aggregate")
 
 
 def _check_label(bit_value: int) -> int:
+    bit_value = _integer(bit_value, "bit value")
     if not 0 <= bit_value < 16:
         raise ValueError(f"bit value must be 0..15, got {bit_value}")
     return bit_value
@@ -181,6 +190,11 @@ _ALL_SYMBOL_CELLS = tuple(
     for tx, grid in ((circular_tx_point(v), QAM16_RECT_GRID[v]) for v in range(16))
 )
 
+# The cells' 32 axis entries take 20 distinct values, and the all-symbol
+# average evaluates each once: per label, the indices of its re and im term.
+_AXIS_TERMS = tuple(dict.fromkeys(term for cell in _ALL_SYMBOL_CELLS for term in cell))
+_LABEL_TERMS = tuple(tuple(map(_AXIS_TERMS.index, cell)) for cell in _ALL_SYMBOL_CELLS)
+
 
 def _noise_scale(snr: SnrPoint) -> float:
     """q = 1/sqrt(N0) at Es = 1: 0 at Es/N0 = 0 (N0 infinite), inf at Es/N0 = inf."""
@@ -188,23 +202,29 @@ def _noise_scale(snr: SnrPoint) -> float:
     return math.inf if n0 == 0 else 1.0 / math.sqrt(n0)
 
 
-def _interval_probability(lo: float, hi: float, mean: float, q: float) -> float:
-    """P(lo < mean + n < hi) for n ~ N(0, N0/2), lo < hi and q = 1/sqrt(N0).
+def _interval_probabilities(terms, scale: float, q: float) -> list[float]:
+    """P(lo < coordinate * scale + n < hi) per ``(coordinate, lo, hi)`` term.
 
-    ``mean`` is finite and at most one bound is infinite, as in every grid
-    cell. One-sided terms lie in [0, 1] and the two-sided one is clamped
-    at 0. At q = inf (no noise) it is the limit: 1 inside, 0 outside, and
-    erfc(0) / 2 for a mean on an edge, where (edge - mean) * q is 0 * inf.
+    n ~ N(0, N0/2), lo < hi and q = 1/sqrt(N0). Each mean is finite and
+    at most one bound is infinite, as in every grid cell. One-sided terms
+    lie in [0, 1] and the two-sided one is clamped at 0. At q = inf (no
+    noise) each is the limit: 1 inside, 0 outside, and erfc(0) / 2 for a
+    mean on an edge, where (edge - mean) * q is 0 * inf.
     """
-    if q == math.inf:
-        if lo < mean < hi:
-            return 1.0
-        return 0.5 if mean in (lo, hi) else 0.0
-    if lo == -math.inf:
-        return 0.5 * math.erfc((mean - hi) * q)
-    if hi == math.inf:
-        return 0.5 * math.erfc((lo - mean) * q)
-    return max(0.5 * (math.erfc((lo - mean) * q) - math.erfc((hi - mean) * q)), 0.0)
+    probs = []
+    for coordinate, lo, hi in terms:
+        mean = coordinate * scale
+        if q == math.inf:
+            p = 1.0 if lo < mean < hi else 0.5 if mean in (lo, hi) else 0.0
+        elif lo == -math.inf:
+            p = 0.5 * math.erfc((mean - hi) * q)
+        elif hi == math.inf:
+            p = 0.5 * math.erfc((lo - mean) * q)
+        else:
+            p = 0.5 * (math.erfc((lo - mean) * q) - math.erfc((hi - mean) * q))
+            p = max(p, 0.0)
+        probs.append(p)
+    return probs
 
 
 def p_correct_numeric(tx_point: complex, bit_value: int, snr: SnrPoint) -> float:
@@ -220,9 +240,9 @@ def p_correct_numeric(tx_point: complex, bit_value: int, snr: SnrPoint) -> float
     if not cmath.isfinite(tx_point):
         raise ValueError(f"sender point must be finite, got {tx_point!r}")
     (_, re_lo, re_hi), (_, im_lo, im_hi) = _ALL_SYMBOL_CELLS[_check_label(bit_value)]
-    q = _noise_scale(snr)
-    p_re = _interval_probability(re_lo, re_hi, tx_point.real, q)
-    return p_re * _interval_probability(im_lo, im_hi, tx_point.imag, q)
+    terms = ((tx_point.real, re_lo, re_hi), (tx_point.imag, im_lo, im_hi))
+    p_re, p_im = _interval_probabilities(terms, 1.0, _noise_scale(snr))
+    return p_re * p_im
 
 
 def p_correct_all_symbols(snr: SnrPoint, point_scale: float = 1.0) -> float:
@@ -235,8 +255,9 @@ def p_correct_all_symbols(snr: SnrPoint, point_scale: float = 1.0) -> float:
     unit-energy normalization gain to match the operational scheme).
 
     The geometry is fixed, so the cells and sender coordinates are module
-    constants and a call makes 32 calls of the interval kernel that
-    :func:`p_correct_numeric` uses. It gives the same float as the route
+    constants, and one call of the interval kernel that
+    :func:`p_correct_numeric` uses evaluates their 20 distinct axis
+    terms. It gives the same float as the route
     ``sum(p_correct_numeric(circular_tx_point(v) * point_scale, v, snr)
     for v in range(16)) / 16``, term by term and in the same order;
     Es/N0 = 0 (N0 infinite) gives 1/16, and Es/N0 = inf the noiseless
@@ -244,12 +265,10 @@ def p_correct_all_symbols(snr: SnrPoint, point_scale: float = 1.0) -> float:
     """
     if not math.isfinite(point_scale):
         raise ValueError(f"point scale must be finite, got {point_scale}")
-    q = _noise_scale(snr)
+    p = _interval_probabilities(_AXIS_TERMS, point_scale, _noise_scale(snr))
     total = 0.0
-    for (re, re_lo, re_hi), (im, im_lo, im_hi) in _ALL_SYMBOL_CELLS:
-        p_re = _interval_probability(re_lo, re_hi, re * point_scale, q)
-        p_im = _interval_probability(im_lo, im_hi, im * point_scale, q)
-        total += p_re * p_im
+    for re, im in _LABEL_TERMS:
+        total += p[re] * p[im]
     return total / 16.0
 
 

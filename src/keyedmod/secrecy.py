@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -201,10 +202,21 @@ class PerfectSecrecyReport:
     n_checked: int
 
 
+def _prior_entry(k: int, p) -> Fraction:
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise ValueError(f"prior entry {k} must be a number, got {p!r}")
+    try:
+        return Fraction(p)
+    except (ValueError, OverflowError, TypeError):
+        raise ValueError(
+            f"prior entry {k} must be a finite float or a rational, got {p!r}"
+        ) from None
+
+
 def _as_prior(order: int, prior) -> tuple[Fraction, ...]:
     if prior is None:
         return tuple(Fraction(1, order) for _ in range(order))
-    probs = tuple(Fraction(p) for p in prior)
+    probs = tuple(_prior_entry(k, p) for k, p in enumerate(prior))
     if len(probs) != order:
         raise ValueError(f"prior must have {order} entries, got {len(probs)}")
     if any(p < 0 for p in probs):
@@ -220,7 +232,9 @@ def verify_perfect_secrecy(order: int, prior=None) -> PerfectSecrecyReport:
     Under a uniform key, for every plaintext symbol p and every observed
     point index c the posterior prob(P=p | C=c) must equal the prior
     prob(P=p), and symmetrically prob(C=c | P=p) must equal prob(C=c).
-    All arithmetic is rational, so the check is exact. Orders above
+    Keys are counted per (plaintext, point) pair in integers, and each
+    joint probability is formed once from its count; all arithmetic is
+    rational, so the check is exact. Orders above
     ``MAX_SECRECY_ORDER`` are refused.
     """
     order = _integer(order, "order")
@@ -235,10 +249,11 @@ def verify_perfect_secrecy(order: int, prior=None) -> PerfectSecrecyReport:
     n_keys = math.factorial(order)
     key_weight = Fraction(1, n_keys)
 
-    joint = [[Fraction(0)] * order for _ in range(order)]
+    counts = [[0] * order for _ in range(order)]
     for perm in itertools.permutations(range(order)):
-        for p in range(order):
-            joint[p][perm[p]] += probs[p] * key_weight
+        for p, c in enumerate(perm):
+            counts[p][c] += 1
+    joint = [[probs[p] * key_weight * n for n in row] for p, row in enumerate(counts)]
 
     marginal_c = [sum(joint[p][c] for p in range(order)) for c in range(order)]
     max_dev = Fraction(0)

@@ -11,7 +11,9 @@ from scipy import integrate
 
 from keyedmod.analytic import (
     REPRESENTATIVE_SYMBOLS,
+    ConsistencyError,
     SnrPoint,
+    _check_prob,
     circular_tx_point,
     p_correct_all_symbols,
     p_correct_numeric,
@@ -87,6 +89,37 @@ def expanded_total(u):
     )
 
 
+def reference_symbol_form(i, u):
+    """Oracle: symbol ``i``'s closed form with all twelve erfc terms written out.
+
+    Each coefficient is derived from its own sender point, without the
+    mirror symmetry the program uses to share terms between symbols.
+    """
+    erfc = math.erfc
+    c = QAM16_CIRC_GRID[REPRESENTATIVE_SYMBOLS[i]]
+    if i == 0:
+        p = 0.25 * erfc((c.real + 2.0) * u) * erfc((2.0 - c.imag) * u)
+    elif i == 1:
+        p = 0.5 * erfc((c.real + 2.0) * u) * (
+            1.0 - 0.5 * erfc(c.imag * u) - 0.5 * erfc((2.0 - c.imag) * u)
+        )
+    elif i == 2:
+        p = (1.0 - 0.5 * erfc((c.real + 2.0) * u) - 0.5 * erfc(-c.real * u)) * (
+            1.0 - 0.5 * erfc(c.imag * u) - 0.5 * erfc((2.0 - c.imag) * u)
+        )
+    else:
+        p = 0.5 * erfc((2.0 - c.imag) * u) * (
+            1.0 - 0.5 * erfc((c.real + 2.0) * u) - 0.5 * erfc(-c.real * u)
+        )
+    return min(max(p, 0.0), 1.0)
+
+
+def grid_with_limits(step):
+    """SnrPoints of 0..25 dB at ``step`` plus Es/N0 = 0 and inf."""
+    points = [SnrPoint.from_db(s) for s in snr_grid_db(0, 25, step)]
+    return points + [SnrPoint(0.0), SnrPoint(math.inf)]
+
+
 class TestErfc:
     """``math.erfc``, which the closed forms and the interval kernel call."""
 
@@ -121,6 +154,15 @@ class TestSnrPoint:
     def test_from_db(self):
         assert SnrPoint.from_db(10.0).es_over_n0 == pytest.approx(10.0)
         assert SnrPoint.from_db(0.0).u == pytest.approx(math.sqrt(0.1))
+
+    @pytest.mark.parametrize("value", [True, False, "1", None, 1j, [1.0]])
+    def test_rejects_non_numbers(self, value):
+        with pytest.raises(ValueError, match="^Es/N0 must be a real number"):
+            SnrPoint(value)
+
+    @pytest.mark.parametrize("value", [2, 2.0, np.float32(2.0), np.int64(2)])
+    def test_accepts_real_numbers(self, value):
+        assert SnrPoint(value).es_over_n0 == 2
 
     @pytest.mark.parametrize(
         "call",
@@ -187,6 +229,63 @@ class TestPerSymbolForms:
         with pytest.raises(ValueError):
             p_correct_symbol(4, SnrPoint(1.0))
 
+    @pytest.mark.parametrize("i", range(4))
+    def test_equals_twelve_term_reference_exactly(self, i):
+        for point in grid_with_limits(0.01) + [SnrPoint.from_db(-40.0)]:
+            assert p_correct_symbol(i, point) == reference_symbol_form(i, point.u), point
+
+
+class TestCheckProb:
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_in_range_returned_as_is(self, p):
+        assert _check_prob(p, "x") is p
+
+    def test_negative_zero_kept(self):
+        assert math.copysign(1.0, _check_prob(-0.0, "x")) == -1.0
+
+    @pytest.mark.parametrize(
+        "p, clamped", [(-1e-12, 0.0), (-1e-300, 0.0), (1.0 + 1e-12, 1.0)]
+    )
+    def test_clamps_within_tolerance(self, p, clamped):
+        got = _check_prob(p, "x")
+        assert got == clamped and math.copysign(1.0, got) == 1.0
+
+    @pytest.mark.parametrize("p", [-1e-11, 1.0 + 1e-11, -math.inf, math.inf, math.nan])
+    def test_raises_beyond_tolerance_and_on_nan(self, p):
+        with pytest.raises(ConsistencyError, match="^symbol 2 evaluated outside"):
+            _check_prob(p, "symbol 2")
+
+
+# The integer rule applies to labels and indices: an int, a numpy integer
+# or an integral float is accepted, and anything else, bools included, is
+# refused with a ValueError naming the argument.
+LABEL_CALLS = {
+    "p_correct_symbol": (
+        lambda v: p_correct_symbol(v, SnrPoint(1.0)),
+        "representative symbol index",
+    ),
+    "p_correct_numeric": (
+        lambda v: p_correct_numeric(0j, v, SnrPoint(1.0)),
+        "bit value",
+    ),
+    "circular_tx_point": (circular_tx_point, "bit value"),
+}
+
+
+class TestLabelArguments:
+    @pytest.mark.parametrize("value", [True, False, 1.5, "3", None])
+    @pytest.mark.parametrize("name", LABEL_CALLS)
+    def test_refused(self, name, value):
+        call, argument = LABEL_CALLS[name]
+        with pytest.raises(ValueError, match=f"^{argument} must be an integer"):
+            call(value)
+
+    @pytest.mark.parametrize("value", [1.0, np.int64(1), np.uint8(1)])
+    @pytest.mark.parametrize("name", LABEL_CALLS)
+    def test_integral_values_accepted(self, name, value):
+        call, _ = LABEL_CALLS[name]
+        assert call(value) == call(1)
+
 
 class TestAggregate:
     def test_frozen_headline_values(self):
@@ -198,10 +297,9 @@ class TestAggregate:
         )
 
     def test_equals_mean_of_symbol_forms(self):
-        for snr_db in (0.0, 7.5, 14.0):
-            point = SnrPoint.from_db(snr_db)
+        for point in grid_with_limits(0.01):
             mean = sum(p_correct_symbol(i, point) for i in range(4)) / 4
-            assert p_correct_total(point) == pytest.approx(mean, rel=1e-12)
+            assert p_correct_total(point) == mean, point
 
     def test_vanishes_at_extreme_snr(self):
         assert p_correct_total(SnrPoint.from_db(200.0)) == 0.0
@@ -337,9 +435,7 @@ class TestAllSymbolsAverage:
     def test_equals_per_symbol_route_exactly(self, scale):
         # The constant-geometry sum must give the very float of the public
         # per-symbol route: same interval expressions, same summation order.
-        points = [SnrPoint.from_db(s) for s in snr_grid_db(0, 25, 0.01)]
-        points += [SnrPoint(0.0), SnrPoint(math.inf)]
-        for point in points:
+        for point in grid_with_limits(0.01):
             explicit = sum(
                 p_correct_numeric(circular_tx_point(v) * scale, v, point)
                 for v in range(16)

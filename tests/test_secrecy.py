@@ -10,6 +10,7 @@ import pytest
 from keyedmod.secrecy import (
     _RYSER_BLOCK_BITS,
     MAX_PERMANENT_DIM,
+    PerfectSecrecyReport,
     keyspace_report,
     permanent,
     unicity,
@@ -45,6 +46,33 @@ def subset_dp_permanent(matrix) -> int:
             step[free | bit] += ways[free]
         ways = step
     return int(ways[-1])
+
+
+def reference_secrecy_report(order, prior) -> PerfectSecrecyReport:
+    """Oracle: the joint law accumulated one Fraction per (key, plaintext)."""
+    n_keys = math.factorial(order)
+    joint = [[Fraction(0)] * order for _ in range(order)]
+    for perm in itertools.permutations(range(order)):
+        for p in range(order):
+            joint[p][perm[p]] += prior[p] * Fraction(1, n_keys)
+    marginal_c = [sum(joint[p][c] for p in range(order)) for c in range(order)]
+    max_dev, checked = Fraction(0), 0
+    for p in range(order):
+        for c in range(order):
+            posterior = joint[p][c] / marginal_c[c] if marginal_c[c] else Fraction(0)
+            max_dev = max(max_dev, abs(posterior - prior[p]))
+            checked += 1
+            if prior[p]:
+                max_dev = max(max_dev, abs(joint[p][c] / prior[p] - marginal_c[c]))
+                checked += 1
+    return PerfectSecrecyReport(
+        order=order,
+        n_keys=n_keys,
+        prior=tuple(prior),
+        passed=max_dev == 0,
+        max_deviation=max_dev,
+        n_checked=checked,
+    )
 
 
 class TestKeyspaceReport:
@@ -257,6 +285,16 @@ class TestPerfectSecrecy:
                 report = verify_perfect_secrecy(order, prior)
                 assert report.passed, (order, prior)
 
+    @pytest.mark.parametrize("order", range(2, 6))
+    def test_equals_per_key_fraction_reference(self, order):
+        rng = np.random.default_rng(order)
+        for _ in range(5):
+            weights = [int(w) for w in rng.integers(1, 9, order)]
+            weights[int(rng.integers(order))] = 0
+            prior = [Fraction(w, sum(weights)) for w in weights]
+            expected = reference_secrecy_report(order, prior)
+            assert verify_perfect_secrecy(order, prior) == expected, prior
+
     def test_degenerate_prior(self):
         prior = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
         assert verify_perfect_secrecy(4, prior).passed
@@ -281,6 +319,26 @@ class TestPerfectSecrecy:
             verify_perfect_secrecy(2, [Fraction(1)])
         with pytest.raises(ValueError, match="nonnegative"):
             verify_perfect_secrecy(2, [Fraction(3, 2), Fraction(-1, 2)])
+
+    @pytest.mark.parametrize(
+        "prior, message",
+        [
+            ([True, False], "prior entry 0 must be a number, got True"),
+            ([Fraction(1), False], "prior entry 1 must be a number, got False"),
+            (["1/2", "1/2"], "prior entry 0 must be a number"),
+            ([0.5, None], "prior entry 1 must be a number"),
+            ([0.5, math.nan], "prior entry 1 must be a finite float or a rational"),
+            ([math.inf, 0.5], "prior entry 0 must be a finite float or a rational"),
+        ],
+    )
+    def test_rejects_non_number_prior_entries(self, prior, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            verify_perfect_secrecy(2, prior)
+
+    def test_accepts_numeric_prior_entries(self):
+        for prior in ([0.25, 0.75], [np.float64(0.25), Fraction(3, 4)], [0, np.int64(1)]):
+            report = verify_perfect_secrecy(2, prior)
+            assert report.passed and report.prior == tuple(Fraction(p) for p in prior)
 
     def test_report_counts_checks(self):
         report = verify_perfect_secrecy(2)
