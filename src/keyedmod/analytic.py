@@ -25,9 +25,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .constellations import QAM16_AMPLITUDE, QAM16_CIRC_GRID, QAM16_RECT_GRID, _integer
+from .constellations import (
+    QAM16_AMPLITUDE,
+    QAM16_CIRC_GRID,
+    QAM16_RECT_GRID,
+    _check_real,
+    _integer,
+)
 
 __all__ = [
     "ConsistencyError",
@@ -47,10 +51,6 @@ class ConsistencyError(ArithmeticError):
     """A closed form evaluated to NaN or to a probability outside [0, 1]."""
 
 
-# Es/N0 types SnrPoint accepts; bool, an int subclass, is refused apart.
-_REAL_TYPES = (float, int, np.floating, np.integer)
-
-
 @dataclass(frozen=True)
 class SnrPoint:
     """Linear Es/N0 ratio."""
@@ -58,9 +58,7 @@ class SnrPoint:
     es_over_n0: float
 
     def __post_init__(self) -> None:
-        x = self.es_over_n0
-        if type(x) is bool or not isinstance(x, _REAL_TYPES):
-            raise ValueError(f"Es/N0 must be a real number, got {x!r}")
+        x = _check_real(self.es_over_n0, "Es/N0")
         if not x >= 0:
             raise ValueError(f"Es/N0 must be >= 0, got {x}")
 
@@ -68,7 +66,7 @@ class SnrPoint:
     def from_db(cls, snr_db: float) -> "SnrPoint":
         """Es/N0 from dB; above about 3083 dB it exceeds float64 and is ``inf``."""
         try:
-            return cls(10.0 ** (float(snr_db) / 10.0))
+            return cls(10.0 ** (float(_check_real(snr_db, "snr_db")) / 10.0))
         except OverflowError:
             return cls(math.inf)
 

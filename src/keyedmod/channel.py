@@ -4,12 +4,20 @@ The complex-baseband noise model: a symbol stream with unit average
 energy (Es = 1) receives independent zero-mean Gaussian noise on each
 axis with per-axis variance N0/2, where N0 = 10**(-snr_db/10). Noise is
 drawn from numpy's PCG64 generator (ziggurat Gaussian sampling), so a
-fixed seed reproduces the stream bit for bit. ``add_awgn`` keeps no
-state, so threads may call it at once; a parallel sweep keeps its runs
-reproducible by seeding every block from its own key, never from the
-worker that draws it (see :mod:`keyedmod.experiment`). An ``out`` array
-passed to ``add_awgn`` belongs to the caller, and two threads must not
-share one.
+fixed seed reproduces the stream bit for bit: one ``standard_normal``
+draw fills the real axis first, then the imaginary axis.
+
+``add_awgn`` takes a complex symbol array, or float64 planes: a
+C-contiguous array of shape (2, n) whose row 0 holds the real and row 1
+the imaginary coordinates. The planes form draws straight into its
+output rows, in the same order; a one-row plane holds the real axis
+alone and gets the real-axis noise of the two-row form.
+
+``add_awgn`` keeps no state, so threads may call it at once; a parallel
+sweep keeps its runs reproducible by seeding every block from its own
+key, never from the worker that draws it (see :mod:`keyedmod.experiment`).
+An ``out`` array passed to ``add_awgn`` belongs to the caller, and two
+threads must not share one.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .constellations import _check_real
 
 __all__ = [
     "ChannelSpec",
@@ -41,7 +51,7 @@ class ChannelSpec:
     rng_seed: int | np.random.SeedSequence
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.es_over_n0_db):
+        if not math.isfinite(_check_real(self.es_over_n0_db, "es_over_n0_db")):
             raise ValueError("es_over_n0_db must be finite")
         noise_spectral_density(self.es_over_n0_db)
         seed = self.rng_seed
@@ -88,6 +98,58 @@ def noise_spectral_density(es_over_n0_db: float) -> float:
         ) from None
 
 
+#: No float64 that numpy's ziggurat ``standard_normal`` returns reaches
+#: this in magnitude. Its tail sampler returns r - ln(u) / r at most, with r
+#: about 3.654 and u a 53-bit uniform, so |z| < r + 53 ln(2) / r ~= 13.71
+#: (``random_standard_normal`` in numpy/random/src/distributions/distributions.c).
+_NORMAL_BOUND = 14.0
+
+
+def _sigma(es_over_n0_db: float) -> float:
+    """Per-axis noise standard deviation sqrt(N0/2) at the given Es/N0."""
+    return math.sqrt(noise_spectral_density(es_over_n0_db) / 2.0)
+
+
+def _noise_reach(es_over_n0_db: float) -> float:
+    """A magnitude that no noise coordinate ``add_awgn`` draws at this Es/N0 reaches."""
+    return _NORMAL_BOUND * _sigma(es_over_n0_db)
+
+
+def _as_planes(symbols) -> np.ndarray | None:
+    """``symbols`` if it holds float64 planes; None if it is no two-dimensional float array.
+
+    A two-dimensional float array of other than one or two rows, of
+    another dtype, or not C-contiguous, raises ``ValueError``.
+    """
+    if not (
+        isinstance(symbols, np.ndarray) and symbols.ndim == 2 and symbols.dtype.kind == "f"
+    ):
+        return None
+    if not (
+        symbols.dtype == np.float64
+        and symbols.shape[0] in (1, 2)
+        and symbols.flags.c_contiguous
+    ):
+        raise ValueError(
+            "symbol planes must be one or two C-contiguous float64 rows,"
+            f" got {symbols.dtype} of shape {symbols.shape}"
+        )
+    return symbols
+
+
+def _draw_noise(rows: np.ndarray, spec: ChannelSpec) -> np.ndarray:
+    """Fill C-contiguous float64 ``rows`` with the spec's noise and return them.
+
+    One ``standard_normal`` draw fills them in row-major order: row 0, the
+    real axis, takes the first draws, and row 1, the imaginary axis, the
+    next. y + sigma*z equals numpy's y + normal(0, sigma) = y + (0.0 + sigma*z)
+    but for the sign of an exact zero.
+    """
+    np.random.default_rng(spec.rng_seed).standard_normal(out=rows)
+    rows *= _sigma(spec.es_over_n0_db)
+    return rows
+
+
 def add_awgn(symbols, spec: ChannelSpec, out=None) -> np.ndarray:
     """Return ``symbols`` plus complex AWGN at the spec's Es/N0.
 
@@ -95,10 +157,32 @@ def add_awgn(symbols, spec: ChannelSpec, out=None) -> np.ndarray:
     unit-mean-energy scheme for the dB figure to mean Es/N0. Two calls
     with the same spec produce identical output.
 
-    ``out``, if given, is a writable complex128 array of the shape of
-    ``symbols`` (it may be ``symbols`` itself); the result is written
-    there and ``out`` is returned. Otherwise a new array is returned.
+    ``symbols`` is a complex array, or float64 planes of one or two rows
+    (see the module docstring). ``out``, if given, is a writable array of
+    the same form and shape as ``symbols``: complex128 for a complex
+    array, C-contiguous float64 for planes. It may be ``symbols`` itself;
+    the result is written there and ``out`` is returned. Otherwise a new
+    array is returned.
     """
+    planes = _as_planes(symbols)
+    if planes is not None:
+        if out is None:
+            out = np.empty_like(planes)
+        elif not (
+            isinstance(out, np.ndarray)
+            and out.dtype == np.float64
+            and out.shape == planes.shape
+            and out.flags.c_contiguous
+            and out.flags.writeable
+        ):
+            raise ValueError(
+                f"out must be writable C-contiguous float64 planes of shape {planes.shape}"
+            )
+        elif np.may_share_memory(planes, out):
+            planes = planes.copy()
+        _draw_noise(out, spec)
+        out += planes
+        return out
     y = np.asarray(symbols, dtype=np.complex128)
     if out is None:
         out = np.empty(y.shape, dtype=np.complex128)
@@ -109,16 +193,9 @@ def add_awgn(symbols, spec: ChannelSpec, out=None) -> np.ndarray:
         and out.flags.writeable
     ):
         raise ValueError(f"out must be a writable complex128 array of shape {y.shape}")
-    sigma = math.sqrt(noise_spectral_density(spec.es_over_n0_db) / 2.0)
-    rng = np.random.default_rng(spec.rng_seed)
-    # The real axis takes the first y.size draws, the imaginary axis the next.
-    # y + sigma*z equals numpy's y + normal(0, sigma) = y + (0.0 + sigma*z)
-    # but for the sign of an exact zero.
-    scratch = np.empty(y.shape, dtype=np.float64)
-    for y_axis, out_axis in ((y.real, out.real), (y.imag, out.imag)):
-        rng.standard_normal(out=scratch)
-        scratch *= sigma
-        np.add(y_axis, scratch, out=out_axis)
+    noise = _draw_noise(np.empty((2, *y.shape)), spec)
+    np.add(y.real, noise[0], out=out.real)
+    np.add(y.imag, noise[1], out=out.imag)
     return out
 
 

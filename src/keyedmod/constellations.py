@@ -90,6 +90,19 @@ def _integer(value, field: str) -> int:
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
+def _check_real(value, field: str):
+    """Return ``value`` if it is an int, a float, or a numpy integer or floating value.
+
+    Booleans, strings and every other type are refused with an error naming
+    ``field``.
+    """
+    if isinstance(value, bool) or not isinstance(
+        value, (float, int, np.floating, np.integer)
+    ):
+        raise ValueError(f"{field} must be a real number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class MappingKey:
     """Permutation of point indices; ``perm[b]`` is the point assigned to bit value ``b``."""

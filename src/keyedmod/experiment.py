@@ -36,6 +36,7 @@ from .analytic import snr_grid_db, sweep as analytic_sweep
 from .channel import (
     ChannelSpec,
     PathLossModel,
+    _noise_reach,
     add_awgn,
     noise_spectral_density,
     snr_at_distance,
@@ -43,13 +44,20 @@ from .channel import (
 from .constellations import (
     ConstellationScheme,
     MappingKey,
+    _check_real,
     _integer,
     make_keyed_scheme,
     make_standard_scheme,
     parse_key,
     serialize_key,
 )
-from .modem import count_prefix_errors, nearest_point_values, value_dtype
+from .modem import (
+    _one_plane_reach,
+    _real_axis_decides,
+    count_prefix_errors,
+    nearest_point_values,
+    value_dtype,
+)
 
 __all__ = [
     "IntegrityError",
@@ -178,6 +186,8 @@ class ExperimentConfig:
             raise ValueError(f"duplicate receiver labels: {labels}")
         if not self.snr_sweep_db:
             raise ValueError("SNR sweep must not be empty")
+        for i, snr_db in enumerate(self.snr_sweep_db):
+            _check_real(snr_db, f"snr_sweep_db[{i}]")
         if not all(math.isfinite(s) for s in self.snr_sweep_db):
             raise ValueError(
                 f"SNR sweep values must be finite, got {list(self.snr_sweep_db)}"
@@ -451,15 +461,23 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
     Blocks run on one pool of ``min(2, usable CPUs)`` threads, started
     only when a sweep point has more than one block. The records do not
     depend on the number of threads. Each worker (a pool thread, or the
-    caller when the sweep runs serially) makes one pair of block buffers
-    on its first block and reuses it for every later block and receiver;
-    the buffers die with the call.
+    caller when the sweep runs serially) makes one pair of float64 planes
+    buffers, sent and received, on its first block and reuses it for
+    every later block and receiver; the buffers die with the call.
+
+    A receiver whose points all lie on the real axis draws and decodes
+    the real plane alone where its noise cannot reach the decoder's outer
+    imaginary bins, and redoes a block on both planes when a real
+    coordinate lands in a mixed real bin (the one-plane rule in
+    :mod:`keyedmod.modem`). The real axis is drawn first either way, so
+    every record is the same.
     """
     workers = min(_MAX_WORKERS, _usable_cpus())
     sender, rx_schemes = cfg.resolve_schemes()
     m_tx = sender.bits_per_symbol
     n_sym = cfg.symbols_per_point
-    tx_points = sender.mapped_points
+    tx_axes = (sender.mapped_points.real, sender.mapped_points.imag)
+    tx_imag_reach = float(np.abs(sender.mapped_points.imag).max())
     tx_dtype = value_dtype(m_tx)
     label_words = [_label_word(spec.label) for spec in cfg.receivers]
     eff_snrs = [
@@ -474,22 +492,30 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
         sweep_idx, block = task
         size = min(_BLOCK, n_sym - block * _BLOCK)
         if not hasattr(worker, "buffers"):
-            worker.buffers = tuple(np.empty(width, dtype=np.complex128) for _ in range(2))
-        sent, received = (buffer[:size] for buffer in worker.buffers)
+            worker.buffers = tuple(np.empty(2 * width) for _ in range(2))
+        # Flat buffers reshaped per block keep a ragged last block C-contiguous.
+        sent, received = (buffer[: 2 * size].reshape(2, size) for buffer in worker.buffers)
         value_rng = np.random.default_rng(
             _substream(cfg.seed, sweep_idx, _VALUE_LANE, 0, block)
         )
         tx_values = value_rng.integers(0, sender.order, size, dtype=tx_dtype)
         # The values lie in range by construction; "clip" writes straight into
         # ``sent``, where the default "raise" would fill a temporary copy first.
-        np.take(tx_points, tx_values, out=sent, mode="clip")
+        for axis, row in zip(tx_axes, sent):
+            np.take(axis, tx_values, out=row, mode="clip")
         counts = []
         for eff_snr, label_word, rx_scheme in zip(
             eff_snrs[sweep_idx], label_words, rx_schemes
         ):
             noise = _substream(cfg.seed, sweep_idx, _NOISE_LANE, label_word, block)
-            add_awgn(sent, ChannelSpec(eff_snr, noise), out=received)
-            rx_values = nearest_point_values(received, rx_scheme)
+            spec = ChannelSpec(eff_snr, noise)
+            reach = tx_imag_reach + _noise_reach(eff_snr)
+            planes = 1 if reach < _one_plane_reach(rx_scheme) else 2
+            add_awgn(sent[:planes], spec, out=received[:planes])
+            if planes == 1 and not _real_axis_decides(received[0], rx_scheme):
+                planes = 2
+                add_awgn(sent, spec, out=received)
+            rx_values = nearest_point_values(received[:planes], rx_scheme)
             counts.append(
                 count_prefix_errors(tx_values, m_tx, rx_values, rx_scheme.bits_per_symbol)
             )

@@ -1,7 +1,11 @@
 """Bit-stream modulation and nearest-point (maximum-likelihood) demodulation.
 
 Bit streams are 1-D integer arrays of 0/1 values; symbol streams are 1-D
-complex arrays. All functions are pure: safe to run over symbol blocks
+complex arrays. ``nearest_point_values`` also takes a stream as float64
+planes, the form :func:`keyedmod.channel.add_awgn` writes: a
+C-contiguous array of two rows, the real coordinates then the imaginary
+ones, or of one row, the real coordinates of symbols whose imaginary
+part is 0.0. All functions are pure: safe to run over symbol blocks
 in parallel. The only state they touch is the cell-table caches (one
 table per geometry, relabelled once per scheme), which hold read-only
 decision data and never change a result.
@@ -19,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channel import _as_planes
 from .constellations import ConstellationScheme
 
 __all__ = [
@@ -87,7 +92,7 @@ def _exact_int(x: float) -> int:
     return num << (_EXACT_SHIFT - den.bit_length() + 1)
 
 
-def _fallback_values(symbols: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _fallback_values(real: np.ndarray, imag: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Argmin values, with finite symbols beyond ``_FAR_BOUND`` decided exactly.
 
     Out there the nearest point q maximises 2 Re(y conj q) - |q|^2, with y and
@@ -97,16 +102,16 @@ def _fallback_values(symbols: np.ndarray, pts: np.ndarray) -> np.ndarray:
     # A non-finite component beside a huge one overflows the squares; such
     # rows hold NaN or inf and decode to value 0 either way.
     with np.errstate(over="ignore", invalid="ignore"):
-        d2 = (symbols.real[:, None] - pts.real) ** 2
-        d2 += (symbols.imag[:, None] - pts.imag) ** 2
+        d2 = (real[:, None] - pts.real) ** 2
+        d2 += (imag[:, None] - pts.imag) ** 2
     values = np.argmin(d2, axis=1)
-    far = np.isfinite(symbols)
-    far &= np.maximum(np.abs(symbols.real), np.abs(symbols.imag)) > _FAR_BOUND
+    far = np.isfinite(real) & np.isfinite(imag)
+    far &= np.maximum(np.abs(real), np.abs(imag)) > _FAR_BOUND
     if far.any():
         exact_pts = [(_exact_int(q.real), _exact_int(q.imag)) for q in pts.tolist()]
         decided = []
-        for y in symbols[far].tolist():
-            yr, yi = _exact_int(y.real), _exact_int(y.imag)
+        for y_real, y_imag in zip(real[far].tolist(), imag[far].tolist()):
+            yr, yi = _exact_int(y_real), _exact_int(y_imag)
             scores = [2 * (yr * qr + yi * qi) - qr * qr - qi * qi for qr, qi in exact_pts]
             decided.append(max(range(len(scores)), key=scores.__getitem__))
         values[far] = decided
@@ -150,6 +155,20 @@ class _CellTable(NamedTuple):
 # +-_GRID_BOUND: outside the guard bands one level is nearest on each axis,
 # so those bins are pure unless levels sit too close for the margin. Any
 # other geometry is cut into _TABLE_BINS even bins over [-L, L], L = 2 max|p|.
+#
+# One-plane rule. The points of a scheme whose imaginary parts are all 0.0
+# (BPSK) form a product grid with one imaginary level, so its middle
+# imaginary bin is (-_GRID_BOUND, _GRID_BOUND]. A one-row plane decodes as
+# if every imaginary part were 0.0, which lies in that bin. So a symbol
+# (x, y) with |y| < _GRID_BOUND and x in a real bin that is pure there gets
+# the same value from its real row alone as from both rows. In a mixed real
+# bin (a guard band, or beyond +-_GRID_BOUND) argmin decides, and the y**2
+# it adds to every distance can change its float64 decision:
+# nearest_point_values([-1e-12 + 500j], bpsk) is 0 where [-1e-12 + 0j] gives
+# 1. A sweep draws one noise plane only where no received imaginary part can
+# reach _GRID_BOUND (channel._noise_reach bounds the noise by numpy's
+# ziggurat), and redoes a block on both rows when any real coordinate lands
+# in a mixed real bin (_real_axis_decides).
 _GRID_GUARD = 1e-6
 _GRID_BOUND = 1e3
 _TABLE_BINS = 256
@@ -243,28 +262,84 @@ def _bin_index(coord: np.ndarray, table: _CellTable, edges: np.ndarray) -> np.nd
 def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
     """Decode each symbol to the bit value whose point is nearest in Euclidean distance.
 
-    Ties resolve to the lowest bit value (argmin keeps the first minimum).
-    A symbol with a NaN or infinite component decodes to value 0.
-    Values come back in the narrowest unsigned dtype that holds them.
+    ``symbols`` is a 1-D complex stream or float64 planes (see the module
+    docstring); one row is accepted only for a scheme whose points all
+    have imaginary part 0.0. Ties resolve to the lowest bit value (argmin
+    keeps the first minimum). A symbol with a NaN or infinite component
+    decodes to value 0. Values come back in the narrowest unsigned dtype
+    that holds them.
     """
-    y = np.asarray(symbols, dtype=np.complex128)
-    if y.ndim != 1:
-        raise ValueError("symbol stream must be one-dimensional")
+    planes = _as_planes(symbols)
+    if planes is None:
+        y = np.asarray(symbols, dtype=np.complex128)
+        if y.ndim != 1:
+            raise ValueError("symbol stream must be one-dimensional")
+        real, imag = y.real, y.imag
+    elif planes.shape[0] == 2:
+        real, imag = planes
+    elif _one_plane_reach(scheme) > 0.0:
+        real, imag = planes[0], None
+    else:
+        raise ValueError(
+            f"one-row planes need a scheme whose points all have imaginary part 0.0;"
+            f" {scheme.label} has others"
+        )
     pts = scheme.mapped_points
     table = _scheme_cell_table(scheme)
-    out = np.empty(y.size, dtype=value_dtype(scheme.bits_per_symbol))
-    for start in range(0, y.size, _DEMOD_CHUNK):
-        chunk = y[start : start + _DEMOD_CHUNK]
-        cell = _bin_index(chunk.real, table, table.real_edges)
-        cell *= table.imag_edges.size + 1
-        cell += _bin_index(chunk.imag, table, table.imag_edges)
+    n_imag_bins = table.imag_edges.size + 1
+    zero_bin = _zero_imag_bin(table) if imag is None else None
+    out = np.empty(real.size, dtype=value_dtype(scheme.bits_per_symbol))
+    for start in range(0, real.size, _DEMOD_CHUNK):
+        chunk = slice(start, start + _DEMOD_CHUNK)
+        cell = _bin_index(real[chunk], table, table.real_edges)
+        cell *= n_imag_bins
+        if imag is None:
+            cell += zero_bin
+        else:
+            cell += _bin_index(imag[chunk], table, table.imag_edges)
         values = table.values.take(cell)
-        block = out[start : start + _DEMOD_CHUNK]
+        block = out[chunk]
         block[:] = values
         # Mixed bins hold the scheme order; argmin decides their symbols.
         unsafe = np.flatnonzero(values == scheme.order)
-        block[unsafe] = _fallback_values(chunk[unsafe], pts)
+        if unsafe.size:
+            mixed_imag = np.zeros(unsafe.size) if imag is None else imag[chunk][unsafe]
+            block[unsafe] = _fallback_values(real[chunk][unsafe], mixed_imag, pts)
     return out
+
+
+def _zero_imag_bin(table: _CellTable) -> int:
+    """The imaginary bin of an imaginary part of 0.0 in a product-grid table."""
+    return int(np.count_nonzero(table.imag_edges < 0.0))
+
+
+def _one_plane_reach(scheme: ConstellationScheme) -> float:
+    """How far from the real axis a symbol may lie and be decoded from its real row.
+
+    ``_GRID_BOUND`` for a scheme whose points all have imaginary part 0.0,
+    else 0.0: see the one-plane rule above the table code.
+    """
+    return 0.0 if scheme.mapped_points.imag.any() else _GRID_BOUND
+
+
+def _real_axis_decides(real: np.ndarray, scheme: ConstellationScheme) -> bool:
+    """Whether ``real`` has no coordinate in a real bin mixed at imaginary part 0.0.
+
+    For a scheme with a nonzero ``_one_plane_reach``, the one-row decode of
+    such a row then equals the two-row one for every imaginary part within
+    the reach. ``real`` must not be empty.
+    """
+    table = _scheme_cell_table(scheme)
+    at_zero = table.values[_zero_imag_bin(table) :: table.imag_edges.size + 1]
+    edges = table.real_edges
+    # Real bin k holds (edges[k - 1], edges[k]]. The two outer bins are
+    # mixed, and a NaN coordinate, which counts no edge, lies in bin 0.
+    if not (edges[0] < real.min() and real.max() <= edges[-1]):
+        return False
+    return not any(
+        np.any((real > edges[k - 1]) & (real <= edges[k]))
+        for k in np.flatnonzero(at_zero[1:-1] == scheme.order) + 1
+    )
 
 
 def count_prefix_errors(tx_values, m_tx: int, rx_values, m_rx: int) -> tuple[int, int]:

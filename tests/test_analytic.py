@@ -164,6 +164,21 @@ class TestSnrPoint:
     def test_accepts_real_numbers(self, value):
         assert SnrPoint(value).es_over_n0 == 2
 
+    @pytest.mark.parametrize("value", [True, False, "10", None, 1j, [1.0]])
+    def test_from_db_rejects_non_numbers(self, value):
+        with pytest.raises(ValueError, match="^snr_db must be a real number"):
+            SnrPoint.from_db(value)
+
+    @pytest.mark.parametrize("value", [True, "10", None])
+    def test_sweep_rejects_non_numbers(self, value):
+        with pytest.raises(ValueError, match="^snr_db must be a real number"):
+            sweep([0.0, value])
+
+    @pytest.mark.parametrize("value", [10, 10.0, np.float32(10.0), np.int64(10)])
+    def test_db_entry_points_accept_real_numbers(self, value):
+        assert SnrPoint.from_db(value) == SnrPoint.from_db(10.0)
+        assert sweep([value]) == sweep([10.0])
+
     @pytest.mark.parametrize(
         "call",
         [

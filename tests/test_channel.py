@@ -131,6 +131,11 @@ class TestAddAwgn:
         with pytest.raises(ValueError, match="rng_seed must be a nonnegative int"):
             ChannelSpec(0.0, rng_seed=seed)
 
+    @pytest.mark.parametrize("value", [True, "10", None, 1j])
+    def test_rejects_snr_that_is_not_a_real_number(self, value):
+        with pytest.raises(ValueError, match="^es_over_n0_db must be a real number"):
+            ChannelSpec(value, rng_seed=1)
+
     def test_rejects_non_finite_snr(self):
         with pytest.raises(ValueError):
             ChannelSpec(math.inf, rng_seed=0)
@@ -188,3 +193,72 @@ class TestPathLoss:
         # in snr_at_distance or ChannelSpec.
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             PathLossModel(**{"alpha": 2.0, field: value})
+
+
+def as_planes(y) -> np.ndarray:
+    """A complex array as float64 planes: the real row, then the imaginary row."""
+    return np.stack((y.real, y.imag))
+
+
+class TestPlanes:
+    """Float64 planes get the noise of the complex form, drawn straight into the rows."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 7.5, 30.0])
+    def test_two_rows_bit_identical_to_complex_form(self, symbols, seed, snr_db):
+        y = symbols[:20_000]
+        spec = ChannelSpec(snr_db, rng_seed=seed)
+        expected = as_planes(add_awgn(y, spec)).tobytes()
+        for target in TARGETS:
+            got = awgn_into(target, as_planes(y), spec)
+            assert got.shape == (2, y.size) and got.dtype == np.float64, target
+            assert got.tobytes() == expected, target
+
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5])
+    @pytest.mark.parametrize("snr_db", [-10.0, 30.0])
+    def test_one_row_is_the_real_row_of_two(self, symbols, seed, snr_db):
+        planes = as_planes(symbols[:20_000])
+        spec = ChannelSpec(snr_db, rng_seed=seed)
+        for target in TARGETS:
+            one = awgn_into(target, planes[:1], spec)
+            assert one.tobytes() == add_awgn(planes, spec)[:1].tobytes(), target
+
+    def test_input_not_mutated(self, symbols):
+        planes = as_planes(symbols[:100])
+        add_awgn(planes, ChannelSpec(0.0, rng_seed=5), out=np.empty_like(planes))
+        assert np.array_equal(planes, as_planes(symbols[:100]))
+
+    def test_empty_planes(self):
+        for rows in (1, 2):
+            assert add_awgn(np.zeros((rows, 0)), ChannelSpec(3.0, rng_seed=9)).shape == (rows, 0)
+
+    @pytest.mark.parametrize(
+        "planes",
+        [
+            np.zeros((3, 8)),
+            np.zeros((0, 8)),
+            np.zeros((2, 16))[:, ::2],
+            np.zeros((2, 8), np.float32),
+        ],
+        ids=["three-rows", "no-rows", "strided", "float32"],
+    )
+    def test_rejects_malformed_planes(self, planes):
+        with pytest.raises(ValueError, match="planes must be one or two C-contiguous float64"):
+            add_awgn(planes, ChannelSpec(0.0, rng_seed=1))
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda: np.empty((2, 8), np.float32),
+            lambda: np.empty((2, 8), np.complex128),
+            lambda: np.empty((1, 8)),
+            lambda: np.empty(16),
+            lambda: np.empty((2, 16))[:, ::2],
+            lambda: np.broadcast_to(0.0, (2, 8)),
+            lambda: np.zeros((2, 8)).tolist(),
+        ],
+        ids=["float32", "complex128", "one-row", "flat", "strided", "read-only", "list"],
+    )
+    def test_rejects_unusable_out(self, make_out):
+        with pytest.raises(ValueError, match="out must be writable C-contiguous float64 planes"):
+            add_awgn(np.zeros((2, 8)), ChannelSpec(0.0, rng_seed=1), out=make_out())

@@ -231,6 +231,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="the SNR sweep sets the reference SNR"):
             small_config(path_loss=PathLossModel(alpha=2.0, snr_ref_db=10.0))
 
+    @pytest.mark.parametrize("value", [True, "10", None, 1j])
+    def test_rejects_sweep_value_that_is_not_a_real_number(self, value):
+        with pytest.raises(ValueError, match=r"^snr_sweep_db\[1\] must be a real number"):
+            small_config(snr_sweep_db=(0.0, value))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_sweep_value(self, value):
         with pytest.raises(ValueError, match="SNR sweep values must be finite"):
@@ -742,6 +747,7 @@ class TestStreamContract:
         # decoder's namer takes (symbols, scheme) and nothing more, so a call
         # that passes the decoder any other argument fails under tracing.
         names = []
+        bpsk_rows = []
 
         def wrap(fn, namer):
             @functools.wraps(fn)
@@ -752,20 +758,58 @@ class TestStreamContract:
             return traced
 
         def nearest_point(symbols, scheme):
+            if scheme.label == "bpsk":
+                bpsk_rows.append(len(symbols))
             return f"modem.nearest_point.{scheme.label}"
 
         monkeypatch.setattr(experiment, "add_awgn", wrap(add_awgn, "channel.add_awgn"))
         monkeypatch.setattr(
             experiment, "nearest_point_values", wrap(nearest_point_values, nearest_point)
         )
-        cfg = small_config(symbols_per_point=2 * BLOCK + 4097)
+        # Below about -40.1 dB the BPSK listener's noise can reach its
+        # decoder's outer imaginary bins, so it draws and decodes both planes
+        # there, and the real plane alone at 0 and 10 dB.
+        receivers = small_config().receivers + (ReceiverSpec("eve_bpsk", "bpsk"),)
+        cfg = small_config(
+            receivers=receivers,
+            snr_sweep_db=(-45.0, 0.0, 10.0),
+            symbols_per_point=2 * BLOCK + 4097,
+        )
         run_experiment(cfg)
         blocks = 3 * len(cfg.snr_sweep_db)
         assert Counter(names) == {
             "channel.add_awgn": blocks * len(cfg.receivers),
             "modem.nearest_point.qam16_circ": blocks,
             "modem.nearest_point.qam16_rect": blocks,
+            "modem.nearest_point.bpsk": blocks,
         }
+        assert Counter(bpsk_rows) == {2: 3, 1: 6}
+
+    def test_guard_band_coordinate_redoes_bpsk_block_on_both_planes(self, monkeypatch):
+        # One received symbol sits in BPSK's guard band at 0 with imaginary
+        # part 500, where the two-plane decision (0) differs from the
+        # real-plane one (1). The block must be redrawn and decoded on both.
+        decoded = []
+
+        def awgn_with_guard_band_symbol(symbols, spec, out=None):
+            out = add_awgn(symbols, spec, out=out)
+            out[0, 7] = -1e-12
+            if len(out) == 2:
+                out[1, 7] = 500.0
+            return out
+
+        def spy(symbols, scheme):
+            values = nearest_point_values(symbols, scheme)
+            decoded.append((len(symbols), int(values[7])))
+            return values
+
+        monkeypatch.setattr(experiment, "add_awgn", awgn_with_guard_band_symbol)
+        monkeypatch.setattr(experiment, "nearest_point_values", spy)
+        bpsk_only = (ReceiverSpec("eve_bpsk", "bpsk"),)
+        run_experiment(small_config(receivers=bpsk_only, snr_sweep_db=(10.0,)))
+        assert decoded == [(2, 0)]
+        received = np.array([-1e-12 + 500j, -1e-12 + 0j])
+        assert nearest_point_values(received, make_standard_scheme("bpsk")).tolist() == [0, 1]
 
     def test_single_block_sweep_starts_no_thread(self, monkeypatch):
         before = threading.active_count()

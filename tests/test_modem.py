@@ -17,9 +17,13 @@ from keyedmod.constellations import (
     random_key,
 )
 from keyedmod.modem import (
+    _DEMOD_CHUNK,
     _FAR_BOUND,
+    _GRID_BOUND,
+    _GRID_GUARD,
     _TABLE_BINS,
     _point_cell_table,
+    _real_axis_decides,
     _scheme_cell_table,
     bits_to_values,
     count_prefix_errors,
@@ -628,3 +632,114 @@ class TestKeyMismatch:
             s2 = make_keyed_scheme(base, random_key(16, 2 * seed + 1))
             rates.append(exact_mismatch_rate(s1, s2))
         assert abs(np.mean(rates) - 0.5) <= 0.02
+
+
+def as_planes(symbols) -> np.ndarray:
+    """A complex stream as float64 planes: the real row, then the imaginary row."""
+    y = np.asarray(symbols, dtype=np.complex128)
+    return np.stack((y.real, y.imag))
+
+
+def plane_test_symbols(scheme) -> np.ndarray:
+    """Edge, non-finite and far symbols, then noisy ones over three decode chunks."""
+    rng = np.random.default_rng(scheme.order + 1)
+    n = 2 * _DEMOD_CHUNK + 5
+    noisy = scheme.mapped_points[rng.integers(0, scheme.order, n)]
+    noisy = noisy + 0.4 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    return np.concatenate((axis_edge_symbols(scheme), far_symbols(scheme), noisy))
+
+
+class TestPlanes:
+    """Float64 planes decode as the complex stream they hold."""
+
+    @pytest.mark.parametrize("key_seed", [None, 9])
+    @pytest.mark.parametrize("name", ALL_SCHEMES)
+    def test_two_rows_equal_complex_form(self, name, key_seed):
+        scheme = keyed_scheme(name, key_seed)
+        symbols = plane_test_symbols(scheme)
+        got = nearest_point_values(as_planes(symbols), scheme)
+        expected = nearest_point_values(symbols, scheme)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("key_seed", [None, 9])
+    def test_one_row_decodes_imaginary_parts_of_zero(self, key_seed):
+        scheme = keyed_scheme("bpsk", key_seed)
+        real = plane_test_symbols(scheme).real
+        got = nearest_point_values(real[None, :].copy(), scheme)
+        assert np.array_equal(got, nearest_point_values(real + 0j, scheme))
+
+    def test_read_only_planes_decode(self):
+        scheme = make_standard_scheme("qam16_rect")
+        symbols = plane_test_symbols(scheme)
+        planes = as_planes(symbols)
+        planes.setflags(write=False)
+        assert np.array_equal(
+            nearest_point_values(planes, scheme), nearest_point_values(symbols, scheme)
+        )
+
+    @pytest.mark.parametrize(
+        "planes",
+        [
+            np.zeros((3, 8)),
+            np.zeros((0, 8)),
+            np.zeros((2, 16))[:, ::2],
+            np.zeros((8, 2)).T,
+            np.zeros((2, 8), np.float32),
+        ],
+        ids=["three-rows", "no-rows", "strided", "fortran", "float32"],
+    )
+    def test_rejects_malformed_planes(self, planes):
+        with pytest.raises(ValueError, match="planes must be one or two C-contiguous float64"):
+            nearest_point_values(planes, make_standard_scheme("bpsk"))
+
+    @pytest.mark.parametrize("name", ["qpsk", "qam16_rect", "qam16_circ"])
+    def test_one_row_needs_points_on_the_real_axis(self, name):
+        with pytest.raises(ValueError, match="one-row planes need a scheme"):
+            nearest_point_values(np.zeros((1, 4)), make_standard_scheme(name))
+
+
+class TestOnePlaneRule:
+    """A real row decides alone exactly when no coordinate is in a mixed real bin."""
+
+    # BPSK's pure real bins at imaginary part 0.0 are (-B, -g] and (g, B].
+    PURE = np.array(
+        [
+            np.nextafter(-_GRID_BOUND, 0.0),
+            -1.0,
+            -_GRID_GUARD,
+            np.nextafter(-_GRID_GUARD, -1.0),
+            np.nextafter(_GRID_GUARD, 1.0),
+            0.3,
+            _GRID_BOUND,
+        ]
+    )
+    MIXED = np.concatenate(
+        (
+            around([0.0, -1e-12, 1e-300]),
+            [_GRID_GUARD, np.nextafter(-_GRID_GUARD, 0.0), np.nextafter(_GRID_BOUND, np.inf)],
+            [-_GRID_BOUND, 1e300, -1e300, np.nan, np.inf, -np.inf],
+        )
+    )
+    IMAG = [-(_GRID_BOUND - 1e-9), -500.0, -1e-300, 0.0, 500.0, _GRID_BOUND - 1e-9]
+
+    @pytest.mark.parametrize("key_seed", [None, 9])
+    def test_pure_coordinates_decide_for_every_imaginary_part_in_reach(self, key_seed):
+        scheme = keyed_scheme("bpsk", key_seed)
+        assert _real_axis_decides(self.PURE, scheme)
+        one_row = nearest_point_values(self.PURE[None, :].copy(), scheme)
+        for imag in self.IMAG:
+            assert np.array_equal(one_row, nearest_point_values(self.PURE + 1j * imag, scheme))
+
+    @pytest.mark.parametrize("key_seed", [None, 9])
+    def test_one_mixed_coordinate_sends_the_row_to_both_planes(self, key_seed):
+        scheme = keyed_scheme("bpsk", key_seed)
+        for x in self.MIXED:
+            assert not _real_axis_decides(np.append(self.PURE, x), scheme), x
+
+    def test_imaginary_term_moves_a_guard_band_decision(self):
+        # Why the rule redoes mixed bins: there argmin adds y**2 to every
+        # distance, and rounding can change its decision.
+        bpsk = make_standard_scheme("bpsk")
+        assert nearest_point_values([-1e-12 + 500j], bpsk)[0] == 0
+        assert nearest_point_values([-1e-12 + 0j], bpsk)[0] == 1
