@@ -51,6 +51,22 @@ class ConsistencyError(ArithmeticError):
     """A closed form evaluated to NaN or to a probability outside [0, 1]."""
 
 
+def _db_float(snr_db) -> float:
+    """A real dB value as a float; an integer beyond float64 reads as -inf or inf."""
+    try:
+        return float(_check_real(snr_db, "snr_db"))
+    except OverflowError:
+        return math.inf if snr_db > 0 else -math.inf
+
+
+def _linear(snr_db: float) -> float:
+    """The linear ratio of a float dB value; ``inf`` where it exceeds float64."""
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class SnrPoint:
     """Linear Es/N0 ratio."""
@@ -64,11 +80,12 @@ class SnrPoint:
 
     @classmethod
     def from_db(cls, snr_db: float) -> "SnrPoint":
-        """Es/N0 from dB; above about 3083 dB it exceeds float64 and is ``inf``."""
-        try:
-            return cls(10.0 ** (float(_check_real(snr_db, "snr_db")) / 10.0))
-        except OverflowError:
-            return cls(math.inf)
+        """Es/N0 from dB.
+
+        Above about 3083 dB it exceeds float64 and is ``inf``; below about
+        -3236 dB it is 0. An integer beyond float64 counts as -inf or inf dB.
+        """
+        return cls(_linear(_db_float(snr_db)))
 
     @property
     def u(self) -> float:
@@ -293,7 +310,7 @@ def snr_grid_db(start: float, stop: float, step: float) -> list[float]:
 def sweep(snr_db_values) -> list[tuple[float, float, float]]:
     """Rows of (snr_db, p_correct, p_error) for the aggregate probability."""
     rows = []
-    for snr_db in snr_db_values:
-        p = p_correct_total(SnrPoint.from_db(snr_db))
-        rows.append((float(snr_db), p, 1.0 - p))
+    for snr_db in map(_db_float, snr_db_values):
+        p = p_correct_total(SnrPoint(_linear(snr_db)))
+        rows.append((snr_db, p, 1.0 - p))
     return rows

@@ -13,9 +13,15 @@ the imaginary coordinates. The planes form draws straight into its
 output rows, in the same order; a one-row plane holds the real axis
 alone and gets the real-axis noise of the two-row form.
 
+``add_awgn`` is the fill and the scale below, then the sum: the fill
+(``_noise_fill``) draws the unit normals into the rows in the order
+above, and the scale (``_scale_noise``) multiplies them by sigma in
+place. A sweep may run the two on different threads; it calls the same
+two pieces, so the draw order is stated here alone.
+
 ``add_awgn`` keeps no state, so threads may call it at once; a parallel
 sweep keeps its runs reproducible by seeding every block from its own
-key, never from the worker that draws it (see :mod:`keyedmod.experiment`).
+key, never from the thread that draws it (see :mod:`keyedmod.experiment`).
 An ``out`` array passed to ``add_awgn`` belongs to the caller, and two
 threads must not share one.
 """
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellations import _check_real
+from .constellations import _check_real, _is_finite
 
 __all__ = [
     "ChannelSpec",
@@ -51,7 +57,7 @@ class ChannelSpec:
     rng_seed: int | np.random.SeedSequence
 
     def __post_init__(self) -> None:
-        if not math.isfinite(_check_real(self.es_over_n0_db, "es_over_n0_db")):
+        if not _is_finite(_check_real(self.es_over_n0_db, "es_over_n0_db")):
             raise ValueError("es_over_n0_db must be finite")
         noise_spectral_density(self.es_over_n0_db)
         seed = self.rng_seed
@@ -137,17 +143,24 @@ def _as_planes(symbols) -> np.ndarray | None:
     return symbols
 
 
-def _draw_noise(rows: np.ndarray, spec: ChannelSpec) -> np.ndarray:
-    """Fill C-contiguous float64 ``rows`` with the spec's noise and return them.
+def _noise_fill(spec: ChannelSpec):
+    """The call that fills C-contiguous float64 rows with the spec's unit normals.
 
-    One ``standard_normal`` draw fills them in row-major order: row 0, the
-    real axis, takes the first draws, and row 1, the imaginary axis, the
-    next. y + sigma*z equals numpy's y + normal(0, sigma) = y + (0.0 + sigma*z)
+    ``_noise_fill(spec)(out=rows)`` makes one ``standard_normal`` draw in
+    row-major order: row 0, the real axis, takes the first draws, and row
+    1, the imaginary axis, the next. The call touches only its generator
+    and ``rows``, so it may run on another thread than the one that made it.
+    """
+    return np.random.default_rng(spec.rng_seed).standard_normal
+
+
+def _scale_noise(rows: np.ndarray, spec: ChannelSpec) -> None:
+    """Scale unit normals in ``rows`` in place to the spec's noise.
+
+    y + sigma*z equals numpy's y + normal(0, sigma) = y + (0.0 + sigma*z)
     but for the sign of an exact zero.
     """
-    np.random.default_rng(spec.rng_seed).standard_normal(out=rows)
     rows *= _sigma(spec.es_over_n0_db)
-    return rows
 
 
 def add_awgn(symbols, spec: ChannelSpec, out=None) -> np.ndarray:
@@ -180,7 +193,8 @@ def add_awgn(symbols, spec: ChannelSpec, out=None) -> np.ndarray:
             )
         elif np.may_share_memory(planes, out):
             planes = planes.copy()
-        _draw_noise(out, spec)
+        _noise_fill(spec)(out=out)
+        _scale_noise(out, spec)
         out += planes
         return out
     y = np.asarray(symbols, dtype=np.complex128)
@@ -193,7 +207,9 @@ def add_awgn(symbols, spec: ChannelSpec, out=None) -> np.ndarray:
         and out.flags.writeable
     ):
         raise ValueError(f"out must be a writable complex128 array of shape {y.shape}")
-    noise = _draw_noise(np.empty((2, *y.shape)), spec)
+    noise = np.empty((2, *y.shape))
+    _noise_fill(spec)(out=noise)
+    _scale_noise(noise, spec)
     np.add(y.real, noise[0], out=out.real)
     np.add(y.imag, noise[1], out=out.imag)
     return out

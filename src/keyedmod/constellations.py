@@ -103,6 +103,14 @@ def _check_real(value, field: str):
     return value
 
 
+def _is_finite(value) -> bool:
+    """Whether a real number is finite in float64; an integer beyond its range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class MappingKey:
     """Permutation of point indices; ``perm[b]`` is the point assigned to bit value ``b``."""

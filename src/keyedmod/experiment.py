@@ -17,10 +17,17 @@ bit-reproducible, adding, removing, or reordering receivers never
 perturbs the other series, and blocks may run on worker threads in any
 order: neither memory nor worker count changes a record. The record
 list is canonically ordered before persistence.
+
+A sweep runs on at most two threads (see :func:`run_experiment`): a
+pool for blocks, or, when a point fits in one block, a helper that draws
+the next point's unit normals while the caller decodes. Each draw comes
+from its own block's generator whichever thread makes it.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import csv
 import hashlib
 import json
@@ -36,7 +43,9 @@ from .analytic import snr_grid_db, sweep as analytic_sweep
 from .channel import (
     ChannelSpec,
     PathLossModel,
+    _noise_fill,
     _noise_reach,
+    _scale_noise,
     add_awgn,
     noise_spectral_density,
     snr_at_distance,
@@ -46,6 +55,7 @@ from .constellations import (
     MappingKey,
     _check_real,
     _integer,
+    _is_finite,
     make_keyed_scheme,
     make_standard_scheme,
     parse_key,
@@ -187,11 +197,10 @@ class ExperimentConfig:
         if not self.snr_sweep_db:
             raise ValueError("SNR sweep must not be empty")
         for i, snr_db in enumerate(self.snr_sweep_db):
-            _check_real(snr_db, f"snr_sweep_db[{i}]")
-        if not all(math.isfinite(s) for s in self.snr_sweep_db):
-            raise ValueError(
-                f"SNR sweep values must be finite, got {list(self.snr_sweep_db)}"
-            )
+            if not _is_finite(_check_real(snr_db, f"snr_sweep_db[{i}]")):
+                raise ValueError(
+                    f"SNR sweep values must be finite; snr_sweep_db[{i}] is not"
+                )
         if list(self.snr_sweep_db) != sorted(self.snr_sweep_db):
             raise ValueError("SNR sweep must be sorted ascending")
         if self.sweep_mode not in ("receive", "reference"):
@@ -455,27 +464,98 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _fill(jobs) -> None:
+    """Make the draws of the ``(fill, rows)`` jobs in deque ``jobs`` until it is empty.
+
+    Each job leaves the deque through one thread-safe ``popleft``, so two
+    threads may work on one deque and each draw is made once.
+    """
+    while True:
+        try:
+            fill, rows = jobs.popleft()
+        except IndexError:
+            return
+        fill(out=rows)
+
+
+@contextlib.contextmanager
+def _draw_ahead(threaded: bool):
+    """Yield ``start(jobs)`` and ``finish(jobs)`` for a deque of ``(fill, rows)`` jobs.
+
+    A job's draw is ``fill(out=rows)``. Threaded, ``start`` hands the jobs
+    to one helper thread, which makes their draws and does nothing else:
+    it allocates no array and runs no numpy arithmetic, so it takes the
+    interpreter lock only to make the calls, and each draw runs while the
+    caller holds it. ``finish`` makes the draws the helper has not begun,
+    waits for the helper, and raises what its draws raised. The helper is
+    joined on the way out, on success and on error. Unthreaded, ``start``
+    does nothing and ``finish`` makes every draw.
+    """
+    if not threaded:
+        yield (lambda jobs: None), _fill
+        return
+    import queue
+
+    jobs_in, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def helper():
+        while (jobs := jobs_in.get()) is not None:
+            try:
+                _fill(jobs)
+            except BaseException as exc:
+                done.put(exc)
+            else:
+                done.put(None)
+
+    def finish(jobs):
+        _fill(jobs)
+        exc = done.get()
+        if exc is not None:
+            raise exc
+
+    thread = threading.Thread(target=helper, name="keyedmod-fill", daemon=True)
+    thread.start()
+    try:
+        yield jobs_in.put, finish
+    finally:
+        jobs_in.put(None)
+        thread.join()
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
     """Run the full sweep and return records ordered by (receiver, SNR).
 
-    Blocks run on one pool of ``min(2, usable CPUs)`` threads, started
-    only when a sweep point has more than one block. The records do not
-    depend on the number of threads. Each worker (a pool thread, or the
-    caller when the sweep runs serially) makes one pair of float64 planes
-    buffers, sent and received, on its first block and reuses it for
-    every later block and receiver; the buffers die with the call.
+    It runs on at most ``min(2, usable CPUs)`` threads, the caller's among
+    them; none outlives the call, and the records do not depend on their
+    number. All buffers die with the call.
+
+    A sweep whose points have more than one block runs its blocks on a
+    pool. Each pool thread (or the caller, with one usable CPU) reuses one
+    pair of float64 planes buffers, sent and received, for every block
+    and receiver.
+
+    A sweep whose points fit in one block draws ahead: while the caller
+    works on one point, one helper thread fills every receiver's rows for
+    the next point with unit normals (:func:`_draw_ahead`). The caller
+    does the rest: the values and sent planes, each noise generator, the
+    scale and sum, the decode and count, and any fill the helper has not
+    begun when the caller needs the rows. It draws the first point's noise
+    itself with ``add_awgn``. With one usable CPU or one sweep point no
+    helper starts, and the same loop makes the fills inline. Two sets of
+    received rows, one (2, n) pair per receiver each, take turns.
 
     A receiver whose points all lie on the real axis draws and decodes
     the real plane alone where its noise cannot reach the decoder's outer
-    imaginary bins, and redoes a block on both planes when a real
-    coordinate lands in a mixed real bin (the one-plane rule in
-    :mod:`keyedmod.modem`). The real axis is drawn first either way, so
-    every record is the same.
+    imaginary bins, and redoes a block on both planes with ``add_awgn``
+    when a real coordinate lands in a mixed real bin (the one-plane rule
+    in :mod:`keyedmod.modem`). The real axis is drawn first either way,
+    so every record is the same.
     """
     workers = min(_MAX_WORKERS, _usable_cpus())
     sender, rx_schemes = cfg.resolve_schemes()
     m_tx = sender.bits_per_symbol
     n_sym = cfg.symbols_per_point
+    n_points = len(cfg.snr_sweep_db)
     tx_axes = (sender.mapped_points.real, sender.mapped_points.imag)
     tx_imag_reach = float(np.abs(sender.mapped_points.imag).max())
     tx_dtype = value_dtype(m_tx)
@@ -484,61 +564,112 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
         [cfg._effective_snr_db(snr_db, spec) for spec in cfg.receivers]
         for snr_db in cfg.snr_sweep_db
     ]
+    plane_counts = [
+        [
+            1 if tx_imag_reach + _noise_reach(eff_snr) < _one_plane_reach(rx_scheme) else 2
+            for eff_snr, rx_scheme in zip(snrs, rx_schemes)
+        ]
+        for snrs in eff_snrs
+    ]
 
-    worker = threading.local()
-    width = min(_BLOCK, n_sym)
+    def noise_specs(sweep_idx, block):
+        return [
+            ChannelSpec(eff_snr, _substream(cfg.seed, sweep_idx, _NOISE_LANE, word, block))
+            for eff_snr, word in zip(eff_snrs[sweep_idx], label_words)
+        ]
 
-    def block_counts(task):
-        sweep_idx, block = task
-        size = min(_BLOCK, n_sym - block * _BLOCK)
-        if not hasattr(worker, "buffers"):
-            worker.buffers = tuple(np.empty(2 * width) for _ in range(2))
-        # Flat buffers reshaped per block keep a ragged last block C-contiguous.
-        sent, received = (buffer[: 2 * size].reshape(2, size) for buffer in worker.buffers)
+    def block_counts(sweep_idx, block, sent, received, specs, drawn):
+        """Error counts of every receiver on one block.
+
+        ``received[r]`` holds receiver r's (2, size) rows. If ``drawn``,
+        they already hold its unit normals, as many rows as it has planes;
+        otherwise ``add_awgn`` draws its noise into them here.
+        """
         value_rng = np.random.default_rng(
             _substream(cfg.seed, sweep_idx, _VALUE_LANE, 0, block)
         )
-        tx_values = value_rng.integers(0, sender.order, size, dtype=tx_dtype)
+        tx_values = value_rng.integers(0, sender.order, sent.shape[1], dtype=tx_dtype)
         # The values lie in range by construction; "clip" writes straight into
         # ``sent``, where the default "raise" would fill a temporary copy first.
         for axis, row in zip(tx_axes, sent):
             np.take(axis, tx_values, out=row, mode="clip")
         counts = []
-        for eff_snr, label_word, rx_scheme in zip(
-            eff_snrs[sweep_idx], label_words, rx_schemes
+        for spec, rows, planes, rx_scheme in zip(
+            specs, received, plane_counts[sweep_idx], rx_schemes
         ):
-            noise = _substream(cfg.seed, sweep_idx, _NOISE_LANE, label_word, block)
-            spec = ChannelSpec(eff_snr, noise)
-            reach = tx_imag_reach + _noise_reach(eff_snr)
-            planes = 1 if reach < _one_plane_reach(rx_scheme) else 2
-            add_awgn(sent[:planes], spec, out=received[:planes])
-            if planes == 1 and not _real_axis_decides(received[0], rx_scheme):
+            if drawn:
+                _scale_noise(rows[:planes], spec)
+                rows[:planes] += sent[:planes]
+            else:
+                add_awgn(sent[:planes], spec, out=rows[:planes])
+            if planes == 1 and not _real_axis_decides(rows[0], rx_scheme):
                 planes = 2
-                add_awgn(sent, spec, out=received)
-            rx_values = nearest_point_values(received[:planes], rx_scheme)
+                add_awgn(sent, spec, out=rows)
+            rx_values = nearest_point_values(rows[:planes], rx_scheme)
             counts.append(
                 count_prefix_errors(tx_values, m_tx, rx_values, rx_scheme.bits_per_symbol)
             )
-        return sweep_idx, counts
+        return counts
 
-    n_blocks = -(-n_sym // _BLOCK)
-    tasks = [(s, b) for s in range(len(cfg.snr_sweep_db)) for b in range(n_blocks)]
-    pool = None
-    if n_blocks > 1 and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(
-            min(workers, len(tasks)), thread_name_prefix="keyedmod-block"
-        )
     totals = [[[0, 0] for _ in cfg.receivers] for _ in cfg.snr_sweep_db]
-    try:
-        for sweep_idx, counts in (pool.map if pool else map)(block_counts, tasks):
-            for total, (bit_errors, symbol_errors) in zip(totals[sweep_idx], counts):
-                total[0] += bit_errors
-                total[1] += symbol_errors
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+
+    def add_counts(sweep_idx, counts):
+        for total, (bit_errors, symbol_errors) in zip(totals[sweep_idx], counts):
+            total[0] += bit_errors
+            total[1] += symbol_errors
+
+    if n_sym <= _BLOCK:
+        sent = np.empty((2, n_sym))
+        received = np.empty((min(2, n_points), len(rx_schemes), 2, n_sym))
+        specs = noise_specs(0, 0)
+        with _draw_ahead(workers > 1 and n_points > 1) as (start, finish):
+            for sweep_idx in range(n_points):
+                ahead = sweep_idx + 1
+                if ahead < n_points:
+                    ahead_specs = noise_specs(ahead, 0)
+                    jobs = collections.deque(
+                        (_noise_fill(spec), pair[:planes])
+                        for spec, pair, planes in zip(
+                            ahead_specs, received[ahead % 2], plane_counts[ahead]
+                        )
+                    )
+                    start(jobs)
+                counts = block_counts(
+                    sweep_idx, 0, sent, received[sweep_idx % 2], specs, drawn=sweep_idx > 0
+                )
+                add_counts(sweep_idx, counts)
+                if ahead < n_points:
+                    finish(jobs)
+                    specs = ahead_specs
+    else:
+        worker = threading.local()
+
+        def pool_block(task):
+            sweep_idx, block = task
+            size = min(_BLOCK, n_sym - block * _BLOCK)
+            if not hasattr(worker, "buffers"):
+                worker.buffers = tuple(np.empty(2 * _BLOCK) for _ in range(2))
+            # Flat buffers reshaped per block keep a ragged last block C-contiguous.
+            sent, received = (b[: 2 * size].reshape(2, size) for b in worker.buffers)
+            specs = noise_specs(sweep_idx, block)
+            rows = [received] * len(specs)
+            return sweep_idx, block_counts(sweep_idx, block, sent, rows, specs, drawn=False)
+
+        n_blocks = -(-n_sym // _BLOCK)
+        tasks = [(s, b) for s in range(n_points) for b in range(n_blocks)]
+        pool = None
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(
+                min(workers, len(tasks)), thread_name_prefix="keyedmod-block"
+            )
+        try:
+            for sweep_idx, counts in (pool.map if pool else map)(pool_block, tasks):
+                add_counts(sweep_idx, counts)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
     records = []
     for snrs, point_totals in zip(eff_snrs, totals):

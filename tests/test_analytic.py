@@ -180,6 +180,30 @@ class TestSnrPoint:
         assert sweep([value]) == sweep([10.0])
 
     @pytest.mark.parametrize(
+        "snr_db, es_over_n0",
+        [
+            (-(10**400), 0.0),
+            (10**400, math.inf),
+            (-4000.0, 0.0),
+            (4000.0, math.inf),
+            (-math.inf, 0.0),
+            (math.inf, math.inf),
+        ],
+        ids=["int-below-float64", "int-above-float64", "-4000", "4000", "-inf", "inf"],
+    )
+    def test_from_db_beyond_float64(self, snr_db, es_over_n0):
+        assert SnrPoint.from_db(snr_db).es_over_n0 == es_over_n0
+
+    def test_sweep_reads_integers_beyond_float64_as_infinite_db(self):
+        rows = sweep([-(10**400), 10**400])
+        assert rows == sweep([-math.inf, math.inf])
+        assert [row[0] for row in rows] == [-math.inf, math.inf]
+        assert [row[1] for row in rows] == [
+            p_correct_total(SnrPoint(0.0)),
+            p_correct_total(SnrPoint(math.inf)),
+        ]
+
+    @pytest.mark.parametrize(
         "call",
         [
             lambda snr: p_correct_symbol(0, snr),

@@ -140,6 +140,11 @@ class TestAddAwgn:
         with pytest.raises(ValueError):
             ChannelSpec(math.inf, rng_seed=0)
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["above", "below"])
+    def test_rejects_integer_snr_beyond_float64(self, value):
+        with pytest.raises(ValueError, match="^es_over_n0_db must be finite"):
+            ChannelSpec(value, rng_seed=0)
+
     def test_rejects_snr_whose_noise_density_overflows(self):
         with pytest.raises(ValueError, match=r"-4000\.0 dB"):
             ChannelSpec(-4000.0, rng_seed=0)

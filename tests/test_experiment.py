@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyedmod import experiment
+from keyedmod import channel, experiment
 from keyedmod.analytic import SnrPoint, p_correct_all_symbols
 from keyedmod.channel import ChannelSpec, PathLossModel, add_awgn
 from keyedmod.constellations import (
@@ -239,6 +239,11 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_sweep_value(self, value):
         with pytest.raises(ValueError, match="SNR sweep values must be finite"):
+            small_config(snr_sweep_db=(0.0, value))
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["above", "below"])
+    def test_rejects_integer_sweep_value_beyond_float64(self, value):
+        with pytest.raises(ValueError, match=r"finite; snr_sweep_db\[1\] is not"):
             small_config(snr_sweep_db=(0.0, value))
 
     @pytest.mark.parametrize(
@@ -537,6 +542,25 @@ def pool_threads():
     return [t for t in threading.enumerate() if t.name.startswith("keyedmod-block")]
 
 
+def fill_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("keyedmod-fill")]
+
+
+def one_block_sweep(points=26, **overrides):
+    """The paper roster over ``points`` sweep values at one block per point."""
+    receivers = small_config().receivers + (
+        ReceiverSpec("eve_qpsk", "qpsk"),
+        ReceiverSpec("eve_bpsk", "bpsk"),
+    )
+    base = dict(
+        receivers=receivers,
+        snr_sweep_db=tuple(float(v) for v in range(points)),
+        symbols_per_point=10_000,
+    )
+    base.update(overrides)
+    return small_config(**base)
+
+
 def set_thread_budget(monkeypatch, max_workers, usable_cpus):
     monkeypatch.setattr(experiment, "_MAX_WORKERS", max_workers)
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: usable_cpus)
@@ -677,19 +701,21 @@ class TestStreamContract:
         assert experiment.RNG_STREAM == 2
 
     def test_workers_do_not_change_records(self, monkeypatch):
-        # Three blocks, the last one ragged; three workers outnumber the
-        # cores of a small host, and a short switch interval interleaves them.
-        cfg = small_config(symbols_per_point=2 * BLOCK + 4097)
-        set_thread_budget(monkeypatch, 1, 1)
-        serial = run_experiment(cfg)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (2, 3):
-                set_thread_budget(monkeypatch, workers, workers)
-                assert run_experiment(cfg) == serial
-        finally:
-            sys.setswitchinterval(interval)
+        # Three blocks, the last one ragged, run on the block pool; 26
+        # one-block points draw their noise ahead on a helper thread. Three
+        # workers outnumber the cores of a small host, and a short switch
+        # interval interleaves the threads.
+        for cfg in (small_config(symbols_per_point=2 * BLOCK + 4097), one_block_sweep()):
+            set_thread_budget(monkeypatch, 1, 1)
+            serial = run_experiment(cfg)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for workers in (2, 3):
+                    set_thread_budget(monkeypatch, workers, workers)
+                    assert run_experiment(cfg) == serial
+            finally:
+                sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("usable_cpus", [1, 2, 8])
     def test_pool_holds_at_most_two_usable_cpus(self, monkeypatch, usable_cpus):
@@ -811,17 +837,135 @@ class TestStreamContract:
         received = np.array([-1e-12 + 500j, -1e-12 + 0j])
         assert nearest_point_values(received, make_standard_scheme("bpsk")).tolist() == [0, 1]
 
-    def test_single_block_sweep_starts_no_thread(self, monkeypatch):
-        before = threading.active_count()
-        decoding_threads = set()
+    def test_guard_band_coordinate_redoes_drawn_ahead_bpsk_block(self, monkeypatch):
+        # As above, over two one-block points: the first point's noise is
+        # drawn with add_awgn on the caller, the second's ahead of it on the
+        # helper. Before the real-axis check, the received real row gets a
+        # guard-band coordinate; each redo draws both planes with add_awgn.
+        awgn_rows = []
+        decoded = []
+
+        def awgn_with_guard_band_symbol(symbols, spec, out=None):
+            awgn_rows.append(len(symbols))
+            out = add_awgn(symbols, spec, out=out)
+            out[0, 7] = -1e-12
+            if len(out) == 2:
+                out[1, 7] = 500.0
+            return out
+
+        def guard_band_check(real, scheme):
+            real[7] = -1e-12
+            return real_axis_decides(real, scheme)
 
         def spy(symbols, scheme):
-            decoding_threads.add((threading.current_thread().name, threading.active_count()))
+            values = nearest_point_values(symbols, scheme)
+            decoded.append((len(symbols), int(values[7])))
+            return values
+
+        real_axis_decides = experiment._real_axis_decides
+        monkeypatch.setattr(experiment, "add_awgn", awgn_with_guard_band_symbol)
+        monkeypatch.setattr(experiment, "_real_axis_decides", guard_band_check)
+        monkeypatch.setattr(experiment, "nearest_point_values", spy)
+        set_thread_budget(monkeypatch, 2, 2)
+        bpsk_only = (ReceiverSpec("eve_bpsk", "bpsk"),)
+        run_experiment(small_config(receivers=bpsk_only, snr_sweep_db=(10.0, 20.0)))
+        assert awgn_rows == [1, 2, 2]
+        assert decoded == [(2, 0), (2, 0)]
+
+    @pytest.mark.parametrize(
+        "usable_cpus, points", [(1, 26), (2, 26), (8, 26), (2, 1)]
+    )
+    def test_draw_ahead_decodes_on_the_caller(
+        self, monkeypatch, usable_cpus, points
+    ):
+        set_thread_budget(monkeypatch, experiment._MAX_WORKERS, usable_cpus)
+        cfg = one_block_sweep(points)
+        before = threading.active_count()
+        caller_threads = Counter()
+        fill_threads_seen = set()
+        most_helpers = 0
+
+        def on_caller(name, fn):
+            def spy(*args):
+                nonlocal most_helpers
+                caller_threads[name, threading.current_thread().name] += 1
+                most_helpers = max(most_helpers, len(fill_threads()))
+                return fn(*args)
+
+            return spy
+
+        def noise_fill(spec):
+            fill = channel._noise_fill(spec)
+
+            def spy(out):
+                fill_threads_seen.add(threading.current_thread().name)
+                return fill(out=out)
+
+            return spy
+
+        for name in ("nearest_point_values", "count_prefix_errors"):
+            monkeypatch.setattr(experiment, name, on_caller(name, getattr(experiment, name)))
+        monkeypatch.setattr(experiment, "_noise_fill", noise_fill)
+        records = run_experiment(cfg)
+        main = threading.main_thread().name
+        blocks = points * len(cfg.receivers)
+        assert caller_threads == {
+            ("nearest_point_values", main): blocks,
+            ("count_prefix_errors", main): blocks,
+        }
+        helper = usable_cpus > 1 and points > 1
+        assert most_helpers == int(helper)
+        assert fill_threads_seen <= {main, "keyedmod-fill"}
+        if not helper:
+            assert fill_threads_seen <= {main}
+        assert fill_threads() == []
+        assert threading.active_count() == before
+        assert records == bit_domain_records(cfg)
+
+    def test_fill_helper_exception_propagates(self, monkeypatch):
+        # Draws fail on the helper alone, and the caller's first decode waits
+        # until one has, so the error can reach the caller only from the helper.
+        helper_began = threading.Event()
+
+        def broken_fill(spec):
+            fill = channel._noise_fill(spec)
+
+            def spy(out):
+                if threading.current_thread().name == "keyedmod-fill":
+                    helper_began.set()
+                    raise RuntimeError("fill failed")
+                return fill(out=out)
+
+            return spy
+
+        def waiting_decoder(symbols, scheme):
+            assert helper_began.wait(10.0)
             return nearest_point_values(symbols, scheme)
 
-        monkeypatch.setattr(experiment, "nearest_point_values", spy)
-        run_experiment(small_config(symbols_per_point=10_000))
-        assert decoding_threads == {(threading.main_thread().name, before)}
+        monkeypatch.setattr(experiment, "_noise_fill", broken_fill)
+        monkeypatch.setattr(experiment, "nearest_point_values", waiting_decoder)
+        set_thread_budget(monkeypatch, 2, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="fill failed"):
+            run_experiment(one_block_sweep(3))
+        assert helper_began.is_set()
+        assert fill_threads() == []
+        assert threading.active_count() == before
+
+    def test_caller_exception_leaves_no_fill_thread(self, monkeypatch):
+        helpers_at_raise = []
+
+        def broken(symbols, scheme):
+            helpers_at_raise.append(len(fill_threads()))
+            raise RuntimeError("decoder failed")
+
+        monkeypatch.setattr(experiment, "nearest_point_values", broken)
+        set_thread_budget(monkeypatch, 2, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="decoder failed"):
+            run_experiment(one_block_sweep(3))
+        assert helpers_at_raise == [1]
+        assert fill_threads() == []
         assert threading.active_count() == before
 
     def test_worker_exception_propagates_and_leaves_no_thread(self, monkeypatch):
@@ -895,6 +1039,22 @@ class TestStreamContract:
         small, large = peak_mb(2**18), peak_mb(2**21)
         assert large < 16.0
         assert abs(large - small) <= 2.0
+
+    def test_peak_memory_of_a_one_block_sweep(self, monkeypatch):
+        # Sent planes and two sets of received rows, one (2, n) pair per
+        # receiver each: (1 + 2 * 4) * 2 * 2**16 * 8 bytes = 9 MiB at the
+        # largest one-block budget, plus up to 3 MiB for the decoder's chunk
+        # scratch (2.4 MiB measured). A third set would add 4 MiB.
+        cfg = one_block_sweep(symbols_per_point=BLOCK)
+        set_thread_budget(monkeypatch, 2, 2)
+        run_experiment(replace(cfg, snr_sweep_db=(0.0,)))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 12.0
 
 
 class TestBerRecord:
