@@ -14,9 +14,14 @@ cells are derived once, from ``QAM16_RECT_GRID``, and one interval
 kernel serves that oracle and the all-symbol average
 (:func:`p_correct_all_symbols`).
 
-A call evaluates each distinct term once: the four closed forms share
-seven erfc values, and the sixteen labels' 32 axis intervals take 20
-distinct values. Nothing is cached between calls.
+A call evaluates each distinct term once. The four closed forms share
+seven erfc values. The sixteen labels' 32 axis intervals take 20
+distinct terms: 5 open below, 5 open above and 10 two-sided, or 30
+erfc calls. Those take 24 distinct arguments, since a cell's upper edge
+is the next cell's lower edge. An interval plan, built once from the
+terms, sorts them by kind and lists, per term, its one or two distinct
+arguments, and one kernel evaluates a plan. Nothing is cached between
+calls.
 """
 
 from __future__ import annotations
@@ -24,13 +29,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .constellations import (
     QAM16_AMPLITUDE,
     QAM16_CIRC_GRID,
     QAM16_RECT_GRID,
-    _check_real,
     _integer,
+    _real_float,
 )
 
 __all__ = [
@@ -51,14 +59,6 @@ class ConsistencyError(ArithmeticError):
     """A closed form evaluated to NaN or to a probability outside [0, 1]."""
 
 
-def _db_float(snr_db) -> float:
-    """A real dB value as a float; an integer beyond float64 reads as -inf or inf."""
-    try:
-        return float(_check_real(snr_db, "snr_db"))
-    except OverflowError:
-        return math.inf if snr_db > 0 else -math.inf
-
-
 def _linear(snr_db: float) -> float:
     """The linear ratio of a float dB value; ``inf`` where it exceeds float64."""
     try:
@@ -67,16 +67,33 @@ def _linear(snr_db: float) -> float:
         return math.inf
 
 
+def _check_es_over_n0(x: float) -> float:
+    """``x`` if it is a usable linear Es/N0; NaN and negatives raise."""
+    if not x >= 0:
+        raise ValueError(f"Es/N0 must be >= 0, got {x}")
+    return x
+
+
+def _erfc_scale(es_over_n0: float) -> float:
+    """u = sqrt(Es/(10*N0)): table coordinates times u feed erfc."""
+    return math.sqrt(es_over_n0 / 10.0)
+
+
 @dataclass(frozen=True)
 class SnrPoint:
-    """Linear Es/N0 ratio."""
+    """Linear Es/N0 ratio, held as a Python float.
+
+    A narrower float is widened exactly, and an integer beyond float64
+    reads as -inf or inf, so ``SnrPoint(10**400)`` is the noiseless limit.
+    """
 
     es_over_n0: float
 
     def __post_init__(self) -> None:
-        x = _check_real(self.es_over_n0, "Es/N0")
-        if not x >= 0:
-            raise ValueError(f"Es/N0 must be >= 0, got {x}")
+        x = _real_float(self.es_over_n0, "Es/N0")
+        if x is not self.es_over_n0:
+            object.__setattr__(self, "es_over_n0", x)
+        _check_es_over_n0(x)
 
     @classmethod
     def from_db(cls, snr_db: float) -> "SnrPoint":
@@ -85,12 +102,12 @@ class SnrPoint:
         Above about 3083 dB it exceeds float64 and is ``inf``; below about
         -3236 dB it is 0. An integer beyond float64 counts as -inf or inf dB.
         """
-        return cls(_linear(_db_float(snr_db)))
+        return cls(_linear(_real_float(snr_db, "snr_db")))
 
     @property
     def u(self) -> float:
         """Common erfc scale sqrt(Es/(10*N0)): table coordinates times u feed erfc."""
-        return math.sqrt(self.es_over_n0 / 10.0)
+        return _erfc_scale(self.es_over_n0)
 
 
 # The grid decoder's cells, one axis at a time: each distinct grid level
@@ -173,6 +190,12 @@ def p_correct_symbol(i: int, snr: SnrPoint) -> float:
     return _closed_forms(snr.u)[i]
 
 
+def _total(u: float) -> float:
+    """Clamped mean of the four closed forms at erfc scale ``u``."""
+    c0, c1, c2, c3 = _closed_forms(u)
+    return _check_prob((c0 + c1 + c2 + c3) / 4.0, "aggregate")
+
+
 def p_correct_total(snr: SnrPoint) -> float:
     """Mean correct-decode probability over the four representative symbols.
 
@@ -182,8 +205,7 @@ def p_correct_total(snr: SnrPoint) -> float:
     geometries and are covered exactly by
     :func:`p_correct_all_symbols`.
     """
-    c0, c1, c2, c3 = _closed_forms(snr.u)
-    return _check_prob((c0 + c1 + c2 + c3) / 4.0, "aggregate")
+    return _total(snr.u)
 
 
 def _check_label(bit_value: int) -> int:
@@ -205,11 +227,6 @@ _ALL_SYMBOL_CELLS = tuple(
     for tx, grid in ((circular_tx_point(v), QAM16_RECT_GRID[v]) for v in range(16))
 )
 
-# The cells' 32 axis entries take 20 distinct values, and the all-symbol
-# average evaluates each once: per label, the indices of its re and im term.
-_AXIS_TERMS = tuple(dict.fromkeys(term for cell in _ALL_SYMBOL_CELLS for term in cell))
-_LABEL_TERMS = tuple(tuple(map(_AXIS_TERMS.index, cell)) for cell in _ALL_SYMBOL_CELLS)
-
 
 def _noise_scale(snr: SnrPoint) -> float:
     """q = 1/sqrt(N0) at Es = 1: 0 at Es/N0 = 0 (N0 infinite), inf at Es/N0 = inf."""
@@ -217,29 +234,98 @@ def _noise_scale(snr: SnrPoint) -> float:
     return math.inf if n0 == 0 else 1.0 / math.sqrt(n0)
 
 
-def _interval_probabilities(terms, scale: float, q: float) -> list[float]:
-    """P(lo < coordinate * scale + n < hi) per ``(coordinate, lo, hi)`` term.
+class _IntervalPlan(NamedTuple):
+    """The erfc work of a list of ``(coordinate, lo, hi)`` interval terms, by kind.
 
-    n ~ N(0, N0/2), lo < hi and q = 1/sqrt(N0). Each mean is finite and
-    at most one bound is infinite, as in every grid cell. One-sided terms
-    lie in [0, 1] and the two-sided one is clamped at 0. At q = inf (no
-    noise) each is the limit: 1 inside, 0 outside, and erfc(0) / 2 for a
-    mean on an edge, where (edge - mean) * q is 0 * inf.
+    ``above`` lists the distinct ``(coordinate, bound)`` arguments of
+    erfc((bound - mean) * q), twice the chance of landing above
+    ``bound``. A term open below is ``(k, coordinate, hi)`` in
+    ``open_below``, a term open above ``(k, i)`` in ``open_above``, and a
+    two-sided term ``(k, i, j)`` in ``two_sided``: ``k`` is the term's
+    place in ``terms``, and ``i`` and ``j`` index the ``above`` arguments
+    of its lo and hi.
     """
-    probs = []
-    for coordinate, lo, hi in terms:
-        mean = coordinate * scale
-        if q == math.inf:
-            p = 1.0 if lo < mean < hi else 0.5 if mean in (lo, hi) else 0.0
-        elif lo == -math.inf:
-            p = 0.5 * math.erfc((mean - hi) * q)
-        elif hi == math.inf:
-            p = 0.5 * math.erfc((lo - mean) * q)
+
+    terms: tuple
+    above: tuple
+    open_below: tuple
+    open_above: tuple
+    two_sided: tuple
+
+
+def _interval_plan(terms) -> _IntervalPlan:
+    """The plan of ``(coordinate, lo, hi)`` terms, lo < hi, at most one bound infinite.
+
+    Equal ``above`` arguments of different terms, such as one cell's
+    upper edge and the next cell's lower edge at the same coordinate, are
+    listed once. A term open below keeps its own argument, erfc((mean -
+    hi) * q): no other distinct term reads it.
+    """
+    terms = tuple(terms)
+    above = {}  # each distinct argument -> its index
+    open_below, open_above, two_sided = [], [], []
+    for k, (c, lo, hi) in enumerate(terms):
+        if lo == -math.inf:
+            open_below.append((k, c, hi))
+            continue
+        i = above.setdefault((c, lo), len(above))
+        if hi == math.inf:
+            open_above.append((k, i))
         else:
-            p = 0.5 * (math.erfc((lo - mean) * q) - math.erfc((hi - mean) * q))
-            p = max(p, 0.0)
-        probs.append(p)
+            two_sided.append((k, i, above.setdefault((c, hi), len(above))))
+    return _IntervalPlan(
+        terms, tuple(above), tuple(open_below), tuple(open_above), tuple(two_sided)
+    )
+
+
+def _interval_probabilities(plan: _IntervalPlan, scale: float, q: float) -> list[float]:
+    """P(lo < coordinate * scale + n < hi) per term of ``plan``.
+
+    n ~ N(0, N0/2) and q = 1/sqrt(N0). Each mean is finite. Each distinct
+    erfc argument is evaluated once. One-sided terms lie in [0, 1] and a
+    two-sided one is clamped at 0. At q = inf (no noise) each is the
+    limit: 1 inside, 0 outside, and erfc(0) / 2 for a mean on an edge,
+    where (edge - mean) * q is 0 * inf.
+    """
+    if q == math.inf:
+        return [
+            1.0 if lo < mean < hi else 0.5 if mean in (lo, hi) else 0.0
+            for mean, lo, hi in ((c * scale, lo, hi) for c, lo, hi in plan.terms)
+        ]
+    # Plain loops, not comprehensions: on Python 3.11 each comprehension
+    # is a call with its own frame, which costs more than it saves here.
+    terms, above, open_below, open_above, two_sided = plan
+    erfc = math.erfc
+    e = []
+    for c, bound in above:
+        e.append(erfc((bound - c * scale) * q))
+    probs = [0.0] * len(terms)
+    for k, c, hi in open_below:
+        probs[k] = 0.5 * erfc((c * scale - hi) * q)
+    for k, i in open_above:
+        probs[k] = 0.5 * e[i]
+    for k, i, j in two_sided:
+        p = 0.5 * (e[i] - e[j])
+        # max(p, 0.0) is p itself wherever p >= 0.0, so only the rest pay
+        # for the call; NaN and negatives still go through max.
+        probs[k] = p if p >= 0.0 else max(p, 0.0)
     return probs
+
+
+def _sender_point(tx_point) -> complex:
+    """``tx_point`` as a finite Python complex, widened exactly.
+
+    Bools, non-numbers and points that are not finite in float64 raise.
+    """
+    if isinstance(tx_point, bool) or not isinstance(tx_point, (complex, float, int, np.number)):
+        raise ValueError(f"sender point must be a number, got {tx_point!r}")
+    try:
+        z = complex(tx_point)
+    except OverflowError:
+        raise ValueError("sender point must be finite, got an integer beyond float64") from None
+    if not cmath.isfinite(z):
+        raise ValueError(f"sender point must be finite, got {z!r}")
+    return z
 
 
 def p_correct_numeric(tx_point: complex, bit_value: int, snr: SnrPoint) -> float:
@@ -250,14 +336,21 @@ def p_correct_numeric(tx_point: complex, bit_value: int, snr: SnrPoint) -> float
     grid decoder's rectangular cell for ``bit_value`` (0..15) as the
     product of two one-dimensional interval probabilities. Es/N0 = 0
     spreads the noise over the whole plane, and Es/N0 = inf gives the
-    noiseless limit.
+    noiseless limit. ``tx_point`` is any real or complex number but a
+    bool, read as a Python complex.
     """
-    if not cmath.isfinite(tx_point):
-        raise ValueError(f"sender point must be finite, got {tx_point!r}")
+    tx_point = _sender_point(tx_point)
     (_, re_lo, re_hi), (_, im_lo, im_hi) = _ALL_SYMBOL_CELLS[_check_label(bit_value)]
-    terms = ((tx_point.real, re_lo, re_hi), (tx_point.imag, im_lo, im_hi))
-    p_re, p_im = _interval_probabilities(terms, 1.0, _noise_scale(snr))
+    plan = _interval_plan(((tx_point.real, re_lo, re_hi), (tx_point.imag, im_lo, im_hi)))
+    p_re, p_im = _interval_probabilities(plan, 1.0, _noise_scale(snr))
     return p_re * p_im
+
+
+# The cells' 32 axis entries take 20 distinct terms, planned once: per
+# label, the indices of its re and im term.
+_AXIS_TERMS = tuple(dict.fromkeys(term for cell in _ALL_SYMBOL_CELLS for term in cell))
+_LABEL_TERMS = tuple(tuple(map(_AXIS_TERMS.index, cell)) for cell in _ALL_SYMBOL_CELLS)
+_ALL_SYMBOLS_PLAN = _interval_plan(_AXIS_TERMS)
 
 
 def p_correct_all_symbols(snr: SnrPoint, point_scale: float = 1.0) -> float:
@@ -267,20 +360,22 @@ def p_correct_all_symbols(snr: SnrPoint, point_scale: float = 1.0) -> float:
     integrates the Gaussian over every (sent point, decision cell) pair,
     so it predicts the correct-label rate of a full uniform-bit
     transmission. ``point_scale`` rescales the sender points (pass the
-    unit-energy normalization gain to match the operational scheme).
+    unit-energy normalization gain to match the operational scheme); it
+    is a real number but a bool, read as a Python float.
 
-    The geometry is fixed, so the cells and sender coordinates are module
-    constants, and one call of the interval kernel that
-    :func:`p_correct_numeric` uses evaluates their 20 distinct axis
-    terms. It gives the same float as the route
+    The geometry is fixed, so the cells, sender coordinates and their
+    interval plan are module constants, and one call of the kernel that
+    :func:`p_correct_numeric` uses evaluates the 20 distinct axis terms.
+    It gives the same float as the route
     ``sum(p_correct_numeric(circular_tx_point(v) * point_scale, v, snr)
     for v in range(16)) / 16``, term by term and in the same order;
     Es/N0 = 0 (N0 infinite) gives 1/16, and Es/N0 = inf the noiseless
     limit.
     """
-    if not math.isfinite(point_scale):
-        raise ValueError(f"point scale must be finite, got {point_scale}")
-    p = _interval_probabilities(_AXIS_TERMS, point_scale, _noise_scale(snr))
+    scale = _real_float(point_scale, "point scale")
+    if not math.isfinite(scale):
+        raise ValueError(f"point scale must be finite, got {scale}")
+    p = _interval_probabilities(_ALL_SYMBOLS_PLAN, scale, _noise_scale(snr))
     total = 0.0
     for re, im in _LABEL_TERMS:
         total += p[re] * p[im]
@@ -310,7 +405,8 @@ def snr_grid_db(start: float, stop: float, step: float) -> list[float]:
 def sweep(snr_db_values) -> list[tuple[float, float, float]]:
     """Rows of (snr_db, p_correct, p_error) for the aggregate probability."""
     rows = []
-    for snr_db in map(_db_float, snr_db_values):
-        p = p_correct_total(SnrPoint(_linear(snr_db)))
+    for value in snr_db_values:
+        snr_db = _real_float(value, "snr_db")
+        p = _total(_erfc_scale(_check_es_over_n0(_linear(snr_db))))
         rows.append((snr_db, p, 1.0 - p))
     return rows

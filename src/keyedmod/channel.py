@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellations import _check_real, _is_finite
+from .constellations import _real_float
 
 __all__ = [
     "ChannelSpec",
@@ -57,7 +57,7 @@ class ChannelSpec:
     rng_seed: int | np.random.SeedSequence
 
     def __post_init__(self) -> None:
-        if not _is_finite(_check_real(self.es_over_n0_db, "es_over_n0_db")):
+        if not math.isfinite(_real_float(self.es_over_n0_db, "es_over_n0_db")):
             raise ValueError("es_over_n0_db must be finite")
         noise_spectral_density(self.es_over_n0_db)
         seed = self.rng_seed
@@ -94,14 +94,18 @@ class PathLossModel:
 def noise_spectral_density(es_over_n0_db: float) -> float:
     """N0 for unit symbol energy at the given Es/N0 in dB.
 
-    Raises ``ValueError`` where N0 exceeds float64 (below about -3083 dB).
+    The dB value is a real number but a bool; an integer beyond float64
+    reads as -inf or inf dB, so N0 is 0 above. Raises ``ValueError``
+    where N0 exceeds float64 (below about -3083 dB).
     """
+    snr_db = _real_float(es_over_n0_db, "es_over_n0_db")
     try:
-        return 10.0 ** (-float(es_over_n0_db) / 10.0)
+        n0 = 10.0 ** (-snr_db / 10.0)
     except OverflowError:
-        raise ValueError(
-            f"Es/N0 of {es_over_n0_db} dB gives a noise density N0 beyond float64"
-        ) from None
+        n0 = math.inf
+    if n0 == math.inf:
+        raise ValueError(f"Es/N0 of {snr_db} dB gives a noise density N0 beyond float64")
+    return n0
 
 
 #: No float64 that numpy's ziggurat ``standard_normal`` returns reaches

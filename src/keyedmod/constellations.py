@@ -90,25 +90,23 @@ def _integer(value, field: str) -> int:
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
-def _check_real(value, field: str):
-    """Return ``value`` if it is an int, a float, or a numpy integer or floating value.
+def _real_float(value, field: str) -> float:
+    """An int, a float, or a numpy integer or floating value, as a Python float.
 
-    Booleans, strings and every other type are refused with an error naming
-    ``field``.
+    A narrower float is widened exactly, and an integer beyond float64
+    reads as -inf or inf. Booleans, strings and every other type are
+    refused with an error naming ``field``.
     """
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(
         value, (float, int, np.floating, np.integer)
     ):
         raise ValueError(f"{field} must be a real number, got {value!r}")
-    return value
-
-
-def _is_finite(value) -> bool:
-    """Whether a real number is finite in float64; an integer beyond its range is not."""
     try:
-        return math.isfinite(value)
+        return float(value)
     except OverflowError:
-        return False
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,8 @@ from .channel import (
 from .constellations import (
     ConstellationScheme,
     MappingKey,
-    _check_real,
     _integer,
-    _is_finite,
+    _real_float,
     make_keyed_scheme,
     make_standard_scheme,
     parse_key,
@@ -197,7 +196,7 @@ class ExperimentConfig:
         if not self.snr_sweep_db:
             raise ValueError("SNR sweep must not be empty")
         for i, snr_db in enumerate(self.snr_sweep_db):
-            if not _is_finite(_check_real(snr_db, f"snr_sweep_db[{i}]")):
+            if not math.isfinite(_real_float(snr_db, f"snr_sweep_db[{i}]")):
                 raise ValueError(
                     f"SNR sweep values must be finite; snr_sweep_db[{i}] is not"
                 )

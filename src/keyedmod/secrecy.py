@@ -140,7 +140,7 @@ def _subset_row_sums(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # precomputed (n, 2^b) table of row sums, and each subset of the other
 # columns adds its row sums to that table and multiplies down the rows,
 # so one block holds 2^b terms. Row sums are at most n, so the table
-# and the block stay uint8 (20 kB for n = 20). The products and the
+# and the block stay uint8 (80 kB each for n = 20). The products and the
 # block sums are uint64 and wrap mod 2^64, which is exact here:
 # reduction mod 2^64 is a ring homomorphism from the integers, so every
 # sum and product computed with wrap-around is the true one mod 2^64,
@@ -151,15 +151,16 @@ def _subset_row_sums(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # matrix) do overflow; numpy wraps silently inside array operations
 # only, while numpy scalar arithmetic would warn, so block sums leave
 # the arrays as Python ints. 21! > 2^64, so the dimension guard cannot
-# rise without wider arithmetic.
-_RYSER_BLOCK_BITS = 10
+# rise without wider arithmetic. Twelve bits ran fastest of 10..13 on
+# n = 14..18 but for 13, which was no faster and doubles the block.
+_RYSER_BLOCK_BITS = 12
 
 
 def permanent(matrix) -> int:
     """Exact permanent of a square 0/1 matrix via Ryser's inclusion-exclusion.
 
     Sums the 2^n Ryser terms (-1)^(n-|S|) prod_i sum_{j in S} a_ij over
-    column subsets S in blocks of 2^10: the row sums of the low ten
+    column subsets S in blocks of 2^12: the row sums of the low twelve
     columns' subsets are a fixed table, each subset of the remaining
     columns adds its own row sums to it, and numpy multiplies down the
     rows in wrapping uint64. The even- and odd-size halves of a block are

@@ -1,5 +1,6 @@
 """Closed-form decode probabilities against independent oracles."""
 
+import hashlib
 import math
 
 import mpmath
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from keyedmod import analytic
 from keyedmod.analytic import (
     REPRESENTATIVE_SYMBOLS,
     ConsistencyError,
@@ -22,7 +24,7 @@ from keyedmod.analytic import (
     snr_grid_db,
     sweep,
 )
-from keyedmod.constellations import QAM16_CIRC_GRID, QAM16_RECT_GRID
+from keyedmod.constellations import QAM16_CIRC_GRID, QAM16_RECT_GRID, make_standard_scheme
 
 A = math.sqrt(1.0 / 10.0)
 
@@ -163,6 +165,42 @@ class TestSnrPoint:
     @pytest.mark.parametrize("value", [2, 2.0, np.float32(2.0), np.int64(2)])
     def test_accepts_real_numbers(self, value):
         assert SnrPoint(value).es_over_n0 == 2
+        assert type(SnrPoint(value).es_over_n0) is float
+
+    @pytest.mark.parametrize("value", [np.float32(3.1), np.float16(3.1)])
+    def test_narrow_float_widened_exactly(self, value):
+        # Float32 arithmetic in the noise scale would give
+        # 0.022396780594229594 at np.float32(3.1).
+        point, wide = SnrPoint(value), SnrPoint(float(value))
+        assert type(point.es_over_n0) is float and point == wide
+        tx = circular_tx_point(0b0101)
+        for call in (
+            p_correct_total,
+            p_correct_all_symbols,
+            lambda snr: p_correct_numeric(tx, 0b0101, snr),
+        ):
+            assert call(point) == call(wide)
+        if value.dtype == np.float32:
+            assert p_correct_all_symbols(point) == 0.0223967801519767
+
+    def test_integer_beyond_float64_is_infinite(self):
+        point = SnrPoint(10**400)
+        assert point.es_over_n0 == math.inf and point.u == math.inf
+        noiseless = SnrPoint(math.inf)
+        tx = circular_tx_point(0b0101)
+        assert p_correct_total(point) == p_correct_total(noiseless)
+        assert p_correct_all_symbols(point) == p_correct_all_symbols(noiseless)
+        assert p_correct_numeric(tx, 0b0101, point) == p_correct_numeric(
+            tx, 0b0101, noiseless
+        )
+
+    def test_negative_integer_beyond_float64_refused(self):
+        with pytest.raises(ValueError, match=r"^Es/N0 must be >= 0, got -inf$"):
+            SnrPoint(-(10**400))
+
+    def test_sweep_refuses_nan_db(self):
+        with pytest.raises(ValueError, match=r"^Es/N0 must be >= 0, got nan$"):
+            sweep([0.0, math.nan])
 
     @pytest.mark.parametrize("value", [True, False, "10", None, 1j, [1.0]])
     def test_from_db_rejects_non_numbers(self, value):
@@ -398,6 +436,28 @@ class TestNumericOracle:
         with pytest.raises(ValueError, match="sender point must be finite"):
             p_correct_numeric(tx, 0b0101, snr)
 
+    @pytest.mark.parametrize("tx", [True, False, "1", None, [1.0]])
+    def test_rejects_non_number_point(self, tx):
+        with pytest.raises(ValueError, match="^sender point must be a number"):
+            p_correct_numeric(tx, 0b0101, SnrPoint(1.0))
+
+    @pytest.mark.parametrize("tx", [10**400, -(10**400)], ids=["above", "below"])
+    def test_rejects_integer_point_beyond_float64(self, tx):
+        with pytest.raises(ValueError, match="^sender point must be finite"):
+            p_correct_numeric(tx, 0b0101, SnrPoint(1.0))
+
+    def test_point_read_as_python_complex(self):
+        tx = circular_tx_point(0b0101)
+        narrow = np.complex64(tx)
+        point = SnrPoint.from_db(5.0)
+        assert p_correct_numeric(narrow, 0b0101, point) == p_correct_numeric(
+            complex(narrow), 0b0101, point
+        )
+        for real in (1, np.int64(1), np.float32(1.0)):
+            assert p_correct_numeric(real, 0b0101, point) == p_correct_numeric(
+                1 + 0j, 0b0101, point
+            )
+
     def test_outer_corner_definitional_equality(self):
         tx, value = sender_and_label(0)
         for snr_db in (0.0, 10.0):
@@ -437,6 +497,39 @@ class TestGeometryHelpers:
             p_correct_numeric(0j, 16, SnrPoint(1.0))
         with pytest.raises(ValueError):
             circular_tx_point(-1)
+
+
+class TestIntervalPlan:
+    def test_all_symbols_plan_counts(self):
+        # 20 distinct terms: 5 open below, 5 open above, 10 two-sided,
+        # reading 30 erfc arguments of which 24 are distinct.
+        plan = analytic._ALL_SYMBOLS_PLAN
+        kinds = (plan.open_below, plan.open_above, plan.two_sided)
+        assert len(plan.terms) == 20
+        assert [len(kind) for kind in kinds] == [5, 5, 10]
+        assert sorted(k for kind in kinds for k, *_ in kind) == list(range(20))
+        assert len(plan.open_below) + len(plan.open_above) + 2 * len(plan.two_sided) == 30
+        assert len(plan.open_below) + len(plan.above) == 24
+
+    def test_equals_term_by_term_formula(self):
+        # Each term is the float of its own interval formula.
+        plan = analytic._ALL_SYMBOLS_PLAN
+        for point in grid_with_limits(0.5):
+            q = analytic._noise_scale(point)
+            if q == math.inf:
+                continue
+            for scale in (1.0, 1.002001):
+                got = analytic._interval_probabilities(plan, scale, q)
+                for (c, lo, hi), p in zip(plan.terms, got):
+                    mean = c * scale
+                    if lo == -math.inf:
+                        want = 0.5 * math.erfc((mean - hi) * q)
+                    elif hi == math.inf:
+                        want = 0.5 * math.erfc((lo - mean) * q)
+                    else:
+                        want = 0.5 * (math.erfc((lo - mean) * q) - math.erfc((hi - mean) * q))
+                        want = max(want, 0.0)
+                    assert p.hex() == want.hex(), (point, scale, c, lo, hi)
 
 
 class TestAllSymbolsAverage:
@@ -482,9 +575,20 @@ class TestAllSymbolsAverage:
             assert p_correct_all_symbols(point, point_scale=scale) == explicit, point
 
     def test_rejects_unusable_inputs(self):
-        for scale in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="point scale"):
+        for scale in (math.nan, math.inf, -math.inf, 2**2000, -(2**2000)):
+            with pytest.raises(ValueError, match="^point scale must be finite"):
                 p_correct_all_symbols(SnrPoint.from_db(5.0), point_scale=scale)
+
+    @pytest.mark.parametrize("scale", [True, False, "1", None, 1j])
+    def test_rejects_non_number_scale(self, scale):
+        with pytest.raises(ValueError, match="^point scale must be a real number"):
+            p_correct_all_symbols(SnrPoint.from_db(5.0), point_scale=scale)
+
+    @pytest.mark.parametrize("scale", [1, np.float32(1.0), np.int64(1), np.float64(1.0)])
+    def test_scale_read_as_float(self, scale):
+        # Float32 arithmetic would give 0.022119868045352785 at 5 dB.
+        point = SnrPoint.from_db(5.0)
+        assert p_correct_all_symbols(point, point_scale=scale) == 0.02211986891026664
 
     @pytest.mark.parametrize("scale, limit", [(1.0, 0.0), (0.0, 0.0625)])
     def test_infinite_snr_is_noiseless_limit(self, scale, limit):
@@ -527,3 +631,86 @@ class TestSweep:
         with pytest.raises(ValueError, match="more than 1000000 points"):
             snr_grid_db(0, 1_000_000, 1)
         assert len(snr_grid_db(0, 999_999, 1)) == 1_000_000
+
+
+# Golden floats of the analytic outputs, as float.hex, taken at 0.12.0.
+# A faster kernel must keep every one; a change here changes an output.
+GOLDEN_DB = (-10.0, 0.0, 7.9, 10.0, 25.0, 4000.0)
+GOLDEN_GAIN = "0x1.0083230a6d410p+0"
+
+
+class TestGoldenValues:
+    def test_operational_gain(self):
+        # The unit-energy two-ring point over its nominal table point.
+        circ = make_standard_scheme("qam16_circ")
+        gain = abs(circ.points[0]) / abs(circular_tx_point(0))
+        assert gain.hex() == GOLDEN_GAIN
+
+    def test_sweep(self):
+        rows = sweep(GOLDEN_DB)
+        assert [row[0] for row in rows] == list(GOLDEN_DB)
+        assert [(row[1].hex(), row[2].hex()) for row in rows] == [
+            ("0x1.0b5f741001604p-5", "0x1.ef4a08beffea0p-1"),
+            ("0x1.bdac15881cceap-7", "0x1.f9094fa9df8ccp-1"),
+            ("0x1.0a7f487fdb4eep-10", "0x1.ff7ac05bc0126p-1"),
+            ("0x1.56de3345d1b9dp-13", "0x1.ffea921ccba2ep-1"),
+            ("0x1.a1b9b5c1b4688p-712", "0x1.0000000000000p+0"),
+            ("0x0.0p+0", "0x1.0000000000000p+0"),
+        ]
+
+    @pytest.mark.parametrize(
+        "scale, expected",
+        [
+            (
+                "0x1.0000000000000p+0",
+                [
+                    "0x1.9c9d828c996edp-5",
+                    "0x1.1cda00c0a5f93p-5",
+                    "0x1.a9c12f071d74bp-7",
+                    "0x1.ff3511310681cp-8",
+                    "0x1.4fcd3a29fa9adp-37",
+                    "0x0.0p+0",
+                ],
+            ),
+            (
+                GOLDEN_GAIN,
+                [
+                    "0x1.9c71a99ce7ae0p-5",
+                    "0x1.1c9a5f8d58cc6p-5",
+                    "0x1.a975a3171f065p-7",
+                    "0x1.ff5eb94584352p-8",
+                    "0x1.47c08897a52fap-37",
+                    "0x0.0p+0",
+                ],
+            ),
+        ],
+        ids=["scale-1", "operational-gain"],
+    )
+    def test_all_symbols(self, scale, expected):
+        scale = float.fromhex(scale)
+        got = [
+            p_correct_all_symbols(SnrPoint.from_db(d), point_scale=scale).hex()
+            for d in GOLDEN_DB
+        ]
+        assert got == expected
+
+    def test_grid_digests(self):
+        # sha256 of repr() over the 0..25 dB grid at step 0.0025 (10,001 points).
+        grid = snr_grid_db(0, 25, 0.0025)
+        points = [SnrPoint.from_db(d) for d in grid]
+
+        def digest(values):
+            return hashlib.sha256(repr(values).encode()).hexdigest()
+
+        assert digest(sweep(grid)) == (
+            "084e080fc4fe291b1cfe1d401948e6be696595228c599e12f98f003a2ea244ea"
+        )
+        for scale, expected in (
+            (1.0, "59fd06c2052cc87084c9fc4f013b8ca4b760878f969cf4f85c84499c1367ab23"),
+            (
+                float.fromhex(GOLDEN_GAIN),
+                "81f7c66d90e15eee0526a16497483bcf28f042f9488e74ae882212a71806930a",
+            ),
+        ):
+            values = [p_correct_all_symbols(p, point_scale=scale) for p in points]
+            assert digest(values) == expected, scale

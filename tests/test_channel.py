@@ -154,6 +154,20 @@ class TestAddAwgn:
         assert noise_spectral_density(10.0) == pytest.approx(0.1)
         assert noise_spectral_density(0.0) == 1.0
 
+    def test_noise_density_of_integer_above_float64(self):
+        assert noise_spectral_density(10**400) == 0.0
+
+    def test_noise_density_of_integer_below_float64(self):
+        # Read as -inf dB; the message names no 401-digit value.
+        with pytest.raises(ValueError, match=r"^Es/N0 of -inf dB gives a noise density") as exc:
+            noise_spectral_density(-(10**400))
+        assert "0000" not in str(exc.value)
+
+    @pytest.mark.parametrize("value", [True, "10", None])
+    def test_noise_density_rejects_non_numbers(self, value):
+        with pytest.raises(ValueError, match="^es_over_n0_db must be a real number"):
+            noise_spectral_density(value)
+
 
 class TestPathLoss:
     def test_reference_distance(self):
