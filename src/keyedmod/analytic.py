@@ -388,9 +388,12 @@ _MAX_SNR_GRID_POINTS = 10**6
 
 def snr_grid_db(start: float, stop: float, step: float) -> list[float]:
     """Inclusive dB grid from ``start`` to ``stop`` in ``step`` increments."""
-    for name, value in (("start", start), ("stop", stop), ("step", step)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    args = {"start": start, "stop": stop, "step": step}
+    for name, value in args.items():
+        args[name] = _real_float(value, name)
+        if not math.isfinite(args[name]):
+            raise ValueError(f"{name} must be finite, got {args[name]}")
+    start, stop, step = args.values()
     if step <= 0:
         raise ValueError("step must be positive")
     steps = (stop - start) / step

@@ -83,8 +83,9 @@ class PathLossModel:
             ("d_ref", self.d_ref),
             ("snr_ref_db", self.snr_ref_db),
         ):
-            if not math.isfinite(value):
-                raise ValueError(f"path-loss {name} must be finite, got {value}")
+            number = _real_float(value, f"path-loss {name}")
+            if not math.isfinite(number):
+                raise ValueError(f"path-loss {name} must be finite, got {number}")
         if not self.alpha > 0:
             raise ValueError(f"path-loss exponent must be positive, got {self.alpha}")
         if not self.d_ref > 0:

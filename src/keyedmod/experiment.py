@@ -14,14 +14,13 @@ keyed by (seed, sweep index, lane, label word, block index). Lane 0
 holds the broadcast values; lane 1 holds one receiver's noise, keyed by
 a hash of its label, real axis first, then imaginary. So records are
 bit-reproducible, adding, removing, or reordering receivers never
-perturbs the other series, and blocks may run on worker threads in any
-order: neither memory nor worker count changes a record. The record
-list is canonically ordered before persistence.
+perturbs the other series, and neither memory nor threads change a
+record. The record list is canonically ordered before persistence.
 
-A sweep runs on at most two threads (see :func:`run_experiment`): a
-pool for blocks, or, when a point fits in one block, a helper that draws
-the next point's unit normals while the caller decodes. Each draw comes
-from its own block's generator whichever thread makes it.
+A sweep works one (sweep point, block) task at a time on the caller,
+while one helper thread draws the next task's unit normals (see
+:func:`run_experiment`). Each draw comes from its own block's generator
+whichever thread makes it.
 """
 
 from __future__ import annotations
@@ -103,9 +102,6 @@ _BLOCK = 1 << 16
 _VALUE_LANE = 0
 _NOISE_LANE = 1
 
-#: Most threads a sweep runs its blocks on; fewer if fewer CPUs are usable.
-_MAX_WORKERS = 2
-
 RESULT_FIELDS = (
     "receiver_label",
     "snr_db",
@@ -160,7 +156,7 @@ class ReceiverSpec:
                 f"receiver label {self.label!r} must not start with '#'"
                 " or hold a line break"
             )
-        if not 0 < self.distance_m < math.inf:
+        if not 0 < _real_float(self.distance_m, "distance_m") < math.inf:
             raise ValueError(
                 f"distance must be positive and finite, got {self.distance_m}"
             )
@@ -524,24 +520,19 @@ def _draw_ahead(threaded: bool):
 def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
     """Run the full sweep and return records ordered by (receiver, SNR).
 
-    It runs on at most ``min(2, usable CPUs)`` threads, the caller's among
-    them; none outlives the call, and the records do not depend on their
-    number. All buffers die with the call.
+    The sweep works its tasks, one per (sweep point, block), in order on
+    the caller. While the caller works on one task, one helper thread
+    fills every receiver's rows for the next task with unit normals
+    (:func:`_draw_ahead`). The caller does the rest: the values and sent
+    planes, each noise generator, the scale and sum, the decode and
+    count, and any fill the helper has not begun when the caller needs
+    the rows. With one usable CPU or one task no helper starts, and the
+    same loop makes the fills inline. No thread outlives the call, and
+    the records do not depend on whether the helper runs.
 
-    A sweep whose points have more than one block runs its blocks on a
-    pool. Each pool thread (or the caller, with one usable CPU) reuses one
-    pair of float64 planes buffers, sent and received, for every block
-    and receiver.
-
-    A sweep whose points fit in one block draws ahead: while the caller
-    works on one point, one helper thread fills every receiver's rows for
-    the next point with unit normals (:func:`_draw_ahead`). The caller
-    does the rest: the values and sent planes, each noise generator, the
-    scale and sum, the decode and count, and any fill the helper has not
-    begun when the caller needs the rows. It draws the first point's noise
-    itself with ``add_awgn``. With one usable CPU or one sweep point no
-    helper starts, and the same loop makes the fills inline. Two sets of
-    received rows, one (2, n) pair per receiver each, take turns.
+    One sent buffer and two sets of received rows, one pair per receiver
+    each, hold a block; the two sets take turns between tasks. All
+    buffers die with the call.
 
     A receiver whose points all lie on the real axis draws and decodes
     the real plane alone where its noise cannot reach the decoder's outer
@@ -550,11 +541,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
     in :mod:`keyedmod.modem`). The real axis is drawn first either way,
     so every record is the same.
     """
-    workers = min(_MAX_WORKERS, _usable_cpus())
     sender, rx_schemes = cfg.resolve_schemes()
     m_tx = sender.bits_per_symbol
     n_sym = cfg.symbols_per_point
-    n_points = len(cfg.snr_sweep_db)
     tx_axes = (sender.mapped_points.real, sender.mapped_points.imag)
     tx_imag_reach = float(np.abs(sender.mapped_points.imag).max())
     tx_dtype = value_dtype(m_tx)
@@ -570,24 +559,41 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
         ]
         for snrs in eff_snrs
     ]
+    # Task t is block t % n_blocks of sweep point t // n_blocks.
+    n_blocks = -(-n_sym // _BLOCK)
+    n_tasks = len(cfg.snr_sweep_db) * n_blocks
+    # Flat buffers reshaped per block keep a ragged last block C-contiguous.
+    width = 2 * min(n_sym, _BLOCK)
+    sent_flat = np.empty(width)
+    received_flat = np.empty((min(2, n_tasks), len(rx_schemes), width))
 
-    def noise_specs(sweep_idx, block):
-        return [
+    def fill_jobs(task):
+        """Task ``task``'s noise specs, received rows, and deque of fill jobs."""
+        sweep_idx, block = divmod(task, n_blocks)
+        size = min(_BLOCK, n_sym - block * _BLOCK)
+        specs = [
             ChannelSpec(eff_snr, _substream(cfg.seed, sweep_idx, _NOISE_LANE, word, block))
             for eff_snr, word in zip(eff_snrs[sweep_idx], label_words)
         ]
+        received = [flat[: 2 * size].reshape(2, size) for flat in received_flat[task % 2]]
+        jobs = collections.deque(
+            (_noise_fill(spec), rows[:planes])
+            for spec, rows, planes in zip(specs, received, plane_counts[sweep_idx])
+        )
+        return specs, received, jobs
 
-    def block_counts(sweep_idx, block, sent, received, specs, drawn):
+    def block_counts(sweep_idx, block, specs, received):
         """Error counts of every receiver on one block.
 
-        ``received[r]`` holds receiver r's (2, size) rows. If ``drawn``,
-        they already hold its unit normals, as many rows as it has planes;
-        otherwise ``add_awgn`` draws its noise into them here.
+        ``received[r]`` holds receiver r's (2, size) rows, the first as
+        many as it has planes filled with its unit normals.
         """
+        size = received[0].shape[1]
+        sent = sent_flat[: 2 * size].reshape(2, size)
         value_rng = np.random.default_rng(
             _substream(cfg.seed, sweep_idx, _VALUE_LANE, 0, block)
         )
-        tx_values = value_rng.integers(0, sender.order, sent.shape[1], dtype=tx_dtype)
+        tx_values = value_rng.integers(0, sender.order, size, dtype=tx_dtype)
         # The values lie in range by construction; "clip" writes straight into
         # ``sent``, where the default "raise" would fill a temporary copy first.
         for axis, row in zip(tx_axes, sent):
@@ -596,11 +602,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
         for spec, rows, planes, rx_scheme in zip(
             specs, received, plane_counts[sweep_idx], rx_schemes
         ):
-            if drawn:
-                _scale_noise(rows[:planes], spec)
-                rows[:planes] += sent[:planes]
-            else:
-                add_awgn(sent[:planes], spec, out=rows[:planes])
+            _scale_noise(rows[:planes], spec)
+            rows[:planes] += sent[:planes]
             if planes == 1 and not _real_axis_decides(rows[0], rx_scheme):
                 planes = 2
                 add_awgn(sent, spec, out=rows)
@@ -611,64 +614,22 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
         return counts
 
     totals = [[[0, 0] for _ in cfg.receivers] for _ in cfg.snr_sweep_db]
-
-    def add_counts(sweep_idx, counts):
-        for total, (bit_errors, symbol_errors) in zip(totals[sweep_idx], counts):
-            total[0] += bit_errors
-            total[1] += symbol_errors
-
-    if n_sym <= _BLOCK:
-        sent = np.empty((2, n_sym))
-        received = np.empty((min(2, n_points), len(rx_schemes), 2, n_sym))
-        specs = noise_specs(0, 0)
-        with _draw_ahead(workers > 1 and n_points > 1) as (start, finish):
-            for sweep_idx in range(n_points):
-                ahead = sweep_idx + 1
-                if ahead < n_points:
-                    ahead_specs = noise_specs(ahead, 0)
-                    jobs = collections.deque(
-                        (_noise_fill(spec), pair[:planes])
-                        for spec, pair, planes in zip(
-                            ahead_specs, received[ahead % 2], plane_counts[ahead]
-                        )
-                    )
-                    start(jobs)
-                counts = block_counts(
-                    sweep_idx, 0, sent, received[sweep_idx % 2], specs, drawn=sweep_idx > 0
-                )
-                add_counts(sweep_idx, counts)
-                if ahead < n_points:
-                    finish(jobs)
-                    specs = ahead_specs
-    else:
-        worker = threading.local()
-
-        def pool_block(task):
-            sweep_idx, block = task
-            size = min(_BLOCK, n_sym - block * _BLOCK)
-            if not hasattr(worker, "buffers"):
-                worker.buffers = tuple(np.empty(2 * _BLOCK) for _ in range(2))
-            # Flat buffers reshaped per block keep a ragged last block C-contiguous.
-            sent, received = (b[: 2 * size].reshape(2, size) for b in worker.buffers)
-            specs = noise_specs(sweep_idx, block)
-            rows = [received] * len(specs)
-            return sweep_idx, block_counts(sweep_idx, block, sent, rows, specs, drawn=False)
-
-        n_blocks = -(-n_sym // _BLOCK)
-        tasks = [(s, b) for s in range(n_points) for b in range(n_blocks)]
-        pool = None
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(
-                min(workers, len(tasks)), thread_name_prefix="keyedmod-block"
-            )
-        try:
-            for sweep_idx, counts in (pool.map if pool else map)(pool_block, tasks):
-                add_counts(sweep_idx, counts)
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+    specs, received, jobs = fill_jobs(0)
+    _fill(jobs)
+    with _draw_ahead(_usable_cpus() > 1 and n_tasks > 1) as (start, finish):
+        for task in range(n_tasks):
+            sweep_idx, block = divmod(task, n_blocks)
+            ahead = task + 1 < n_tasks
+            if ahead:
+                ahead_specs, ahead_received, jobs = fill_jobs(task + 1)
+                start(jobs)
+            counts = block_counts(sweep_idx, block, specs, received)
+            for total, (bit_errors, symbol_errors) in zip(totals[sweep_idx], counts):
+                total[0] += bit_errors
+                total[1] += symbol_errors
+            if ahead:
+                finish(jobs)
+                specs, received = ahead_specs, ahead_received
 
     records = []
     for snrs, point_totals in zip(eff_snrs, totals):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constellations import _integer
+from .constellations import _integer, _real_float
 
 __all__ = [
     "KeyspaceReport",
@@ -84,6 +84,8 @@ class UnicityResult:
 
 def unicity(entropy_bits: float, redundancy: float) -> UnicityResult:
     """Unicity distance for the given key entropy and per-symbol message redundancy."""
+    entropy_bits = _real_float(entropy_bits, "entropy")
+    redundancy = _real_float(redundancy, "redundancy")
     for name, value in (("entropy", entropy_bits), ("redundancy", redundancy)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")

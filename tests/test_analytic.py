@@ -632,6 +632,25 @@ class TestSweep:
             snr_grid_db(0, 1_000_000, 1)
         assert len(snr_grid_db(0, 999_999, 1)) == 1_000_000
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((False, True, True), "start"),
+            ((0.0, "10", 1.0), "stop"),
+            ((0.0, 10.0, None), "step"),
+        ],
+    )
+    def test_grid_refuses_bools_and_non_numbers(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            snr_grid_db(*args)
+
+    def test_grid_reads_integers_beyond_float64_as_infinite(self):
+        with pytest.raises(ValueError, match="^stop must be finite, got inf"):
+            snr_grid_db(0, 10**400, 1)
+        with pytest.raises(ValueError, match="^start must be finite, got -inf"):
+            snr_grid_db(-(10**400), 0, 1)
+        assert snr_grid_db(np.int64(0), 2, np.float32(0.5)) == [0.0, 0.5, 1.0, 1.5, 2.0]
+
 
 # Golden floats of the analytic outputs, as float.hex, taken at 0.12.0.
 # A faster kernel must keep every one; a change here changes an output.

@@ -213,6 +213,18 @@ class TestPathLoss:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             PathLossModel(**{"alpha": 2.0, field: value})
 
+    @pytest.mark.parametrize("value", [True, False, "2", None, 1j])
+    @pytest.mark.parametrize("field", ["alpha", "d_ref", "snr_ref_db"])
+    def test_rejects_bools_and_non_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^path-loss {field} must be a real number"):
+            PathLossModel(**{"alpha": 2.0, field: value})
+
+    def test_stores_accepted_values_as_given(self):
+        # A config digest hashes the stored values, so none is converted.
+        model = PathLossModel(alpha=2, d_ref=np.float32(0.5))
+        assert type(model.alpha) is int
+        assert type(model.d_ref) is np.float32
+
 
 def as_planes(y) -> np.ndarray:
     """A complex array as float64 planes: the real row, then the imaginary row."""

@@ -184,6 +184,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=match):
             ReceiverSpec(label, "bpsk")
 
+    @pytest.mark.parametrize("value", [True, "10", None])
+    def test_rejects_distance_that_is_not_a_real_number(self, value):
+        with pytest.raises(ValueError, match="^distance_m must be a real number"):
+            ReceiverSpec("eve_qpsk", "qpsk", distance_m=value)
+        assert ReceiverSpec("eve_qpsk", "qpsk", distance_m=10).distance_m == 10
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="sweep mode"):
             small_config(sweep_mode="transmit")
@@ -195,7 +201,7 @@ class TestConfigValidation:
 
     def test_wider_receiver_fails_before_simulation(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(experiment, "add_awgn", lambda *args: calls.append(args))
+        monkeypatch.setattr(experiment, "_noise_fill", lambda *args: calls.append(args))
         cfg = small_config(
             sender_scheme="qpsk",
             receivers=(ReceiverSpec("eve_bpsk", "bpsk"), ReceiverSpec("eve_rect", "qam16_rect")),
@@ -269,7 +275,7 @@ class TestConfigValidation:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         calls = []
-        monkeypatch.setattr(experiment, "add_awgn", lambda *args: calls.append(args))
+        monkeypatch.setattr(experiment, "_noise_fill", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match=match):
             run_experiment(load_config(path))
         assert calls == []
@@ -538,16 +544,12 @@ def oracle_config(symbols_per_point):
     )
 
 
-def pool_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("keyedmod-block")]
-
-
 def fill_threads():
     return [t for t in threading.enumerate() if t.name.startswith("keyedmod-fill")]
 
 
-def one_block_sweep(points=26, **overrides):
-    """The paper roster over ``points`` sweep values at one block per point."""
+def roster_sweep(points=26, **overrides):
+    """The paper roster over ``points`` sweep values, at one block per point by default."""
     receivers = small_config().receivers + (
         ReceiverSpec("eve_qpsk", "qpsk"),
         ReceiverSpec("eve_bpsk", "bpsk"),
@@ -561,9 +563,49 @@ def one_block_sweep(points=26, **overrides):
     return small_config(**base)
 
 
-def set_thread_budget(monkeypatch, max_workers, usable_cpus):
-    monkeypatch.setattr(experiment, "_MAX_WORKERS", max_workers)
+def ragged_sweep(**overrides):
+    """Two sweep points of three blocks each, the last one ragged."""
+    return small_config(symbols_per_point=2 * BLOCK + 4097, **overrides)
+
+
+def set_usable_cpus(monkeypatch, usable_cpus):
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: usable_cpus)
+
+
+def run_with_guard_band_symbol(monkeypatch, cfg):
+    """Run ``cfg`` with symbol 7 of every BPSK block in the guard band at 0.
+
+    Before the real-axis check the received real row gets the coordinate
+    -1e-12, and each ``add_awgn`` redo puts the symbol at -1e-12 + 500j,
+    where the two-plane decision (0) differs from the real-plane one (1).
+    Returns the row count of each ``add_awgn`` call and the (rows, value
+    of symbol 7) of each decode.
+    """
+    awgn_rows = []
+    decoded = []
+
+    def awgn_with_guard_band_symbol(symbols, spec, out=None):
+        awgn_rows.append(len(symbols))
+        out = add_awgn(symbols, spec, out=out)
+        out[0, 7] = -1e-12
+        out[1, 7] = 500.0
+        return out
+
+    def guard_band_check(real, scheme):
+        real[7] = -1e-12
+        return real_axis_decides(real, scheme)
+
+    def spy(symbols, scheme):
+        values = nearest_point_values(symbols, scheme)
+        decoded.append((len(symbols), int(values[7])))
+        return values
+
+    real_axis_decides = experiment._real_axis_decides
+    monkeypatch.setattr(experiment, "add_awgn", awgn_with_guard_band_symbol)
+    monkeypatch.setattr(experiment, "_real_axis_decides", guard_band_check)
+    monkeypatch.setattr(experiment, "nearest_point_values", spy)
+    run_experiment(cfg)
+    return awgn_rows, decoded
 
 
 class TestRunExperiment:
@@ -701,70 +743,82 @@ class TestStreamContract:
         assert experiment.RNG_STREAM == 2
 
     def test_workers_do_not_change_records(self, monkeypatch):
-        # Three blocks, the last one ragged, run on the block pool; 26
-        # one-block points draw their noise ahead on a helper thread. Three
-        # workers outnumber the cores of a small host, and a short switch
-        # interval interleaves the threads.
-        for cfg in (small_config(symbols_per_point=2 * BLOCK + 4097), one_block_sweep()):
-            set_thread_budget(monkeypatch, 1, 1)
+        # Two points of three blocks, the last one ragged, and 26 one-block
+        # points, drawn inline and drawn ahead on a helper thread. A short
+        # switch interval interleaves the threads.
+        for cfg in (ragged_sweep(), roster_sweep()):
+            set_usable_cpus(monkeypatch, 1)
             serial = run_experiment(cfg)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                for workers in (2, 3):
-                    set_thread_budget(monkeypatch, workers, workers)
-                    assert run_experiment(cfg) == serial
+                set_usable_cpus(monkeypatch, 2)
+                assert run_experiment(cfg) == serial
             finally:
                 sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("usable_cpus", [1, 2, 8])
-    def test_pool_holds_at_most_two_usable_cpus(self, monkeypatch, usable_cpus):
-        set_thread_budget(monkeypatch, experiment._MAX_WORKERS, usable_cpus)
-        decoding_threads = set()
-        most_pool_threads = 0
+    def test_every_receiver_decodes_one_broadcast_transmission(self, monkeypatch):
+        # With every noise fill made zeros, each receiver decodes the sent
+        # planes themselves: per block, one draw of the sender's values,
+        # mapped once through its scheme.
+        decoded = []
+
+        def zero_fill(spec):
+            def fill(out):
+                out[...] = 0.0
+
+            return fill
 
         def spy(symbols, scheme):
-            nonlocal most_pool_threads
-            decoding_threads.add(threading.current_thread().name)
-            most_pool_threads = max(most_pool_threads, len(pool_threads()))
+            decoded.append(np.array(symbols))
             return nearest_point_values(symbols, scheme)
 
+        monkeypatch.setattr(experiment, "_noise_fill", zero_fill)
         monkeypatch.setattr(experiment, "nearest_point_values", spy)
-        run_experiment(small_config(symbols_per_point=2 * BLOCK + 1))
-        if usable_cpus == 1:
-            assert decoding_threads == {threading.main_thread().name}
-        else:
-            assert all(n.startswith("keyedmod-block") for n in decoding_threads)
-        assert most_pool_threads <= min(2, usable_cpus)
-
-    def test_every_receiver_decodes_one_broadcast_transmission(self, monkeypatch):
-        sent = []
-
-        def spy(symbols, spec, out=None):
-            sent.append(np.array(symbols))
-            return add_awgn(symbols, spec, out=out)
-
-        monkeypatch.setattr(experiment, "add_awgn", spy)
-        cfg = small_config(snr_sweep_db=(5.0,))
+        cfg = ragged_sweep()
         run_experiment(cfg)
-        assert len(sent) == len(cfg.receivers)
-        assert all(np.array_equal(sent[0], other) for other in sent[1:])
+        sender, _ = cfg.resolve_schemes()
+        broadcasts = []
+        for sweep_idx in range(len(cfg.snr_sweep_db)):
+            for block, size in enumerate((BLOCK, BLOCK, 4097)):
+                value_rng = np.random.default_rng(
+                    contract_seed_sequence(cfg.seed, sweep_idx, 0, 0, block)
+                )
+                values = value_rng.integers(
+                    0, sender.order, size, dtype=value_dtype(sender.bits_per_symbol)
+                )
+                points = sender.mapped_points[values]
+                broadcasts += [np.stack((points.real, points.imag))] * len(cfg.receivers)
+        assert len(decoded) == len(broadcasts)
+        assert all(np.array_equal(got, sent) for got, sent in zip(decoded, broadcasts))
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_each_worker_reuses_one_received_buffer(self, monkeypatch, workers):
-        # Three blocks, the last one ragged, for two receivers at two SNRs.
-        cfg = small_config(symbols_per_point=2 * BLOCK + 4097)
+    @pytest.mark.parametrize("usable_cpus", [1, 2])
+    def test_two_sets_of_received_rows_take_turns(self, monkeypatch, usable_cpus):
+        # Three blocks, the last one ragged, for two receivers at two SNRs:
+        # task i fills set i % 2, one pair of rows per receiver, drawn inline
+        # or ahead.
+        cfg = ragged_sweep()
         buffers = []
 
-        def spy(symbols, spec, out=None):
-            buffers.append(out.__array_interface__["data"][0])
-            return add_awgn(symbols, spec, out=out)
+        def noise_fill(spec):
+            fill = channel._noise_fill(spec)
 
-        monkeypatch.setattr(experiment, "add_awgn", spy)
-        set_thread_budget(monkeypatch, workers, workers)
+            def spy(out):
+                buffers.append(out.__array_interface__["data"][0])
+                return fill(out=out)
+
+            return spy
+
+        monkeypatch.setattr(experiment, "_noise_fill", noise_fill)
+        set_usable_cpus(monkeypatch, usable_cpus)
         records = run_experiment(cfg)
-        assert len(buffers) == 3 * len(cfg.snr_sweep_db) * len(cfg.receivers)
-        assert len(set(buffers)) <= workers
+        n_rx = len(cfg.receivers)
+        assert len(buffers) == 3 * len(cfg.snr_sweep_db) * n_rx
+        # A task's fills all end before the next task's begin.
+        tasks = [set(buffers[i : i + n_rx]) for i in range(0, len(buffers), n_rx)]
+        assert all(len(rows) == n_rx for rows in tasks)
+        assert tasks[0].isdisjoint(tasks[1])
+        assert tasks == [tasks[0], tasks[1]] * 3
         assert records == bit_domain_records(cfg)
 
     def test_traced_layer_functions_see_every_block(self, monkeypatch):
@@ -774,6 +828,7 @@ class TestStreamContract:
         # that passes the decoder any other argument fails under tracing.
         names = []
         bpsk_rows = []
+        fill_rows = []
 
         def wrap(fn, namer):
             @functools.wraps(fn)
@@ -788,98 +843,81 @@ class TestStreamContract:
                 bpsk_rows.append(len(symbols))
             return f"modem.nearest_point.{scheme.label}"
 
+        def noise_fill(spec):
+            fill = channel._noise_fill(spec)
+
+            def spy(out):
+                fill_rows.append(len(out))
+                return fill(out=out)
+
+            return spy
+
         monkeypatch.setattr(experiment, "add_awgn", wrap(add_awgn, "channel.add_awgn"))
         monkeypatch.setattr(
             experiment, "nearest_point_values", wrap(nearest_point_values, nearest_point)
         )
+        monkeypatch.setattr(experiment, "_noise_fill", noise_fill)
         # Below about -40.1 dB the BPSK listener's noise can reach its
         # decoder's outer imaginary bins, so it draws and decodes both planes
         # there, and the real plane alone at 0 and 10 dB.
         receivers = small_config().receivers + (ReceiverSpec("eve_bpsk", "bpsk"),)
-        cfg = small_config(
-            receivers=receivers,
-            snr_sweep_db=(-45.0, 0.0, 10.0),
-            symbols_per_point=2 * BLOCK + 4097,
-        )
+        cfg = ragged_sweep(receivers=receivers, snr_sweep_db=(-45.0, 0.0, 10.0))
         run_experiment(cfg)
         blocks = 3 * len(cfg.snr_sweep_db)
+        # Every noise fill runs outside add_awgn, which only a BPSK redo
+        # calls, and no real coordinate here lands in a mixed bin.
         assert Counter(names) == {
-            "channel.add_awgn": blocks * len(cfg.receivers),
             "modem.nearest_point.qam16_circ": blocks,
             "modem.nearest_point.qam16_rect": blocks,
             "modem.nearest_point.bpsk": blocks,
         }
         assert Counter(bpsk_rows) == {2: 3, 1: 6}
+        assert Counter(fill_rows) == {2: 2 * blocks + 3, 1: 6}
 
     def test_guard_band_coordinate_redoes_bpsk_block_on_both_planes(self, monkeypatch):
-        # One received symbol sits in BPSK's guard band at 0 with imaginary
-        # part 500, where the two-plane decision (0) differs from the
-        # real-plane one (1). The block must be redrawn and decoded on both.
-        decoded = []
-
-        def awgn_with_guard_band_symbol(symbols, spec, out=None):
-            out = add_awgn(symbols, spec, out=out)
-            out[0, 7] = -1e-12
-            if len(out) == 2:
-                out[1, 7] = 500.0
-            return out
-
-        def spy(symbols, scheme):
-            values = nearest_point_values(symbols, scheme)
-            decoded.append((len(symbols), int(values[7])))
-            return values
-
-        monkeypatch.setattr(experiment, "add_awgn", awgn_with_guard_band_symbol)
-        monkeypatch.setattr(experiment, "nearest_point_values", spy)
+        # One point of one block, so no helper: the block is redrawn with
+        # add_awgn and decoded on both planes.
         bpsk_only = (ReceiverSpec("eve_bpsk", "bpsk"),)
-        run_experiment(small_config(receivers=bpsk_only, snr_sweep_db=(10.0,)))
+        cfg = small_config(receivers=bpsk_only, snr_sweep_db=(10.0,))
+        awgn_rows, decoded = run_with_guard_band_symbol(monkeypatch, cfg)
+        assert awgn_rows == [2]
         assert decoded == [(2, 0)]
         received = np.array([-1e-12 + 500j, -1e-12 + 0j])
         assert nearest_point_values(received, make_standard_scheme("bpsk")).tolist() == [0, 1]
 
     def test_guard_band_coordinate_redoes_drawn_ahead_bpsk_block(self, monkeypatch):
-        # As above, over two one-block points: the first point's noise is
-        # drawn with add_awgn on the caller, the second's ahead of it on the
-        # helper. Before the real-axis check, the received real row gets a
-        # guard-band coordinate; each redo draws both planes with add_awgn.
-        awgn_rows = []
-        decoded = []
-
-        def awgn_with_guard_band_symbol(symbols, spec, out=None):
-            awgn_rows.append(len(symbols))
-            out = add_awgn(symbols, spec, out=out)
-            out[0, 7] = -1e-12
-            if len(out) == 2:
-                out[1, 7] = 500.0
-            return out
-
-        def guard_band_check(real, scheme):
-            real[7] = -1e-12
-            return real_axis_decides(real, scheme)
-
-        def spy(symbols, scheme):
-            values = nearest_point_values(symbols, scheme)
-            decoded.append((len(symbols), int(values[7])))
-            return values
-
-        real_axis_decides = experiment._real_axis_decides
-        monkeypatch.setattr(experiment, "add_awgn", awgn_with_guard_band_symbol)
-        monkeypatch.setattr(experiment, "_real_axis_decides", guard_band_check)
-        monkeypatch.setattr(experiment, "nearest_point_values", spy)
-        set_thread_budget(monkeypatch, 2, 2)
+        # As above, over two one-block points and over two points of three
+        # blocks, each task's real row drawn ahead on the helper: every block
+        # is redone on both planes with add_awgn.
+        set_usable_cpus(monkeypatch, 2)
         bpsk_only = (ReceiverSpec("eve_bpsk", "bpsk"),)
-        run_experiment(small_config(receivers=bpsk_only, snr_sweep_db=(10.0, 20.0)))
-        assert awgn_rows == [1, 2, 2]
-        assert decoded == [(2, 0), (2, 0)]
+        for cfg, tasks in (
+            (small_config(receivers=bpsk_only, snr_sweep_db=(10.0, 20.0)), 2),
+            (ragged_sweep(receivers=bpsk_only, snr_sweep_db=(10.0, 20.0)), 6),
+        ):
+            awgn_rows, decoded = run_with_guard_band_symbol(monkeypatch, cfg)
+            assert awgn_rows == [2] * tasks
+            assert decoded == [(2, 0)] * tasks
 
     @pytest.mark.parametrize(
-        "usable_cpus, points", [(1, 26), (2, 26), (8, 26), (2, 1)]
+        "usable_cpus, points, symbols",
+        [
+            pytest.param(1, 26, 10_000, id="1-26"),
+            pytest.param(2, 26, 10_000, id="2-26"),
+            pytest.param(8, 26, 10_000, id="8-26"),
+            pytest.param(2, 1, 10_000, id="2-1"),
+            pytest.param(2, 1, BLOCK + 1, id="2-1-two-blocks"),
+            pytest.param(1, 2, 2 * BLOCK + 4097, id="1-2-ragged"),
+            pytest.param(2, 2, 2 * BLOCK + 4097, id="2-2-ragged"),
+            pytest.param(8, 2, 2 * BLOCK + 4097, id="8-2-ragged"),
+        ],
     )
     def test_draw_ahead_decodes_on_the_caller(
-        self, monkeypatch, usable_cpus, points
+        self, monkeypatch, usable_cpus, points, symbols
     ):
-        set_thread_budget(monkeypatch, experiment._MAX_WORKERS, usable_cpus)
-        cfg = one_block_sweep(points)
+        set_usable_cpus(monkeypatch, usable_cpus)
+        cfg = roster_sweep(points, symbols_per_point=symbols)
+        tasks = points * -(-symbols // BLOCK)
         before = threading.active_count()
         caller_threads = Counter()
         fill_threads_seen = set()
@@ -908,12 +946,12 @@ class TestStreamContract:
         monkeypatch.setattr(experiment, "_noise_fill", noise_fill)
         records = run_experiment(cfg)
         main = threading.main_thread().name
-        blocks = points * len(cfg.receivers)
+        decodes = tasks * len(cfg.receivers)
         assert caller_threads == {
-            ("nearest_point_values", main): blocks,
-            ("count_prefix_errors", main): blocks,
+            ("nearest_point_values", main): decodes,
+            ("count_prefix_errors", main): decodes,
         }
-        helper = usable_cpus > 1 and points > 1
+        helper = usable_cpus > 1 and tasks > 1
         assert most_helpers == int(helper)
         assert fill_threads_seen <= {main, "keyedmod-fill"}
         if not helper:
@@ -944,13 +982,15 @@ class TestStreamContract:
 
         monkeypatch.setattr(experiment, "_noise_fill", broken_fill)
         monkeypatch.setattr(experiment, "nearest_point_values", waiting_decoder)
-        set_thread_budget(monkeypatch, 2, 2)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="fill failed"):
-            run_experiment(one_block_sweep(3))
-        assert helper_began.is_set()
-        assert fill_threads() == []
-        assert threading.active_count() == before
+        set_usable_cpus(monkeypatch, 2)
+        for cfg in (roster_sweep(3), ragged_sweep()):
+            helper_began.clear()
+            before = threading.active_count()
+            with pytest.raises(RuntimeError, match="fill failed"):
+                run_experiment(cfg)
+            assert helper_began.is_set()
+            assert fill_threads() == []
+            assert threading.active_count() == before
 
     def test_caller_exception_leaves_no_fill_thread(self, monkeypatch):
         helpers_at_raise = []
@@ -960,36 +1000,14 @@ class TestStreamContract:
             raise RuntimeError("decoder failed")
 
         monkeypatch.setattr(experiment, "nearest_point_values", broken)
-        set_thread_budget(monkeypatch, 2, 2)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="decoder failed"):
-            run_experiment(one_block_sweep(3))
-        assert helpers_at_raise == [1]
-        assert fill_threads() == []
-        assert threading.active_count() == before
-
-    def test_worker_exception_propagates_and_leaves_no_thread(self, monkeypatch):
-        raised_in = []
-
-        def broken(symbols, scheme):
-            raised_in.append(threading.current_thread().name)
-            raise RuntimeError("decoder failed")
-
-        monkeypatch.setattr(experiment, "nearest_point_values", broken)
-        set_thread_budget(monkeypatch, 2, 2)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="decoder failed"):
-            run_experiment(small_config(symbols_per_point=BLOCK + 1))
-        assert raised_in and all(n.startswith("keyedmod-block") for n in raised_in)
-        assert pool_threads() == []
-        assert threading.active_count() == before
-
-    def test_no_thread_outlives_a_pooled_call(self, monkeypatch):
-        set_thread_budget(monkeypatch, 2, 2)
-        before = threading.active_count()
-        run_experiment(small_config(symbols_per_point=BLOCK + 1))
-        assert pool_threads() == []
-        assert threading.active_count() == before
+        set_usable_cpus(monkeypatch, 2)
+        for cfg in (roster_sweep(3), ragged_sweep()):
+            before = threading.active_count()
+            with pytest.raises(RuntimeError, match="decoder failed"):
+                run_experiment(cfg)
+            assert fill_threads() == []
+            assert threading.active_count() == before
+        assert helpers_at_raise == [1, 1]
 
     def test_seed_must_fit_one_word(self):
         with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
@@ -1043,18 +1061,22 @@ class TestStreamContract:
     def test_peak_memory_of_a_one_block_sweep(self, monkeypatch):
         # Sent planes and two sets of received rows, one (2, n) pair per
         # receiver each: (1 + 2 * 4) * 2 * 2**16 * 8 bytes = 9 MiB at the
-        # largest one-block budget, plus up to 3 MiB for the decoder's chunk
-        # scratch (2.4 MiB measured). A third set would add 4 MiB.
-        cfg = one_block_sweep(symbols_per_point=BLOCK)
-        set_thread_budget(monkeypatch, 2, 2)
-        run_experiment(replace(cfg, snr_sweep_db=(0.0,)))
-        tracemalloc.start()
-        try:
-            run_experiment(cfg)
-            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
-        assert peak_mb < 12.0
+        # largest block, plus up to 3 MiB for the decoder's chunk scratch
+        # (2.4 MiB measured). A third set would add 4 MiB. Points of more
+        # than one block take the same buffers.
+        set_usable_cpus(monkeypatch, 2)
+        for cfg in (
+            roster_sweep(symbols_per_point=BLOCK),
+            roster_sweep(2, symbols_per_point=2 * BLOCK + 4097),
+        ):
+            run_experiment(replace(cfg, snr_sweep_db=(0.0,)))
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+            assert peak_mb < 12.0
 
 
 class TestBerRecord:

@@ -66,18 +66,38 @@ def test_no_module_exports_another_modules_definitions(name):
     assert foreign == []
 
 
-def test_package_import_loads_no_module_and_no_numpy():
+def run_probe(probe):
+    """Run ``probe`` in a fresh interpreter on this source tree; return its output lines."""
     src = str(Path(keyedmod.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_package_import_loads_no_module_and_no_numpy():
     probe = (
         "import sys, keyedmod\n"
         "print(keyedmod.__version__)\n"
         "print(sorted(m for m in sys.modules"
         " if m.startswith('keyedmod.') or m.split('.')[0] == 'numpy'))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    assert run_probe(probe) == [keyedmod.__version__, "[]"]
+
+
+def test_multi_block_sweep_imports_no_thread_pool():
+    # Two points of two blocks each, the last one ragged, with the helper
+    # thread on wherever two CPUs are usable.
+    probe = (
+        "import sys\n"
+        "from keyedmod.channel import PathLossModel\n"
+        "from keyedmod.experiment import ExperimentConfig, ReceiverSpec, run_experiment\n"
+        "cfg = ExperimentConfig('qam16_circ', None, (ReceiverSpec('eve', 'qpsk'),),"
+        " PathLossModel(2.0), (0.0, 10.0), 'receive', 2**16 + 1, 1)\n"
+        "print(len(run_experiment(cfg)))\n"
+        "print('concurrent.futures' in sys.modules)\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [keyedmod.__version__, "[]"]
+    assert run_probe(probe) == ["2", "False"]

@@ -157,6 +157,14 @@ class TestUnicity:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             unicity(entropy, redundancy)
 
+    @pytest.mark.parametrize(
+        "entropy, redundancy, name",
+        [(True, False, "entropy"), (44.25, True, "redundancy"), ("44", 0.5, "entropy")],
+    )
+    def test_refuses_bools_and_non_numbers(self, entropy, redundancy, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            unicity(entropy, redundancy)
+
     def test_infinite_iff_zero_redundancy_with_entropy(self):
         for entropy, redundancy in ((0.0, 0.0), (5.0, 0.0), (5.0, 1.0), (0.0, 1.0)):
             result = unicity(entropy, redundancy)
