@@ -572,6 +572,59 @@ def set_usable_cpus(monkeypatch, usable_cpus):
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: usable_cpus)
 
 
+def check_draw_ahead(monkeypatch, usable_cpus, points, symbols):
+    """Run the roster over ``points`` of ``symbols`` and check who does what.
+
+    Every decode and error count runs on the caller, at most one fill helper
+    runs (none with one usable CPU or one task), no thread outlives the call,
+    and the records equal the bit-domain oracle.
+    """
+    set_usable_cpus(monkeypatch, usable_cpus)
+    cfg = roster_sweep(points, symbols_per_point=symbols)
+    tasks = points * -(-symbols // BLOCK)
+    before = threading.active_count()
+    caller_threads = Counter()
+    fill_threads_seen = set()
+    most_helpers = 0
+
+    def on_caller(name, fn):
+        def spy(*args):
+            nonlocal most_helpers
+            caller_threads[name, threading.current_thread().name] += 1
+            most_helpers = max(most_helpers, len(fill_threads()))
+            return fn(*args)
+
+        return spy
+
+    def noise_fill(spec):
+        fill = channel._noise_fill(spec)
+
+        def spy(out):
+            fill_threads_seen.add(threading.current_thread().name)
+            return fill(out=out)
+
+        return spy
+
+    for name in ("nearest_point_values", "count_prefix_errors"):
+        monkeypatch.setattr(experiment, name, on_caller(name, getattr(experiment, name)))
+    monkeypatch.setattr(experiment, "_noise_fill", noise_fill)
+    records = run_experiment(cfg)
+    main = threading.main_thread().name
+    decodes = tasks * len(cfg.receivers)
+    assert caller_threads == {
+        ("nearest_point_values", main): decodes,
+        ("count_prefix_errors", main): decodes,
+    }
+    helper = usable_cpus > 1 and tasks > 1
+    assert most_helpers == int(helper)
+    assert fill_threads_seen <= {main, "keyedmod-fill"}
+    if not helper:
+        assert fill_threads_seen <= {main}
+    assert fill_threads() == []
+    assert threading.active_count() == before
+    assert records == bit_domain_records(cfg)
+
+
 def run_with_guard_band_symbol(monkeypatch, cfg):
     """Run ``cfg`` with symbol 7 of every BPSK block in the guard band at 0.
 
@@ -907,58 +960,18 @@ class TestStreamContract:
             pytest.param(8, 26, 10_000, id="8-26"),
             pytest.param(2, 1, 10_000, id="2-1"),
             pytest.param(2, 1, BLOCK + 1, id="2-1-two-blocks"),
-            pytest.param(1, 2, 2 * BLOCK + 4097, id="1-2-ragged"),
-            pytest.param(2, 2, 2 * BLOCK + 4097, id="2-2-ragged"),
-            pytest.param(8, 2, 2 * BLOCK + 4097, id="8-2-ragged"),
         ],
     )
     def test_draw_ahead_decodes_on_the_caller(
         self, monkeypatch, usable_cpus, points, symbols
     ):
-        set_usable_cpus(monkeypatch, usable_cpus)
-        cfg = roster_sweep(points, symbols_per_point=symbols)
-        tasks = points * -(-symbols // BLOCK)
-        before = threading.active_count()
-        caller_threads = Counter()
-        fill_threads_seen = set()
-        most_helpers = 0
+        check_draw_ahead(monkeypatch, usable_cpus, points, symbols)
 
-        def on_caller(name, fn):
-            def spy(*args):
-                nonlocal most_helpers
-                caller_threads[name, threading.current_thread().name] += 1
-                most_helpers = max(most_helpers, len(fill_threads()))
-                return fn(*args)
-
-            return spy
-
-        def noise_fill(spec):
-            fill = channel._noise_fill(spec)
-
-            def spy(out):
-                fill_threads_seen.add(threading.current_thread().name)
-                return fill(out=out)
-
-            return spy
-
-        for name in ("nearest_point_values", "count_prefix_errors"):
-            monkeypatch.setattr(experiment, name, on_caller(name, getattr(experiment, name)))
-        monkeypatch.setattr(experiment, "_noise_fill", noise_fill)
-        records = run_experiment(cfg)
-        main = threading.main_thread().name
-        decodes = tasks * len(cfg.receivers)
-        assert caller_threads == {
-            ("nearest_point_values", main): decodes,
-            ("count_prefix_errors", main): decodes,
-        }
-        helper = usable_cpus > 1 and tasks > 1
-        assert most_helpers == int(helper)
-        assert fill_threads_seen <= {main, "keyedmod-fill"}
-        if not helper:
-            assert fill_threads_seen <= {main}
-        assert fill_threads() == []
-        assert threading.active_count() == before
-        assert records == bit_domain_records(cfg)
+    @pytest.mark.parametrize("usable_cpus", [1, 2, 8])
+    def test_pool_holds_at_most_two_usable_cpus(self, monkeypatch, usable_cpus):
+        # Two points of three blocks, the last one ragged: the caller and at
+        # most one fill helper, whatever the CPU count.
+        check_draw_ahead(monkeypatch, usable_cpus, 2, 2 * BLOCK + 4097)
 
     def test_fill_helper_exception_propagates(self, monkeypatch):
         # Draws fail on the helper alone, and the caller's first decode waits
@@ -1001,13 +1014,61 @@ class TestStreamContract:
 
         monkeypatch.setattr(experiment, "nearest_point_values", broken)
         set_usable_cpus(monkeypatch, 2)
-        for cfg in (roster_sweep(3), ragged_sweep()):
-            before = threading.active_count()
-            with pytest.raises(RuntimeError, match="decoder failed"):
-                run_experiment(cfg)
-            assert fill_threads() == []
-            assert threading.active_count() == before
-        assert helpers_at_raise == [1, 1]
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="decoder failed"):
+            run_experiment(roster_sweep(3))
+        assert helpers_at_raise == [1]
+        assert fill_threads() == []
+        assert threading.active_count() == before
+
+    def test_worker_exception_propagates_and_leaves_no_thread(self, monkeypatch):
+        # A decoder error in the middle of a multi-block point, on the second
+        # block's first receiver while the helper draws the third block, is
+        # raised on the caller and ends the helper.
+        raised = []
+
+        def broken(symbols, scheme):
+            raised.append((threading.current_thread().name, len(fill_threads())))
+            if len(raised) == len(cfg.receivers) + 1:
+                raise RuntimeError("decoder failed")
+            return nearest_point_values(symbols, scheme)
+
+        cfg = ragged_sweep()
+        monkeypatch.setattr(experiment, "nearest_point_values", broken)
+        set_usable_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="decoder failed"):
+            run_experiment(cfg)
+        main = threading.main_thread().name
+        assert raised == [(main, 1)] * (len(cfg.receivers) + 1)
+        assert fill_threads() == []
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_pooled_call(self, monkeypatch):
+        # Back-to-back multi-block sweeps: every helper thread a call starts
+        # has been joined when it returns, and the next call starts its own.
+        helpers = []
+
+        def noise_fill(spec):
+            fill = channel._noise_fill(spec)
+
+            def spy(out):
+                current = threading.current_thread()
+                if current is not threading.main_thread() and current not in helpers:
+                    helpers.append(current)
+                return fill(out=out)
+
+            return spy
+
+        monkeypatch.setattr(experiment, "_noise_fill", noise_fill)
+        set_usable_cpus(monkeypatch, 2)
+        before = set(threading.enumerate())
+        for cfg in (small_config(symbols_per_point=BLOCK + 1), ragged_sweep()) * 2:
+            started = len(helpers)
+            run_experiment(cfg)
+            assert len(helpers) == started + 1
+            assert not any(t.is_alive() for t in helpers)
+            assert set(threading.enumerate()) == before
 
     def test_seed_must_fit_one_word(self):
         with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
