@@ -4,26 +4,22 @@ The complex-baseband noise model: a symbol stream with unit average
 energy (Es = 1) receives independent zero-mean Gaussian noise on each
 axis with per-axis variance N0/2, where N0 = 10**(-snr_db/10). Noise is
 drawn from numpy's PCG64 generator (ziggurat Gaussian sampling), so a
-fixed seed reproduces the stream bit for bit: one ``standard_normal``
-draw fills the real axis first, then the imaginary axis.
+fixed seed reproduces the stream bit for bit.
 
-``add_awgn`` takes a complex symbol array, or float64 planes: a
-C-contiguous array of shape (2, n) whose row 0 holds the real and row 1
-the imaginary coordinates. The planes form draws straight into its
-output rows, in the same order; a one-row plane holds the real axis
-alone and gets the real-axis noise of the two-row form.
+Draw order: one ``standard_normal`` draw fills float64 rows in row-major
+order, the real axis (row 0) first, then the imaginary axis (row 1). A
+single row holds the real axis alone and gets the real-axis noise of
+two rows.
 
 ``add_awgn`` is the fill and the scale below, then the sum: the fill
-(``_noise_fill``) draws the unit normals into the rows in the order
-above, and the scale (``_scale_noise``) multiplies them by sigma in
-place. A sweep may run the two on different threads; it calls the same
-two pieces, so the draw order is stated here alone.
+(``_noise_fill``) draws the unit normals into the rows, and the scale
+(``_scale_noise``) multiplies them by sigma in place. A sweep calls the
+same two pieces on its own rows, possibly on different threads, so the
+draw order is stated here alone.
 
 ``add_awgn`` keeps no state, so threads may call it at once; a parallel
 sweep keeps its runs reproducible by seeding every block from its own
 key, never from the thread that draws it (see :mod:`keyedmod.experiment`).
-An ``out`` array passed to ``add_awgn`` belongs to the caller, and two
-threads must not share one.
 """
 
 from __future__ import annotations
@@ -126,35 +122,12 @@ def _noise_reach(es_over_n0_db: float) -> float:
     return _NORMAL_BOUND * _sigma(es_over_n0_db)
 
 
-def _as_planes(symbols) -> np.ndarray | None:
-    """``symbols`` if it holds float64 planes; None if it is no two-dimensional float array.
-
-    A two-dimensional float array of other than one or two rows, of
-    another dtype, or not C-contiguous, raises ``ValueError``.
-    """
-    if not (
-        isinstance(symbols, np.ndarray) and symbols.ndim == 2 and symbols.dtype.kind == "f"
-    ):
-        return None
-    if not (
-        symbols.dtype == np.float64
-        and symbols.shape[0] in (1, 2)
-        and symbols.flags.c_contiguous
-    ):
-        raise ValueError(
-            "symbol planes must be one or two C-contiguous float64 rows,"
-            f" got {symbols.dtype} of shape {symbols.shape}"
-        )
-    return symbols
-
-
 def _noise_fill(spec: ChannelSpec):
     """The call that fills C-contiguous float64 rows with the spec's unit normals.
 
-    ``_noise_fill(spec)(out=rows)`` makes one ``standard_normal`` draw in
-    row-major order: row 0, the real axis, takes the first draws, and row
-    1, the imaginary axis, the next. The call touches only its generator
-    and ``rows``, so it may run on another thread than the one that made it.
+    ``_noise_fill(spec)(out=rows)`` makes one draw in the module's draw
+    order. The call touches only its generator and ``rows``, so it may run
+    on another thread than the one that made it.
     """
     return np.random.default_rng(spec.rng_seed).standard_normal
 
@@ -168,50 +141,15 @@ def _scale_noise(rows: np.ndarray, spec: ChannelSpec) -> None:
     rows *= _sigma(spec.es_over_n0_db)
 
 
-def add_awgn(symbols, spec: ChannelSpec, out=None) -> np.ndarray:
-    """Return ``symbols`` plus complex AWGN at the spec's Es/N0.
+def add_awgn(symbols, spec: ChannelSpec) -> np.ndarray:
+    """Return a new complex array: ``symbols`` plus complex AWGN at the spec's Es/N0.
 
     Per-axis noise variance is N0/2; the input must come from a
     unit-mean-energy scheme for the dB figure to mean Es/N0. Two calls
     with the same spec produce identical output.
-
-    ``symbols`` is a complex array, or float64 planes of one or two rows
-    (see the module docstring). ``out``, if given, is a writable array of
-    the same form and shape as ``symbols``: complex128 for a complex
-    array, C-contiguous float64 for planes. It may be ``symbols`` itself;
-    the result is written there and ``out`` is returned. Otherwise a new
-    array is returned.
     """
-    planes = _as_planes(symbols)
-    if planes is not None:
-        if out is None:
-            out = np.empty_like(planes)
-        elif not (
-            isinstance(out, np.ndarray)
-            and out.dtype == np.float64
-            and out.shape == planes.shape
-            and out.flags.c_contiguous
-            and out.flags.writeable
-        ):
-            raise ValueError(
-                f"out must be writable C-contiguous float64 planes of shape {planes.shape}"
-            )
-        elif np.may_share_memory(planes, out):
-            planes = planes.copy()
-        _noise_fill(spec)(out=out)
-        _scale_noise(out, spec)
-        out += planes
-        return out
     y = np.asarray(symbols, dtype=np.complex128)
-    if out is None:
-        out = np.empty(y.shape, dtype=np.complex128)
-    elif not (
-        isinstance(out, np.ndarray)
-        and out.dtype == np.complex128
-        and out.shape == y.shape
-        and out.flags.writeable
-    ):
-        raise ValueError(f"out must be a writable complex128 array of shape {y.shape}")
+    out = np.empty(y.shape, dtype=np.complex128)
     noise = np.empty((2, *y.shape))
     _noise_fill(spec)(out=noise)
     _scale_noise(noise, spec)
@@ -221,7 +159,10 @@ def add_awgn(symbols, spec: ChannelSpec, out=None) -> np.ndarray:
 
 
 def snr_at_distance(model: PathLossModel, d: float) -> float:
-    """Receive-side SNR in dB at distance ``d`` meters (``d >= d_ref``)."""
+    """Receive-side SNR in dB at a finite distance ``d`` meters (``d >= d_ref``)."""
+    d = _real_float(d, "distance")
+    if not math.isfinite(d):
+        raise ValueError(f"distance must be finite, got {d}")
     if d < model.d_ref:
         raise ValueError(
             f"distance {d} m is inside the reference distance {model.d_ref} m"

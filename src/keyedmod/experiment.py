@@ -12,15 +12,14 @@ cut into blocks of 2**16 symbols, the last one shorter when the budget
 is not a multiple, and each block draws from its own ``SeedSequence``
 keyed by (seed, sweep index, lane, label word, block index). Lane 0
 holds the broadcast values; lane 1 holds one receiver's noise, keyed by
-a hash of its label, real axis first, then imaginary. So records are
-bit-reproducible, adding, removing, or reordering receivers never
-perturbs the other series, and neither memory nor threads change a
-record. The record list is canonically ordered before persistence.
-
-A sweep works one (sweep point, block) task at a time on the caller,
-while one helper thread draws the next task's unit normals (see
-:func:`run_experiment`). Each draw comes from its own block's generator
-whichever thread makes it.
+a hash of its label and drawn in the order :mod:`keyedmod.channel`
+states. So records are bit-reproducible, adding, removing, or
+reordering receivers never perturbs the other series, and neither
+memory nor threads change a record: a sweep works one (sweep point,
+block) task at a time on the caller, while one helper thread draws the
+next task's unit normals from that block's own generator (see
+:func:`run_experiment`). The record list is canonically ordered before
+persistence.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .channel import (
     _noise_fill,
     _noise_reach,
     _scale_noise,
-    add_awgn,
     noise_spectral_density,
     snr_at_distance,
 )
@@ -275,6 +273,8 @@ class BerRecord:
     ser: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(_real_float(self.snr_db, "snr_db")):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if self.compared_bits <= 0 or self.compared_bits > self.tx_bits:
             raise ValueError(
                 f"compared_bits must be in 1..tx_bits, got {self.compared_bits}"
@@ -536,10 +536,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
 
     A receiver whose points all lie on the real axis draws and decodes
     the real plane alone where its noise cannot reach the decoder's outer
-    imaginary bins, and redoes a block on both planes with ``add_awgn``
-    when a real coordinate lands in a mixed real bin (the one-plane rule
-    in :mod:`keyedmod.modem`). The real axis is drawn first either way,
-    so every record is the same.
+    imaginary bins, and redraws both planes of a block whose real row has
+    a coordinate in a mixed real bin (the one-plane rule in :mod:`keyedmod.modem`).
     """
     sender, rx_schemes = cfg.resolve_schemes()
     m_tx = sender.bits_per_symbol
@@ -602,11 +600,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
         for spec, rows, planes, rx_scheme in zip(
             specs, received, plane_counts[sweep_idx], rx_schemes
         ):
-            _scale_noise(rows[:planes], spec)
-            rows[:planes] += sent[:planes]
-            if planes == 1 and not _real_axis_decides(rows[0], rx_scheme):
+            while True:
+                _scale_noise(rows[:planes], spec)
+                rows[:planes] += sent[:planes]
+                if planes == 2 or _real_axis_decides(rows[0], rx_scheme):
+                    break
                 planes = 2
-                add_awgn(sent, spec, out=rows)
+                _noise_fill(spec)(out=rows)
             rx_values = nearest_point_values(rows[:planes], rx_scheme)
             counts.append(
                 count_prefix_errors(tx_values, m_tx, rx_values, rx_scheme.bits_per_symbol)

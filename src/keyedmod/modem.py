@@ -1,14 +1,14 @@
 """Bit-stream modulation and nearest-point (maximum-likelihood) demodulation.
 
 Bit streams are 1-D integer arrays of 0/1 values; symbol streams are 1-D
-complex arrays. ``nearest_point_values`` also takes a stream as float64
-planes, the form :func:`keyedmod.channel.add_awgn` writes: a
-C-contiguous array of two rows, the real coordinates then the imaginary
-ones, or of one row, the real coordinates of symbols whose imaginary
-part is 0.0. All functions are pure: safe to run over symbol blocks
-in parallel. The only state they touch is the cell-table caches (one
-table per geometry, relabelled once per scheme), which hold read-only
-decision data and never change a result.
+complex arrays. ``nearest_point_values`` also decodes a stream given as
+float64 planes, the form of a sweep's received rows: a C-contiguous
+array of two rows, the real coordinates then the imaginary ones, or of
+one row, the real coordinates of symbols whose imaginary part is 0.0.
+Planes are a decode input only. All functions are pure: safe to run
+over symbol blocks in parallel. The only state they touch is the
+cell-table caches (one table per geometry, relabelled once per scheme),
+which hold read-only decision data and never change a result.
 
 Every receiver makes the decisions of an argmin over the squared
 distances from a symbol to all M points: ties go to the lowest bit
@@ -23,8 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import _as_planes
-from .constellations import ConstellationScheme
+from .constellations import ConstellationScheme, _integer
 
 __all__ = [
     "modulate",
@@ -53,8 +52,17 @@ def value_dtype(bits_per_symbol: int) -> np.dtype:
     return np.min_scalar_type((1 << bits_per_symbol) - 1)
 
 
+def _bits_per_symbol(value) -> int:
+    """``value`` read as an integer of at least 1; else ``ValueError``."""
+    m = _integer(value, "bits_per_symbol")
+    if m < 1:
+        raise ValueError(f"bits_per_symbol must be at least 1, got {m}")
+    return m
+
+
 def bits_to_values(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
     """Check a bit stream and group it MSB-first into narrow unsigned symbol values."""
+    bits_per_symbol = _bits_per_symbol(bits_per_symbol)
     bits = np.asarray(bits)
     if bits.ndim != 1:
         raise ValueError("bit stream must be one-dimensional")
@@ -75,8 +83,11 @@ def bits_to_values(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
 
 
 def values_to_bits(values: np.ndarray, bits_per_symbol: int) -> np.ndarray:
-    """Expand integer symbol values into an MSB-first bit stream."""
+    """Expand integer symbol values in [0, 2**m) into an MSB-first bit stream."""
+    bits_per_symbol = _bits_per_symbol(bits_per_symbol)
     values = np.asarray(values, dtype=np.int64)
+    if values.size and not (values.min() >= 0 and int(values.max()) < 1 << bits_per_symbol):
+        raise ValueError(f"symbol values must lie in [0, 2**{bits_per_symbol})")
     shifts = np.arange(bits_per_symbol - 1, -1, -1)
     return ((values[:, None] >> shifts) & 1).astype(np.uint8).ravel()
 
@@ -259,6 +270,28 @@ def _bin_index(coord: np.ndarray, table: _CellTable, edges: np.ndarray) -> np.nd
     return index.astype(np.intp)
 
 
+def _as_planes(symbols) -> np.ndarray | None:
+    """``symbols`` if it holds float64 planes; None if it is no two-dimensional float array.
+
+    A two-dimensional float array of other than one or two rows, of
+    another dtype, or not C-contiguous, raises ``ValueError``.
+    """
+    if not (
+        isinstance(symbols, np.ndarray) and symbols.ndim == 2 and symbols.dtype.kind == "f"
+    ):
+        return None
+    if not (
+        symbols.dtype == np.float64
+        and symbols.shape[0] in (1, 2)
+        and symbols.flags.c_contiguous
+    ):
+        raise ValueError(
+            "symbol planes must be one or two C-contiguous float64 rows,"
+            f" got {symbols.dtype} of shape {symbols.shape}"
+        )
+    return symbols
+
+
 def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
     """Decode each symbol to the bit value whose point is nearest in Euclidean distance.
 
@@ -349,6 +382,8 @@ def count_prefix_errors(tx_values, m_tx: int, rx_values, m_rx: int) -> tuple[int
     first (most significant) m' bits of each transmitted m-bit value.
     Both streams must be one-dimensional and of equal length.
     """
+    if m_rx < 1:
+        raise ValueError(f"receiver resolves {m_rx} bits/symbol; it must resolve at least 1")
     if m_rx > m_tx:
         raise ValueError(
             f"receiver resolves {m_rx} bits/symbol but sender packs only {m_tx};"

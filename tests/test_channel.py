@@ -8,6 +8,8 @@ import pytest
 from keyedmod.channel import (
     ChannelSpec,
     PathLossModel,
+    _noise_fill,
+    _scale_noise,
     add_awgn,
     noise_spectral_density,
     snr_at_distance,
@@ -22,21 +24,6 @@ def symbols():
     rng = np.random.default_rng(240)
     bits = rng.integers(0, 2, 2_000_000, dtype=np.uint8)
     return modulate(bits, scheme)
-
-
-#: Where ``add_awgn`` writes its result: a new array, a given ``out``, or
-#: over the input itself.
-TARGETS = ("new", "out", "in_place")
-
-
-def awgn_into(target, y, spec):
-    """``add_awgn(y, spec)`` with its result written to ``target``."""
-    if target == "new":
-        return add_awgn(y, spec)
-    y = np.array(y)
-    out = np.empty_like(y) if target == "out" else y
-    assert add_awgn(y, spec, out=out) is out
-    return out
 
 
 class TestAddAwgn:
@@ -89,9 +76,7 @@ class TestAddAwgn:
         rng = np.random.default_rng(seed)
         n = y.size
         expected = y + (rng.normal(0, s, n) + 1j * rng.normal(0, s, n))
-        for target in TARGETS:
-            got = awgn_into(target, y, ChannelSpec(snr_db, rng_seed=seed))
-            assert np.array_equal(got, expected), target
+        assert np.array_equal(add_awgn(y, ChannelSpec(snr_db, rng_seed=seed)), expected)
 
     @pytest.mark.parametrize("y", [np.complex128(0.5 - 1j), np.zeros(0, complex)])
     def test_scalar_and_empty_inputs(self, y):
@@ -99,26 +84,9 @@ class TestAddAwgn:
         rng = np.random.default_rng(9)
         n = np.size(y)
         expected = y + (rng.normal(0, s, n) + 1j * rng.normal(0, s, n)).reshape(np.shape(y))
-        for target in TARGETS:
-            got = awgn_into(target, y, ChannelSpec(3.0, rng_seed=9))
-            assert got.shape == np.shape(y), target
-            assert np.array_equal(got, expected), target
-
-    @pytest.mark.parametrize(
-        "make_out",
-        [
-            lambda n: np.empty(n, np.complex64),
-            lambda n: np.empty(n, np.float64),
-            lambda n: np.empty(n + 1, np.complex128),
-            lambda n: np.empty((n, 1), np.complex128),
-            lambda n: np.zeros(n, np.complex128).tolist(),
-            lambda n: np.broadcast_to(np.complex128(0), (n,)),
-        ],
-        ids=["complex64", "float64", "longer", "2-d", "list", "read-only"],
-    )
-    def test_rejects_unusable_out(self, symbols, make_out):
-        with pytest.raises(ValueError, match="out must be a writable complex128 array"):
-            add_awgn(symbols[:8], ChannelSpec(0.0, rng_seed=1), out=make_out(8))
+        got = add_awgn(y, ChannelSpec(3.0, rng_seed=9))
+        assert got.shape == np.shape(y)
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize(
         "seed",
@@ -187,6 +155,20 @@ class TestPathLoss:
         with pytest.raises(ValueError, match="reference distance"):
             snr_at_distance(model, 0.5)
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf, 10**400])
+    def test_rejects_non_finite_distance(self, d):
+        with pytest.raises(ValueError, match="^distance must be finite"):
+            snr_at_distance(PathLossModel(alpha=2.0), d)
+
+    @pytest.mark.parametrize("d", [True, "5", None, 5j])
+    def test_rejects_distance_that_is_not_a_real_number(self, d):
+        with pytest.raises(ValueError, match="^distance must be a real number"):
+            snr_at_distance(PathLossModel(alpha=2.0), d)
+
+    def test_reads_numpy_distances_as_floats(self):
+        model = PathLossModel(alpha=2.0, snr_ref_db=20.0)
+        assert snr_at_distance(model, np.float32(10.0)) == snr_at_distance(model, 10) == 0.0
+
     def test_monotone_decreasing_in_distance(self):
         model = PathLossModel(alpha=2.0, d_ref=1.0, snr_ref_db=20.0)
         values = [snr_at_distance(model, d) for d in np.linspace(1.0, 200.0, 100)]
@@ -231,8 +213,31 @@ def as_planes(y) -> np.ndarray:
     return np.stack((y.real, y.imag))
 
 
+def noisy_rows(rows, sent, spec):
+    """The sweep's noise steps: fill ``rows``, scale them, add the sent planes."""
+    _noise_fill(spec)(out=rows)
+    _scale_noise(rows, spec)
+    rows += sent[: len(rows)]
+    return rows
+
+
+#: What the rows hold before the fill: a new buffer, a buffer reused from
+#: an earlier block, or the real-row pass that a one-plane redo draws over.
+STARTS = ("new", "reused", "redo")
+
+
+def rows_from(start, sent, spec):
+    """Two rows holding ``sent`` plus noise, drawn into a buffer that begins as ``start``."""
+    rows = np.empty_like(sent)
+    if start == "reused":
+        rows.fill(np.nan)
+    elif start == "redo":
+        noisy_rows(rows[:1], sent, spec)
+    return noisy_rows(rows, sent, spec)
+
+
 class TestPlanes:
-    """Float64 planes get the noise of the complex form, drawn straight into the rows."""
+    """The fill, scale and sum a sweep runs on float64 rows give ``add_awgn``'s noise."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
     @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 7.5, 30.0])
@@ -240,56 +245,27 @@ class TestPlanes:
         y = symbols[:20_000]
         spec = ChannelSpec(snr_db, rng_seed=seed)
         expected = as_planes(add_awgn(y, spec)).tobytes()
-        for target in TARGETS:
-            got = awgn_into(target, as_planes(y), spec)
-            assert got.shape == (2, y.size) and got.dtype == np.float64, target
-            assert got.tobytes() == expected, target
+        for start in STARTS:
+            got = rows_from(start, as_planes(y), spec)
+            assert got.shape == (2, y.size) and got.dtype == np.float64, start
+            assert got.tobytes() == expected, start
 
     @pytest.mark.parametrize("seed", [0, 2**63 + 5])
     @pytest.mark.parametrize("snr_db", [-10.0, 30.0])
     def test_one_row_is_the_real_row_of_two(self, symbols, seed, snr_db):
         planes = as_planes(symbols[:20_000])
         spec = ChannelSpec(snr_db, rng_seed=seed)
-        for target in TARGETS:
-            one = awgn_into(target, planes[:1], spec)
-            assert one.tobytes() == add_awgn(planes, spec)[:1].tobytes(), target
+        one = noisy_rows(np.full((1, planes.shape[1]), np.nan), planes, spec)
+        assert one.tobytes() == rows_from("new", planes, spec)[:1].tobytes()
 
     def test_input_not_mutated(self, symbols):
+        # Every receiver of a block, and a redo, adds its noise to one sent buffer.
         planes = as_planes(symbols[:100])
-        add_awgn(planes, ChannelSpec(0.0, rng_seed=5), out=np.empty_like(planes))
+        for start in STARTS:
+            rows_from(start, planes, ChannelSpec(0.0, rng_seed=5))
         assert np.array_equal(planes, as_planes(symbols[:100]))
 
     def test_empty_planes(self):
         for rows in (1, 2):
-            assert add_awgn(np.zeros((rows, 0)), ChannelSpec(3.0, rng_seed=9)).shape == (rows, 0)
-
-    @pytest.mark.parametrize(
-        "planes",
-        [
-            np.zeros((3, 8)),
-            np.zeros((0, 8)),
-            np.zeros((2, 16))[:, ::2],
-            np.zeros((2, 8), np.float32),
-        ],
-        ids=["three-rows", "no-rows", "strided", "float32"],
-    )
-    def test_rejects_malformed_planes(self, planes):
-        with pytest.raises(ValueError, match="planes must be one or two C-contiguous float64"):
-            add_awgn(planes, ChannelSpec(0.0, rng_seed=1))
-
-    @pytest.mark.parametrize(
-        "make_out",
-        [
-            lambda: np.empty((2, 8), np.float32),
-            lambda: np.empty((2, 8), np.complex128),
-            lambda: np.empty((1, 8)),
-            lambda: np.empty(16),
-            lambda: np.empty((2, 16))[:, ::2],
-            lambda: np.broadcast_to(0.0, (2, 8)),
-            lambda: np.zeros((2, 8)).tolist(),
-        ],
-        ids=["float32", "complex128", "one-row", "flat", "strided", "read-only", "list"],
-    )
-    def test_rejects_unusable_out(self, make_out):
-        with pytest.raises(ValueError, match="out must be writable C-contiguous float64 planes"):
-            add_awgn(np.zeros((2, 8)), ChannelSpec(0.0, rng_seed=1), out=make_out())
+            got = noisy_rows(np.empty((rows, 0)), np.zeros((2, 0)), ChannelSpec(3.0, rng_seed=9))
+            assert got.shape == (rows, 0)

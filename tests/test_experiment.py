@@ -30,6 +30,7 @@ from keyedmod.experiment import (
     REQUIRED_RECEIVER_LABELS,
     BerRecord,
     ExperimentConfig,
+    RESULT_FIELDS,
     IntegrityError,
     ReceiverSpec,
     config_from_dict,
@@ -629,36 +630,40 @@ def run_with_guard_band_symbol(monkeypatch, cfg):
     """Run ``cfg`` with symbol 7 of every BPSK block in the guard band at 0.
 
     Before the real-axis check the received real row gets the coordinate
-    -1e-12, and each ``add_awgn`` redo puts the symbol at -1e-12 + 500j,
+    -1e-12, and each decode of both rows gets the symbol at -1e-12 + 500j,
     where the two-plane decision (0) differs from the real-plane one (1).
-    Returns the row count of each ``add_awgn`` call and the (rows, value
+    Returns how many noise fills drew each row count, and the (rows, value
     of symbol 7) of each decode.
     """
-    awgn_rows = []
+    fill_rows = []
     decoded = []
 
-    def awgn_with_guard_band_symbol(symbols, spec, out=None):
-        awgn_rows.append(len(symbols))
-        out = add_awgn(symbols, spec, out=out)
-        out[0, 7] = -1e-12
-        out[1, 7] = 500.0
-        return out
+    def noise_fill(spec):
+        fill = channel._noise_fill(spec)
+
+        def spy(out):
+            fill_rows.append(len(out))
+            return fill(out=out)
+
+        return spy
 
     def guard_band_check(real, scheme):
         real[7] = -1e-12
         return real_axis_decides(real, scheme)
 
-    def spy(symbols, scheme):
+    def decode_with_guard_band_symbol(symbols, scheme):
+        if len(symbols) == 2:
+            symbols[:, 7] = (-1e-12, 500.0)
         values = nearest_point_values(symbols, scheme)
         decoded.append((len(symbols), int(values[7])))
         return values
 
     real_axis_decides = experiment._real_axis_decides
-    monkeypatch.setattr(experiment, "add_awgn", awgn_with_guard_band_symbol)
+    monkeypatch.setattr(experiment, "_noise_fill", noise_fill)
     monkeypatch.setattr(experiment, "_real_axis_decides", guard_band_check)
-    monkeypatch.setattr(experiment, "nearest_point_values", spy)
+    monkeypatch.setattr(experiment, "nearest_point_values", decode_with_guard_band_symbol)
     run_experiment(cfg)
-    return awgn_rows, decoded
+    return Counter(fill_rows), decoded
 
 
 class TestRunExperiment:
@@ -905,7 +910,6 @@ class TestStreamContract:
 
             return spy
 
-        monkeypatch.setattr(experiment, "add_awgn", wrap(add_awgn, "channel.add_awgn"))
         monkeypatch.setattr(
             experiment, "nearest_point_values", wrap(nearest_point_values, nearest_point)
         )
@@ -917,8 +921,8 @@ class TestStreamContract:
         cfg = ragged_sweep(receivers=receivers, snr_sweep_db=(-45.0, 0.0, 10.0))
         run_experiment(cfg)
         blocks = 3 * len(cfg.snr_sweep_db)
-        # Every noise fill runs outside add_awgn, which only a BPSK redo
-        # calls, and no real coordinate here lands in a mixed bin.
+        # No real coordinate here lands in a mixed bin, so no BPSK block is
+        # redrawn on both planes.
         assert Counter(names) == {
             "modem.nearest_point.qam16_circ": blocks,
             "modem.nearest_point.qam16_rect": blocks,
@@ -928,12 +932,12 @@ class TestStreamContract:
         assert Counter(fill_rows) == {2: 2 * blocks + 3, 1: 6}
 
     def test_guard_band_coordinate_redoes_bpsk_block_on_both_planes(self, monkeypatch):
-        # One point of one block, so no helper: the block is redrawn with
-        # add_awgn and decoded on both planes.
+        # One point of one block, so no helper: the block's real row is
+        # drawn, then both rows are redrawn and decoded.
         bpsk_only = (ReceiverSpec("eve_bpsk", "bpsk"),)
         cfg = small_config(receivers=bpsk_only, snr_sweep_db=(10.0,))
-        awgn_rows, decoded = run_with_guard_band_symbol(monkeypatch, cfg)
-        assert awgn_rows == [2]
+        fill_rows, decoded = run_with_guard_band_symbol(monkeypatch, cfg)
+        assert fill_rows == {1: 1, 2: 1}
         assert decoded == [(2, 0)]
         received = np.array([-1e-12 + 500j, -1e-12 + 0j])
         assert nearest_point_values(received, make_standard_scheme("bpsk")).tolist() == [0, 1]
@@ -941,15 +945,15 @@ class TestStreamContract:
     def test_guard_band_coordinate_redoes_drawn_ahead_bpsk_block(self, monkeypatch):
         # As above, over two one-block points and over two points of three
         # blocks, each task's real row drawn ahead on the helper: every block
-        # is redone on both planes with add_awgn.
+        # is redrawn on both planes.
         set_usable_cpus(monkeypatch, 2)
         bpsk_only = (ReceiverSpec("eve_bpsk", "bpsk"),)
         for cfg, tasks in (
             (small_config(receivers=bpsk_only, snr_sweep_db=(10.0, 20.0)), 2),
             (ragged_sweep(receivers=bpsk_only, snr_sweep_db=(10.0, 20.0)), 6),
         ):
-            awgn_rows, decoded = run_with_guard_band_symbol(monkeypatch, cfg)
-            assert awgn_rows == [2] * tasks
+            fill_rows, decoded = run_with_guard_band_symbol(monkeypatch, cfg)
+            assert fill_rows == {1: tasks, 2: tasks}
             assert decoded == [(2, 0)] * tasks
 
     @pytest.mark.parametrize(
@@ -1166,6 +1170,20 @@ class TestBerRecord:
         with pytest.raises(ValueError, match=match):
             BerRecord("x", 0.0, 100, 100, *counts)
 
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 10**400])
+    def test_rejects_non_finite_snr(self, snr_db):
+        with pytest.raises(ValueError, match="^snr_db must be finite"):
+            BerRecord("x", snr_db, 100, 100, 10, 0.1, 5, 0.05)
+
+    @pytest.mark.parametrize("snr_db", [True, "0", None])
+    def test_rejects_snr_that_is_not_a_real_number(self, snr_db):
+        with pytest.raises(ValueError, match="^snr_db must be a real number"):
+            BerRecord("x", snr_db, 100, 100, 10, 0.1, 5, 0.05)
+
+    def test_stores_snr_as_given(self):
+        for snr_db in (np.float32(2.5), 3):
+            assert type(BerRecord("x", snr_db, 100, 100, 10, 0.1, 5, 0.05).snr_db) is type(snr_db)
+
 
 class TestResultsIO:
     def make_records(self):
@@ -1257,6 +1275,15 @@ class TestResultsIO:
             i for i, l in enumerate(path.read_text().splitlines(), 1) if "symbols_per_point" in l
         )
         with pytest.raises(IntegrityError, match=rf":{lineno}: symbols_per_point .*{value!r}"):
+            read_results(path)
+
+    def test_nan_snr_row_detected_with_line_number(self, tmp_path):
+        # Two rows at nan dB would otherwise load, and a figure would then
+        # find no record at nan dB, as nan never equals itself.
+        path = tmp_path / "nan.csv"
+        rows = "".join(f"intended,nan,400,400,{e},{e / 400!r},{e},{e / 100!r}\n" for e in (4, 8))
+        path.write_text(",".join(RESULT_FIELDS) + "\n" + rows)
+        with pytest.raises(IntegrityError, match=r":2: snr_db must be finite, got nan"):
             read_results(path)
 
     def test_missing_header(self, tmp_path):

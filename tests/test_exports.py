@@ -88,6 +88,16 @@ def test_package_import_loads_no_module_and_no_numpy():
     assert run_probe(probe) == [keyedmod.__version__, "[]"]
 
 
+def test_modem_import_loads_no_channel():
+    # The planes format a decoder reads is modem's own; the channel adds
+    # noise to complex symbols only.
+    probe = (
+        "import sys, keyedmod.modem\n"
+        "print(sorted(m for m in sys.modules if m.startswith('keyedmod.')))\n"
+    )
+    assert run_probe(probe) == ["['keyedmod.constellations', 'keyedmod.modem']"]
+
+
 def test_multi_block_sweep_imports_no_thread_pool():
     # Two points of two blocks each, the last one ragged, with the helper
     # thread on wherever two CPUs are usable.

@@ -91,6 +91,36 @@ class TestModulate:
         values = np.arange(16)
         assert np.array_equal(bits_to_values(values_to_bits(values, 4), 4), values)
 
+    @pytest.mark.parametrize(
+        "values, m",
+        [([5], 2), ([-1], 2), ([4], 2), ([0, 256], 8), ([2], 1), ([2**63 - 1], 62)],
+    )
+    def test_values_to_bits_rejects_values_out_of_range(self, values, m):
+        with pytest.raises(ValueError, match=rf"symbol values must lie in \[0, 2\*\*{m}\)"):
+            values_to_bits(values, m)
+
+    def test_values_to_bits_of_extreme_values(self):
+        assert values_to_bits([0, 3], 2).tolist() == [0, 0, 1, 1]
+        assert values_to_bits(np.zeros(0, np.int64), 2).size == 0
+        assert values_to_bits([2**62 - 1], 62).tolist() == [1] * 62
+
+    @pytest.mark.parametrize("convert", [values_to_bits, bits_to_values])
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_bits_per_symbol_below_one(self, convert, m):
+        with pytest.raises(ValueError, match=f"^bits_per_symbol must be at least 1, got {m}$"):
+            convert(np.zeros(4, np.uint8), m)
+
+    @pytest.mark.parametrize("convert", [values_to_bits, bits_to_values])
+    @pytest.mark.parametrize("m", [True, 2.5, "2", None])
+    def test_rejects_bits_per_symbol_that_is_not_an_integer(self, convert, m):
+        with pytest.raises(ValueError, match="^bits_per_symbol must be an integer"):
+            convert(np.zeros(4, np.uint8), m)
+
+    @pytest.mark.parametrize("m", [np.int64(2), 2.0])
+    def test_reads_integral_bits_per_symbol(self, m):
+        assert values_to_bits([2], m).tolist() == [1, 0]
+        assert bits_to_values([1, 0], m).tolist() == [2]
+
 
 def decode_bits(symbols, scheme):
     return values_to_bits(nearest_point_values(symbols, scheme), scheme.bits_per_symbol)
@@ -573,6 +603,12 @@ class TestCountPrefixErrors:
         values = np.zeros(3, dtype=np.uint8)
         with pytest.raises(ValueError, match="alignment"):
             count_prefix_errors(values, 2, values, 4)
+
+    @pytest.mark.parametrize("m_rx", [0, -1])
+    def test_receiver_below_one_bit_rejected(self, m_rx):
+        values = np.zeros(3, dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"resolves {m_rx} bits/symbol; it must resolve at least 1"):
+            count_prefix_errors(values, 4, values, m_rx)
 
     def test_rejects_misshapen_streams(self):
         values = np.array([0, 1, 2, 3], dtype=np.uint8)
