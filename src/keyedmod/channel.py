@@ -146,9 +146,14 @@ def add_awgn(symbols, spec: ChannelSpec) -> np.ndarray:
 
     Per-axis noise variance is N0/2; the input must come from a
     unit-mean-energy scheme for the dB figure to mean Es/N0. Two calls
-    with the same spec produce identical output.
+    with the same spec produce identical output. Real arrays, such as the
+    float64 planes a sweep decodes, are refused rather than read as
+    symbols on the real axis.
     """
-    y = np.asarray(symbols, dtype=np.complex128)
+    y = np.asarray(symbols)
+    if y.dtype.kind != "c":
+        raise ValueError(f"symbols must be a complex array, got dtype {y.dtype}")
+    y = y.astype(np.complex128, copy=False)
     out = np.empty(y.shape, dtype=np.complex128)
     noise = np.empty((2, *y.shape))
     _noise_fill(spec)(out=noise)

@@ -269,3 +269,19 @@ class TestPlanes:
         for rows in (1, 2):
             got = noisy_rows(np.empty((rows, 0)), np.zeros((2, 0)), ChannelSpec(3.0, rng_seed=9))
             assert got.shape == (rows, 0)
+
+    @pytest.mark.parametrize(
+        "planes",
+        [
+            np.zeros((3, 8)),
+            np.zeros((0, 8)),
+            np.zeros((2, 16))[:, ::2],
+            np.zeros((2, 8), np.float32),
+        ],
+        ids=["three-rows", "no-rows", "strided", "float32"],
+    )
+    def test_rejects_malformed_planes(self, planes):
+        # Planes of any shape are not symbols: add_awgn refuses them
+        # rather than noise them as complex values on the real axis.
+        with pytest.raises(ValueError, match="^symbols must be a complex array"):
+            add_awgn(planes, ChannelSpec(0.0, rng_seed=1))
