@@ -6,20 +6,16 @@ axis with per-axis variance N0/2, where N0 = 10**(-snr_db/10). Noise is
 drawn from numpy's PCG64 generator (ziggurat Gaussian sampling), so a
 fixed seed reproduces the stream bit for bit.
 
-Draw order: one ``standard_normal`` draw fills float64 rows in row-major
-order, the real axis (row 0) first, then the imaginary axis (row 1). A
-single row holds the real axis alone and gets the real-axis noise of
-two rows.
+Draw order: one ``standard_normal`` draw fills a C-contiguous float64
+pair of rows in row-major order, the real axis (row 0) first, then the
+imaginary axis (row 1).
 
 ``add_awgn`` is the fill and the scale below, then the sum: the fill
-(``_noise_fill``) draws the unit normals into the rows, and the scale
-(``_scale_noise``) multiplies them by sigma in place. A sweep calls the
-same two pieces on its own rows, possibly on different threads, so the
-draw order is stated here alone.
-
-``add_awgn`` keeps no state, so threads may call it at once; a parallel
-sweep keeps its runs reproducible by seeding every block from its own
-key, never from the thread that draws it (see :mod:`keyedmod.experiment`).
+(``_noise_fill``) draws the unit normals z into the rows, and the scale
+(``_scale_noise``) writes sigma * z. A sweep calls the same two pieces
+on its own rows, filling one pair per receiver and block and scaling it
+once per sweep point (see :mod:`keyedmod.experiment`), so the draw order
+is stated here alone. ``add_awgn`` keeps no state.
 """
 
 from __future__ import annotations
@@ -74,14 +70,13 @@ class PathLossModel:
     snr_ref_db: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("alpha", self.alpha),
-            ("d_ref", self.d_ref),
-            ("snr_ref_db", self.snr_ref_db),
-        ):
-            number = _real_float(value, f"path-loss {name}")
+        # Stored as Python floats, so that no narrower float reaches the
+        # SNR arithmetic of ``snr_at_distance``.
+        for name in ("alpha", "d_ref", "snr_ref_db"):
+            number = _real_float(getattr(self, name), f"path-loss {name}")
             if not math.isfinite(number):
                 raise ValueError(f"path-loss {name} must be finite, got {number}")
+            object.__setattr__(self, name, number)
         if not self.alpha > 0:
             raise ValueError(f"path-loss exponent must be positive, got {self.alpha}")
         if not self.d_ref > 0:
@@ -105,40 +100,27 @@ def noise_spectral_density(es_over_n0_db: float) -> float:
     return n0
 
 
-#: No float64 that numpy's ziggurat ``standard_normal`` returns reaches
-#: this in magnitude. Its tail sampler returns r - ln(u) / r at most, with r
-#: about 3.654 and u a 53-bit uniform, so |z| < r + 53 ln(2) / r ~= 13.71
-#: (``random_standard_normal`` in numpy/random/src/distributions/distributions.c).
-_NORMAL_BOUND = 14.0
-
-
 def _sigma(es_over_n0_db: float) -> float:
     """Per-axis noise standard deviation sqrt(N0/2) at the given Es/N0."""
     return math.sqrt(noise_spectral_density(es_over_n0_db) / 2.0)
 
 
-def _noise_reach(es_over_n0_db: float) -> float:
-    """A magnitude that no noise coordinate ``add_awgn`` draws at this Es/N0 reaches."""
-    return _NORMAL_BOUND * _sigma(es_over_n0_db)
+def _noise_fill(rng_seed, out: np.ndarray) -> None:
+    """Fill C-contiguous float64 rows ``out`` with unit normals drawn from ``rng_seed``.
 
-
-def _noise_fill(spec: ChannelSpec):
-    """The call that fills C-contiguous float64 rows with the spec's unit normals.
-
-    ``_noise_fill(spec)(out=rows)`` makes one draw in the module's draw
-    order. The call touches only its generator and ``rows``, so it may run
-    on another thread than the one that made it.
+    One draw, in the module's draw order; two calls with one seed fill
+    the same values.
     """
-    return np.random.default_rng(spec.rng_seed).standard_normal
+    np.random.default_rng(rng_seed).standard_normal(out=out)
 
 
-def _scale_noise(rows: np.ndarray, spec: ChannelSpec) -> None:
-    """Scale unit normals in ``rows`` in place to the spec's noise.
+def _scale_noise(z: np.ndarray, es_over_n0_db: float, out: np.ndarray) -> None:
+    """Write the unit normals ``z`` scaled to the noise at this Es/N0 into ``out``.
 
     y + sigma*z equals numpy's y + normal(0, sigma) = y + (0.0 + sigma*z)
     but for the sign of an exact zero.
     """
-    rows *= _sigma(spec.es_over_n0_db)
+    np.multiply(z, _sigma(es_over_n0_db), out=out)
 
 
 def add_awgn(symbols, spec: ChannelSpec) -> np.ndarray:
@@ -156,8 +138,8 @@ def add_awgn(symbols, spec: ChannelSpec) -> np.ndarray:
     y = y.astype(np.complex128, copy=False)
     out = np.empty(y.shape, dtype=np.complex128)
     noise = np.empty((2, *y.shape))
-    _noise_fill(spec)(out=noise)
-    _scale_noise(noise, spec)
+    _noise_fill(spec.rng_seed, noise)
+    _scale_noise(noise, spec.es_over_n0_db, out=noise)
     np.add(y.real, noise[0], out=out.real)
     np.add(y.imag, noise[1], out=out.imag)
     return out

@@ -1,37 +1,34 @@
 """Monte Carlo BER experiments: seeded sweeps, persistence, figure data.
 
 One experiment fixes a sender scheme and a roster of receivers (each
-with its own scheme, key, and distance), then sweeps SNR. At each sweep
-point the sender makes one broadcast transmission of uniform m-bit
-values, mapped once through its scheme. Every receiver hears that same
+with its own scheme, key, and distance), then sweeps SNR. The sender
+makes one broadcast transmission of uniform m-bit values, mapped once
+through its scheme. At each sweep point every receiver hears that same
 transmission through its own AWGN at its effective SNR and decodes it
 with its own scheme.
 
-RNG stream contract, version 2 (:data:`RNG_STREAM`). Every stream is
+RNG stream contract, version 3 (:data:`RNG_STREAM`). Every stream is
 cut into blocks of 2**16 symbols, the last one shorter when the budget
 is not a multiple, and each block draws from its own ``SeedSequence``
-keyed by (seed, sweep index, lane, label word, block index). Lane 0
-holds the broadcast values; lane 1 holds one receiver's noise, keyed by
-a hash of its label and drawn in the order :mod:`keyedmod.channel`
-states. So records are bit-reproducible, adding, removing, or
-reordering receivers never perturbs the other series, and neither
-memory nor threads change a record: a sweep works one (sweep point,
-block) task at a time on the caller, while one helper thread draws the
-next task's unit normals from that block's own generator (see
-:func:`run_experiment`). The record list is canonically ordered before
-persistence.
+keyed by (seed, lane, label word, block index). Lane 0 holds the
+broadcast values; lane 1 holds one receiver's unit normals, keyed by a
+hash of its label and drawn in the order :mod:`keyedmod.channel` states.
+No key holds a sweep index: each sweep point scales the same unit
+normals by its own sigma (common random numbers across SNR). So records
+are bit-reproducible, adding, removing, or reordering receivers never
+perturbs the other series, and a point's records do not depend on the
+other points of the sweep. Each record keeps its distribution; the
+records of one receiver at different SNRs are correlated, while
+different receivers' noise stays independent. The record list is
+canonically ordered before persistence.
 """
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import csv
 import hashlib
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
@@ -39,10 +36,8 @@ import numpy as np
 
 from .analytic import snr_grid_db, sweep as analytic_sweep
 from .channel import (
-    ChannelSpec,
     PathLossModel,
     _noise_fill,
-    _noise_reach,
     _scale_noise,
     noise_spectral_density,
     snr_at_distance,
@@ -57,13 +52,7 @@ from .constellations import (
     parse_key,
     serialize_key,
 )
-from .modem import (
-    _one_plane_reach,
-    _real_axis_decides,
-    count_prefix_errors,
-    nearest_point_values,
-    value_dtype,
-)
+from .modem import count_prefix_errors, nearest_point_values, value_dtype
 
 __all__ = [
     "IntegrityError",
@@ -90,7 +79,7 @@ MIN_SYMBOLS_PER_POINT = 10_000
 
 #: Version of the RNG stream contract that records follow; see the module
 #: docstring. Any change to the draws that changes a record bumps it.
-RNG_STREAM = 2
+RNG_STREAM = 3
 
 #: Symbols per RNG block. Part of the stream contract: changing it
 #: changes every record.
@@ -437,199 +426,65 @@ def _label_word(label: str) -> int:
 
 
 def _substream(
-    seed: int, sweep_idx: int, lane: int, label_word: int, block: int
+    seed: int, lane: int, label_word: int, block: int
 ) -> np.random.SeedSequence:
     """The ``SeedSequence`` of one block of one stream.
 
-    Each key is five 64-bit words, each given as two 32-bit words, low
+    Each key is four 64-bit words, each given as two 32-bit words, low
     first. numpy would split a plain int into as many words as it needs
     and treat short entropy as zero-padded, so two different keys could
     meet; a fixed width keeps every key distinct.
     """
     words = []
-    for value in (seed, sweep_idx, lane, label_word, block):
+    for value in (seed, lane, label_word, block):
         words += (value & 0xFFFFFFFF, value >> 32)
     return np.random.SeedSequence(np.array(words, dtype=np.uint32))
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _fill(jobs) -> None:
-    """Make the draws of the ``(fill, rows)`` jobs in deque ``jobs`` until it is empty.
-
-    Each job leaves the deque through one thread-safe ``popleft``, so two
-    threads may work on one deque and each draw is made once.
-    """
-    while True:
-        try:
-            fill, rows = jobs.popleft()
-        except IndexError:
-            return
-        fill(out=rows)
-
-
-@contextlib.contextmanager
-def _draw_ahead(threaded: bool):
-    """Yield ``start(jobs)`` and ``finish(jobs)`` for a deque of ``(fill, rows)`` jobs.
-
-    A job's draw is ``fill(out=rows)``. Threaded, ``start`` hands the jobs
-    to one helper thread, which makes their draws and does nothing else:
-    it allocates no array and runs no numpy arithmetic, so it takes the
-    interpreter lock only to make the calls, and each draw runs while the
-    caller holds it. ``finish`` makes the draws the helper has not begun,
-    waits for the helper, and raises what its draws raised. The helper is
-    joined on the way out, on success and on error. Unthreaded, ``start``
-    does nothing and ``finish`` makes every draw.
-    """
-    if not threaded:
-        yield (lambda jobs: None), _fill
-        return
-    import queue
-
-    jobs_in, done = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def helper():
-        while (jobs := jobs_in.get()) is not None:
-            try:
-                _fill(jobs)
-            except BaseException as exc:
-                done.put(exc)
-            else:
-                done.put(None)
-
-    def finish(jobs):
-        _fill(jobs)
-        exc = done.get()
-        if exc is not None:
-            raise exc
-
-    thread = threading.Thread(target=helper, name="keyedmod-fill", daemon=True)
-    thread.start()
-    try:
-        yield jobs_in.put, finish
-    finally:
-        jobs_in.put(None)
-        thread.join()
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
     """Run the full sweep and return records ordered by (receiver, SNR).
 
-    The sweep works its tasks, one per (sweep point, block), in order on
-    the caller. While the caller works on one task, one helper thread
-    fills every receiver's rows for the next task with unit normals
-    (:func:`_draw_ahead`). The caller does the rest: the values and sent
-    planes, each noise generator, the scale and sum, the decode and
-    count, and any fill the helper has not begun when the caller needs
-    the rows. With one usable CPU or one task no helper starts, and the
-    same loop makes the fills inline. No thread outlives the call, and
-    the records do not depend on whether the helper runs.
-
-    One sent buffer and two sets of received rows, one pair per receiver
-    each, hold a block; the two sets take turns between tasks. All
-    buffers die with the call.
-
-    A receiver whose points all lie on the real axis draws and decodes
-    the real plane alone where its noise cannot reach the decoder's outer
-    imaginary bins, and redraws both planes of a block whose real row has
-    a coordinate in a mixed real bin (the one-plane rule in :mod:`keyedmod.modem`).
+    One loop on the caller, block by block. A block's values are drawn
+    once and mapped into the sent planes. Then each receiver's unit
+    normals z are drawn once into the noise rows, and at each sweep point
+    sigma * z is written into the received rows, the sent planes are
+    added, and the rows are decoded and counted. One sent, one noise and
+    one received pair of float64 rows hold a block, and die with the call.
     """
     sender, rx_schemes = cfg.resolve_schemes()
     m_tx = sender.bits_per_symbol
     n_sym = cfg.symbols_per_point
     tx_axes = (sender.mapped_points.real, sender.mapped_points.imag)
-    tx_imag_reach = float(np.abs(sender.mapped_points.imag).max())
     tx_dtype = value_dtype(m_tx)
     label_words = [_label_word(spec.label) for spec in cfg.receivers]
     eff_snrs = [
         [cfg._effective_snr_db(snr_db, spec) for spec in cfg.receivers]
         for snr_db in cfg.snr_sweep_db
     ]
-    plane_counts = [
-        [
-            1 if tx_imag_reach + _noise_reach(eff_snr) < _one_plane_reach(rx_scheme) else 2
-            for eff_snr, rx_scheme in zip(snrs, rx_schemes)
-        ]
-        for snrs in eff_snrs
-    ]
-    # Task t is block t % n_blocks of sweep point t // n_blocks.
-    n_blocks = -(-n_sym // _BLOCK)
-    n_tasks = len(cfg.snr_sweep_db) * n_blocks
     # Flat buffers reshaped per block keep a ragged last block C-contiguous.
     width = 2 * min(n_sym, _BLOCK)
-    sent_flat = np.empty(width)
-    received_flat = np.empty((min(2, n_tasks), len(rx_schemes), width))
-
-    def fill_jobs(task):
-        """Task ``task``'s noise specs, received rows, and deque of fill jobs."""
-        sweep_idx, block = divmod(task, n_blocks)
+    buffers = np.empty((3, width))
+    totals = [[[0, 0] for _ in cfg.receivers] for _ in cfg.snr_sweep_db]
+    for block in range(-(-n_sym // _BLOCK)):
         size = min(_BLOCK, n_sym - block * _BLOCK)
-        specs = [
-            ChannelSpec(eff_snr, _substream(cfg.seed, sweep_idx, _NOISE_LANE, word, block))
-            for eff_snr, word in zip(eff_snrs[sweep_idx], label_words)
-        ]
-        received = [flat[: 2 * size].reshape(2, size) for flat in received_flat[task % 2]]
-        jobs = collections.deque(
-            (_noise_fill(spec), rows[:planes])
-            for spec, rows, planes in zip(specs, received, plane_counts[sweep_idx])
-        )
-        return specs, received, jobs
-
-    def block_counts(sweep_idx, block, specs, received):
-        """Error counts of every receiver on one block.
-
-        ``received[r]`` holds receiver r's (2, size) rows, the first as
-        many as it has planes filled with its unit normals.
-        """
-        size = received[0].shape[1]
-        sent = sent_flat[: 2 * size].reshape(2, size)
-        value_rng = np.random.default_rng(
-            _substream(cfg.seed, sweep_idx, _VALUE_LANE, 0, block)
-        )
+        sent, noise, received = (flat[: 2 * size].reshape(2, size) for flat in buffers)
+        value_rng = np.random.default_rng(_substream(cfg.seed, _VALUE_LANE, 0, block))
         tx_values = value_rng.integers(0, sender.order, size, dtype=tx_dtype)
         # The values lie in range by construction; "clip" writes straight into
         # ``sent``, where the default "raise" would fill a temporary copy first.
         for axis, row in zip(tx_axes, sent):
             np.take(axis, tx_values, out=row, mode="clip")
-        counts = []
-        for spec, rows, planes, rx_scheme in zip(
-            specs, received, plane_counts[sweep_idx], rx_schemes
-        ):
-            while True:
-                _scale_noise(rows[:planes], spec)
-                rows[:planes] += sent[:planes]
-                if planes == 2 or _real_axis_decides(rows[0], rx_scheme):
-                    break
-                planes = 2
-                _noise_fill(spec)(out=rows)
-            rx_values = nearest_point_values(rows[:planes], rx_scheme)
-            counts.append(
-                count_prefix_errors(tx_values, m_tx, rx_values, rx_scheme.bits_per_symbol)
-            )
-        return counts
-
-    totals = [[[0, 0] for _ in cfg.receivers] for _ in cfg.snr_sweep_db]
-    specs, received, jobs = fill_jobs(0)
-    _fill(jobs)
-    with _draw_ahead(_usable_cpus() > 1 and n_tasks > 1) as (start, finish):
-        for task in range(n_tasks):
-            sweep_idx, block = divmod(task, n_blocks)
-            ahead = task + 1 < n_tasks
-            if ahead:
-                ahead_specs, ahead_received, jobs = fill_jobs(task + 1)
-                start(jobs)
-            counts = block_counts(sweep_idx, block, specs, received)
-            for total, (bit_errors, symbol_errors) in zip(totals[sweep_idx], counts):
-                total[0] += bit_errors
-                total[1] += symbol_errors
-            if ahead:
-                finish(jobs)
-                specs, received = ahead_specs, ahead_received
+        for r, (word, rx_scheme) in enumerate(zip(label_words, rx_schemes)):
+            _noise_fill(_substream(cfg.seed, _NOISE_LANE, word, block), noise)
+            for snrs, point_totals in zip(eff_snrs, totals):
+                _scale_noise(noise, snrs[r], out=received)
+                received += sent
+                rx_values = nearest_point_values(received, rx_scheme)
+                bit_errors, symbol_errors = count_prefix_errors(
+                    tx_values, m_tx, rx_values, rx_scheme.bits_per_symbol
+                )
+                point_totals[r][0] += bit_errors
+                point_totals[r][1] += symbol_errors
 
     records = []
     for snrs, point_totals in zip(eff_snrs, totals):

@@ -3,8 +3,7 @@
 Bit streams are 1-D integer arrays of 0/1 values; symbol streams are 1-D
 complex arrays. ``nearest_point_values`` also decodes a stream given as
 float64 planes, the form of a sweep's received rows: a C-contiguous
-array of two rows, the real coordinates then the imaginary ones, or of
-one row, the real coordinates of symbols whose imaginary part is 0.0.
+array of two rows, the real coordinates then the imaginary ones.
 Planes are a decode input only. All functions are pure: safe to run
 over symbol blocks in parallel. The only state they touch is the
 cell-table caches (one table per geometry, relabelled once per scheme),
@@ -52,11 +51,18 @@ def value_dtype(bits_per_symbol: int) -> np.dtype:
     return np.min_scalar_type((1 << bits_per_symbol) - 1)
 
 
+#: The most bits per symbol the converters take: an m-bit value must fit
+#: the int64 that ``values_to_bits`` reads it as.
+_MAX_BITS_PER_SYMBOL = 63
+
+
 def _bits_per_symbol(value) -> int:
-    """``value`` read as an integer of at least 1; else ``ValueError``."""
+    """``value`` read as an integer in [1, 63]; else ``ValueError``."""
     m = _integer(value, "bits_per_symbol")
     if m < 1:
         raise ValueError(f"bits_per_symbol must be at least 1, got {m}")
+    if m > _MAX_BITS_PER_SYMBOL:
+        raise ValueError(f"bits_per_symbol must be at most {_MAX_BITS_PER_SYMBOL}, got {m}")
     return m
 
 
@@ -166,20 +172,6 @@ class _CellTable(NamedTuple):
 # +-_GRID_BOUND: outside the guard bands one level is nearest on each axis,
 # so those bins are pure unless levels sit too close for the margin. Any
 # other geometry is cut into _TABLE_BINS even bins over [-L, L], L = 2 max|p|.
-#
-# One-plane rule. The points of a scheme whose imaginary parts are all 0.0
-# (BPSK) form a product grid with one imaginary level, so its middle
-# imaginary bin is (-_GRID_BOUND, _GRID_BOUND]. A one-row plane decodes as
-# if every imaginary part were 0.0, which lies in that bin. So a symbol
-# (x, y) with |y| < _GRID_BOUND and x in a real bin that is pure there gets
-# the same value from its real row alone as from both rows. In a mixed real
-# bin (a guard band, or beyond +-_GRID_BOUND) argmin decides, and the y**2
-# it adds to every distance can change its float64 decision:
-# nearest_point_values([-1e-12 + 500j], bpsk) is 0 where [-1e-12 + 0j] gives
-# 1. A sweep draws one noise plane only where no received imaginary part can
-# reach _GRID_BOUND (channel._noise_reach bounds the noise by numpy's
-# ziggurat), and redoes a block on both rows when any real coordinate lands
-# in a mixed real bin (_real_axis_decides).
 _GRID_GUARD = 1e-6
 _GRID_BOUND = 1e3
 _TABLE_BINS = 256
@@ -273,8 +265,8 @@ def _bin_index(coord: np.ndarray, table: _CellTable, edges: np.ndarray) -> np.nd
 def _as_planes(symbols) -> np.ndarray | None:
     """``symbols`` if it holds float64 planes; None if it is no two-dimensional float array.
 
-    A two-dimensional float array of other than one or two rows, of
-    another dtype, or not C-contiguous, raises ``ValueError``.
+    A two-dimensional float array of other than two rows, of another
+    dtype, or not C-contiguous, raises ``ValueError``.
     """
     if not (
         isinstance(symbols, np.ndarray) and symbols.ndim == 2 and symbols.dtype.kind == "f"
@@ -282,11 +274,11 @@ def _as_planes(symbols) -> np.ndarray | None:
         return None
     if not (
         symbols.dtype == np.float64
-        and symbols.shape[0] in (1, 2)
+        and symbols.shape[0] == 2
         and symbols.flags.c_contiguous
     ):
         raise ValueError(
-            "symbol planes must be one or two C-contiguous float64 rows,"
+            "symbol planes must be two C-contiguous float64 rows,"
             f" got {symbols.dtype} of shape {symbols.shape}"
         )
     return symbols
@@ -296,11 +288,10 @@ def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
     """Decode each symbol to the bit value whose point is nearest in Euclidean distance.
 
     ``symbols`` is a 1-D complex stream or float64 planes (see the module
-    docstring); one row is accepted only for a scheme whose points all
-    have imaginary part 0.0. Ties resolve to the lowest bit value (argmin
-    keeps the first minimum). A symbol with a NaN or infinite component
-    decodes to value 0. Values come back in the narrowest unsigned dtype
-    that holds them.
+    docstring). Ties resolve to the lowest bit value (argmin keeps the
+    first minimum). A symbol with a NaN or infinite component decodes to
+    value 0. Values come back in the narrowest unsigned dtype that holds
+    them.
     """
     planes = _as_planes(symbols)
     if planes is None:
@@ -308,71 +299,25 @@ def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
         if y.ndim != 1:
             raise ValueError("symbol stream must be one-dimensional")
         real, imag = y.real, y.imag
-    elif planes.shape[0] == 2:
-        real, imag = planes
-    elif _one_plane_reach(scheme) > 0.0:
-        real, imag = planes[0], None
     else:
-        raise ValueError(
-            f"one-row planes need a scheme whose points all have imaginary part 0.0;"
-            f" {scheme.label} has others"
-        )
+        real, imag = planes
     pts = scheme.mapped_points
     table = _scheme_cell_table(scheme)
     n_imag_bins = table.imag_edges.size + 1
-    zero_bin = _zero_imag_bin(table) if imag is None else None
     out = np.empty(real.size, dtype=value_dtype(scheme.bits_per_symbol))
     for start in range(0, real.size, _DEMOD_CHUNK):
         chunk = slice(start, start + _DEMOD_CHUNK)
         cell = _bin_index(real[chunk], table, table.real_edges)
         cell *= n_imag_bins
-        if imag is None:
-            cell += zero_bin
-        else:
-            cell += _bin_index(imag[chunk], table, table.imag_edges)
+        cell += _bin_index(imag[chunk], table, table.imag_edges)
         values = table.values.take(cell)
         block = out[chunk]
         block[:] = values
         # Mixed bins hold the scheme order; argmin decides their symbols.
         unsafe = np.flatnonzero(values == scheme.order)
         if unsafe.size:
-            mixed_imag = np.zeros(unsafe.size) if imag is None else imag[chunk][unsafe]
-            block[unsafe] = _fallback_values(real[chunk][unsafe], mixed_imag, pts)
+            block[unsafe] = _fallback_values(real[chunk][unsafe], imag[chunk][unsafe], pts)
     return out
-
-
-def _zero_imag_bin(table: _CellTable) -> int:
-    """The imaginary bin of an imaginary part of 0.0 in a product-grid table."""
-    return int(np.count_nonzero(table.imag_edges < 0.0))
-
-
-def _one_plane_reach(scheme: ConstellationScheme) -> float:
-    """How far from the real axis a symbol may lie and be decoded from its real row.
-
-    ``_GRID_BOUND`` for a scheme whose points all have imaginary part 0.0,
-    else 0.0: see the one-plane rule above the table code.
-    """
-    return 0.0 if scheme.mapped_points.imag.any() else _GRID_BOUND
-
-
-def _real_axis_decides(real: np.ndarray, scheme: ConstellationScheme) -> bool:
-    """Whether ``real`` has no coordinate in a real bin mixed at imaginary part 0.0.
-
-    For a scheme with a nonzero ``_one_plane_reach``, the one-row decode of
-    such a row then equals the two-row one for every imaginary part within
-    the reach. ``real`` must not be empty.
-    """
-    table = _scheme_cell_table(scheme)
-    at_zero = table.values[_zero_imag_bin(table) :: table.imag_edges.size + 1]
-    edges = table.real_edges
-    # Real bin k holds (edges[k - 1], edges[k]]. The two outer bins are
-    # mixed, and a NaN coordinate, which counts no edge, lies in bin 0.
-    if not (edges[0] < real.min() and real.max() <= edges[-1]):
-        return False
-    return not any(
-        np.any((real > edges[k - 1]) & (real <= edges[k]))
-        for k in np.flatnonzero(at_zero[1:-1] == scheme.order) + 1
-    )
 
 
 def count_prefix_errors(tx_values, m_tx: int, rx_values, m_rx: int) -> tuple[int, int]:

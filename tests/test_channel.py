@@ -201,11 +201,14 @@ class TestPathLoss:
         with pytest.raises(ValueError, match=f"^path-loss {field} must be a real number"):
             PathLossModel(**{"alpha": 2.0, field: value})
 
-    def test_stores_accepted_values_as_given(self):
-        # A config digest hashes the stored values, so none is converted.
-        model = PathLossModel(alpha=2, d_ref=np.float32(0.5))
-        assert type(model.alpha) is int
-        assert type(model.d_ref) is np.float32
+    def test_stores_values_as_python_floats(self):
+        # A float32 d_ref would otherwise leak float32 arithmetic into the
+        # SNR: -30.45757457426635 dB at 10 m, against -30.45757456046051.
+        model = PathLossModel(alpha=2, d_ref=np.float32(0.3), snr_ref_db=np.int64(0))
+        assert [type(v) for v in (model.alpha, model.d_ref, model.snr_ref_db)] == [float] * 3
+        wide = PathLossModel(alpha=2.0, d_ref=float(np.float32(0.3)))
+        assert model == wide
+        assert snr_at_distance(model, 10.0).hex() == snr_at_distance(wide, 10.0).hex()
 
 
 def as_planes(y) -> np.ndarray:
@@ -213,27 +216,29 @@ def as_planes(y) -> np.ndarray:
     return np.stack((y.real, y.imag))
 
 
-def noisy_rows(rows, sent, spec):
-    """The sweep's noise steps: fill ``rows``, scale them, add the sent planes."""
-    _noise_fill(spec)(out=rows)
-    _scale_noise(rows, spec)
-    rows += sent[: len(rows)]
-    return rows
+#: What the received rows hold before a sweep point writes them: a new
+#: buffer, a buffer reused from an earlier block, or the same noise at an
+#: earlier sweep point.
+STARTS = ("new", "reused", "earlier point")
 
 
-#: What the rows hold before the fill: a new buffer, a buffer reused from
-#: an earlier block, or the real-row pass that a one-plane redo draws over.
-STARTS = ("new", "reused", "redo")
+def sweep_rows(start, sent, spec):
+    """``sent`` plus noise, in the sweep's steps, into received rows that begin as ``start``.
 
-
-def rows_from(start, sent, spec):
-    """Two rows holding ``sent`` plus noise, drawn into a buffer that begins as ``start``."""
-    rows = np.empty_like(sent)
+    The unit normals are drawn into rows of their own and scaled into the
+    received rows, where the sent planes are then added.
+    """
+    z = np.empty_like(sent)
+    _noise_fill(spec.rng_seed, z)
+    received = np.empty_like(sent)
     if start == "reused":
-        rows.fill(np.nan)
-    elif start == "redo":
-        noisy_rows(rows[:1], sent, spec)
-    return noisy_rows(rows, sent, spec)
+        received.fill(np.nan)
+    elif start == "earlier point":
+        _scale_noise(z, spec.es_over_n0_db - 3.0, out=received)
+        received += sent
+    _scale_noise(z, spec.es_over_n0_db, out=received)
+    received += sent
+    return received
 
 
 class TestPlanes:
@@ -246,28 +251,31 @@ class TestPlanes:
         spec = ChannelSpec(snr_db, rng_seed=seed)
         expected = as_planes(add_awgn(y, spec)).tobytes()
         for start in STARTS:
-            got = rows_from(start, as_planes(y), spec)
+            got = sweep_rows(start, as_planes(y), spec)
             assert got.shape == (2, y.size) and got.dtype == np.float64, start
             assert got.tobytes() == expected, start
 
     @pytest.mark.parametrize("seed", [0, 2**63 + 5])
     @pytest.mark.parametrize("snr_db", [-10.0, 30.0])
     def test_one_row_is_the_real_row_of_two(self, symbols, seed, snr_db):
+        # The draw order puts the real row first: a fill of one row draws
+        # the real-axis noise of a fill of two.
         planes = as_planes(symbols[:20_000])
         spec = ChannelSpec(snr_db, rng_seed=seed)
-        one = noisy_rows(np.full((1, planes.shape[1]), np.nan), planes, spec)
-        assert one.tobytes() == rows_from("new", planes, spec)[:1].tobytes()
+        one = sweep_rows("new", planes[:1].copy(), spec)
+        assert one.tobytes() == sweep_rows("new", planes, spec)[:1].tobytes()
 
     def test_input_not_mutated(self, symbols):
-        # Every receiver of a block, and a redo, adds its noise to one sent buffer.
+        # Every receiver of a block, at every sweep point, adds its noise to
+        # one sent buffer.
         planes = as_planes(symbols[:100])
         for start in STARTS:
-            rows_from(start, planes, ChannelSpec(0.0, rng_seed=5))
+            sweep_rows(start, planes, ChannelSpec(0.0, rng_seed=5))
         assert np.array_equal(planes, as_planes(symbols[:100]))
 
     def test_empty_planes(self):
         for rows in (1, 2):
-            got = noisy_rows(np.empty((rows, 0)), np.zeros((2, 0)), ChannelSpec(3.0, rng_seed=9))
+            got = sweep_rows("new", np.zeros((rows, 0)), ChannelSpec(3.0, rng_seed=9))
             assert got.shape == (rows, 0)
 
     @pytest.mark.parametrize(

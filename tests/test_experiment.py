@@ -462,25 +462,26 @@ class TestConfigValidation:
             load_config(path)
 
 
-#: Symbols per RNG block in stream contract 2.
+#: Symbols per RNG block in stream contract 3.
 BLOCK = 1 << 16
 
 
-def contract_seed_sequence(seed, sweep_idx, lane, label_word, block):
-    """A block's substream, keyed as stream contract 2 states it.
+def contract_seed_sequence(seed, lane, label_word, block):
+    """A block's substream, keyed as stream contract 3 states it.
 
-    Five little-endian 64-bit words, read as ten 32-bit words.
+    Four little-endian 64-bit words, read as eight 32-bit words.
     """
-    words = np.array([seed, sweep_idx, lane, label_word, block], dtype="<u8")
+    words = np.array([seed, lane, label_word, block], dtype="<u8")
     return np.random.SeedSequence(words.view("<u4").astype(np.uint32))
 
 
 def bit_domain_records(cfg):
     """Oracle: each ``receive``-mode cell in the bit domain, with per-group prefix comparison.
 
-    Per sweep point and block, the sender's values (lane 0) are drawn
-    once, expanded to bits and modulated; every receiver adds noise from
-    its own (label word, block) substream (lane 1) and decodes.
+    Per sweep point and block, the sender's values (lane 0, keyed by the
+    block alone) are drawn, expanded to bits and modulated; every receiver
+    adds noise from its own (label word, block) substream (lane 1), the
+    same at every sweep point, and decodes.
     """
     sender, rx_schemes = cfg.resolve_schemes()
     m_tx = sender.bits_per_symbol
@@ -490,19 +491,17 @@ def bit_domain_records(cfg):
         for spec in cfg.receivers
     ]
     records = []
-    for sweep_idx, snr_db in enumerate(cfg.snr_sweep_db):
+    for snr_db in cfg.snr_sweep_db:
         bit_errors = [0] * len(rx_schemes)
         symbol_errors = [0] * len(rx_schemes)
         for block, start in enumerate(range(0, n_sym, BLOCK)):
             size = min(BLOCK, n_sym - start)
-            value_rng = np.random.default_rng(
-                contract_seed_sequence(cfg.seed, sweep_idx, 0, 0, block)
-            )
+            value_rng = np.random.default_rng(contract_seed_sequence(cfg.seed, 0, 0, block))
             values = value_rng.integers(0, sender.order, size, dtype=value_dtype(m_tx))
             bits = values_to_bits(values, m_tx)
             sent = modulate(bits, sender)
             for i, (word, rx_scheme) in enumerate(zip(label_words, rx_schemes)):
-                noise = contract_seed_sequence(cfg.seed, sweep_idx, 1, word, block)
+                noise = contract_seed_sequence(cfg.seed, 1, word, block)
                 received = add_awgn(sent, ChannelSpec(snr_db, noise))
                 m_rx = rx_scheme.bits_per_symbol
                 rx_bits = values_to_bits(nearest_point_values(received, rx_scheme), m_rx)
@@ -545,10 +544,6 @@ def oracle_config(symbols_per_point):
     )
 
 
-def fill_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("keyedmod-fill")]
-
-
 def roster_sweep(points=26, **overrides):
     """The paper roster over ``points`` sweep values, at one block per point by default."""
     receivers = small_config().receivers + (
@@ -567,103 +562,6 @@ def roster_sweep(points=26, **overrides):
 def ragged_sweep(**overrides):
     """Two sweep points of three blocks each, the last one ragged."""
     return small_config(symbols_per_point=2 * BLOCK + 4097, **overrides)
-
-
-def set_usable_cpus(monkeypatch, usable_cpus):
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: usable_cpus)
-
-
-def check_draw_ahead(monkeypatch, usable_cpus, points, symbols):
-    """Run the roster over ``points`` of ``symbols`` and check who does what.
-
-    Every decode and error count runs on the caller, at most one fill helper
-    runs (none with one usable CPU or one task), no thread outlives the call,
-    and the records equal the bit-domain oracle.
-    """
-    set_usable_cpus(monkeypatch, usable_cpus)
-    cfg = roster_sweep(points, symbols_per_point=symbols)
-    tasks = points * -(-symbols // BLOCK)
-    before = threading.active_count()
-    caller_threads = Counter()
-    fill_threads_seen = set()
-    most_helpers = 0
-
-    def on_caller(name, fn):
-        def spy(*args):
-            nonlocal most_helpers
-            caller_threads[name, threading.current_thread().name] += 1
-            most_helpers = max(most_helpers, len(fill_threads()))
-            return fn(*args)
-
-        return spy
-
-    def noise_fill(spec):
-        fill = channel._noise_fill(spec)
-
-        def spy(out):
-            fill_threads_seen.add(threading.current_thread().name)
-            return fill(out=out)
-
-        return spy
-
-    for name in ("nearest_point_values", "count_prefix_errors"):
-        monkeypatch.setattr(experiment, name, on_caller(name, getattr(experiment, name)))
-    monkeypatch.setattr(experiment, "_noise_fill", noise_fill)
-    records = run_experiment(cfg)
-    main = threading.main_thread().name
-    decodes = tasks * len(cfg.receivers)
-    assert caller_threads == {
-        ("nearest_point_values", main): decodes,
-        ("count_prefix_errors", main): decodes,
-    }
-    helper = usable_cpus > 1 and tasks > 1
-    assert most_helpers == int(helper)
-    assert fill_threads_seen <= {main, "keyedmod-fill"}
-    if not helper:
-        assert fill_threads_seen <= {main}
-    assert fill_threads() == []
-    assert threading.active_count() == before
-    assert records == bit_domain_records(cfg)
-
-
-def run_with_guard_band_symbol(monkeypatch, cfg):
-    """Run ``cfg`` with symbol 7 of every BPSK block in the guard band at 0.
-
-    Before the real-axis check the received real row gets the coordinate
-    -1e-12, and each decode of both rows gets the symbol at -1e-12 + 500j,
-    where the two-plane decision (0) differs from the real-plane one (1).
-    Returns how many noise fills drew each row count, and the (rows, value
-    of symbol 7) of each decode.
-    """
-    fill_rows = []
-    decoded = []
-
-    def noise_fill(spec):
-        fill = channel._noise_fill(spec)
-
-        def spy(out):
-            fill_rows.append(len(out))
-            return fill(out=out)
-
-        return spy
-
-    def guard_band_check(real, scheme):
-        real[7] = -1e-12
-        return real_axis_decides(real, scheme)
-
-    def decode_with_guard_band_symbol(symbols, scheme):
-        if len(symbols) == 2:
-            symbols[:, 7] = (-1e-12, 500.0)
-        values = nearest_point_values(symbols, scheme)
-        decoded.append((len(symbols), int(values[7])))
-        return values
-
-    real_axis_decides = experiment._real_axis_decides
-    monkeypatch.setattr(experiment, "_noise_fill", noise_fill)
-    monkeypatch.setattr(experiment, "_real_axis_decides", guard_band_check)
-    monkeypatch.setattr(experiment, "nearest_point_values", decode_with_guard_band_symbol)
-    run_experiment(cfg)
-    return Counter(fill_rows), decoded
 
 
 class TestRunExperiment:
@@ -798,34 +696,36 @@ class TestRunExperiment:
 class TestStreamContract:
     def test_block_size_is_part_of_the_contract(self):
         assert experiment._BLOCK == BLOCK
-        assert experiment.RNG_STREAM == 2
+        assert experiment.RNG_STREAM == 3
 
-    def test_workers_do_not_change_records(self, monkeypatch):
+    def test_workers_do_not_change_records(self):
         # Two points of three blocks, the last one ragged, and 26 one-block
-        # points, drawn inline and drawn ahead on a helper thread. A short
-        # switch interval interleaves the threads.
+        # points, each swept on a worker thread and on the caller at once,
+        # interleaved by a short switch interval: both get the records of the
+        # sweep run alone, as a sweep keeps its state in the call.
         for cfg in (ragged_sweep(), roster_sweep()):
-            set_usable_cpus(monkeypatch, 1)
             serial = run_experiment(cfg)
+            results = []
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                set_usable_cpus(monkeypatch, 2)
-                assert run_experiment(cfg) == serial
+                worker = threading.Thread(target=lambda: results.append(run_experiment(cfg)))
+                worker.start()
+                results.append(run_experiment(cfg))
+                worker.join()
             finally:
                 sys.setswitchinterval(interval)
+            assert results == [serial, serial]
 
     def test_every_receiver_decodes_one_broadcast_transmission(self, monkeypatch):
         # With every noise fill made zeros, each receiver decodes the sent
-        # planes themselves: per block, one draw of the sender's values,
-        # mapped once through its scheme.
+        # planes themselves at every sweep point: per block, one draw of the
+        # sender's values, keyed by the block alone and mapped once through
+        # its scheme.
         decoded = []
 
-        def zero_fill(spec):
-            def fill(out):
-                out[...] = 0.0
-
-            return fill
+        def zero_fill(rng_seed, out):
+            out[...] = 0.0
 
         def spy(symbols, scheme):
             decoded.append(np.array(symbols))
@@ -836,48 +736,40 @@ class TestStreamContract:
         cfg = ragged_sweep()
         run_experiment(cfg)
         sender, _ = cfg.resolve_schemes()
+        decodes_per_block = len(cfg.receivers) * len(cfg.snr_sweep_db)
         broadcasts = []
-        for sweep_idx in range(len(cfg.snr_sweep_db)):
-            for block, size in enumerate((BLOCK, BLOCK, 4097)):
-                value_rng = np.random.default_rng(
-                    contract_seed_sequence(cfg.seed, sweep_idx, 0, 0, block)
-                )
-                values = value_rng.integers(
-                    0, sender.order, size, dtype=value_dtype(sender.bits_per_symbol)
-                )
-                points = sender.mapped_points[values]
-                broadcasts += [np.stack((points.real, points.imag))] * len(cfg.receivers)
+        for block, size in enumerate((BLOCK, BLOCK, 4097)):
+            value_rng = np.random.default_rng(contract_seed_sequence(cfg.seed, 0, 0, block))
+            values = value_rng.integers(
+                0, sender.order, size, dtype=value_dtype(sender.bits_per_symbol)
+            )
+            points = sender.mapped_points[values]
+            broadcasts += [np.stack((points.real, points.imag))] * decodes_per_block
         assert len(decoded) == len(broadcasts)
         assert all(np.array_equal(got, sent) for got, sent in zip(decoded, broadcasts))
 
-    @pytest.mark.parametrize("usable_cpus", [1, 2])
-    def test_two_sets_of_received_rows_take_turns(self, monkeypatch, usable_cpus):
-        # Three blocks, the last one ragged, for two receivers at two SNRs:
-        # task i fills set i % 2, one pair of rows per receiver, drawn inline
-        # or ahead.
-        cfg = ragged_sweep()
-        buffers = []
+    def test_a_point_does_not_depend_on_the_other_sweep_points(self):
+        # No substream key holds a sweep index, so the records at 10 dB are
+        # those of a one-point sweep at 10 dB, over two blocks.
+        cfg = roster_sweep(snr_sweep_db=(0.0, 10.0, 20.0), symbols_per_point=BLOCK + 4097)
+        alone = run_experiment(replace(cfg, snr_sweep_db=(10.0,)))
+        assert len(alone) == len(cfg.receivers)
+        assert [r for r in run_experiment(cfg) if r.snr_db == 10.0] == alone
 
-        def noise_fill(spec):
-            fill = channel._noise_fill(spec)
-
-            def spy(out):
-                buffers.append(out.__array_interface__["data"][0])
-                return fill(out=out)
-
-            return spy
-
-        monkeypatch.setattr(experiment, "_noise_fill", noise_fill)
-        set_usable_cpus(monkeypatch, usable_cpus)
-        records = run_experiment(cfg)
-        n_rx = len(cfg.receivers)
-        assert len(buffers) == 3 * len(cfg.snr_sweep_db) * n_rx
-        # A task's fills all end before the next task's begin.
-        tasks = [set(buffers[i : i + n_rx]) for i in range(0, len(buffers), n_rx)]
-        assert all(len(rows) == n_rx for rows in tasks)
-        assert tasks[0].isdisjoint(tasks[1])
-        assert tasks == [tasks[0], tasks[1]] * 3
-        assert records == bit_domain_records(cfg)
+    @pytest.mark.parametrize("seed", [400, 401, 402])
+    def test_intended_symbol_errors_do_not_rise_across_the_sweep(self, seed):
+        # The intended receiver decodes with the sender's own points, each in
+        # its own convex decision cell. Every sweep point scales the same
+        # noise, so as sigma falls a received symbol moves along one ray
+        # toward its sent point, and in exact arithmetic it errs at a higher
+        # SNR only where it erred at every lower one. Float64 rounding at a
+        # cell boundary could break that for one symbol, so the records are
+        # checked, not single symbols.
+        cfg = replace(load_config(CONFIGS / "fig7.json"), symbols_per_point=BLOCK, seed=seed)
+        errors = [r.symbol_errors for r in run_experiment(cfg) if r.receiver_label == "intended"]
+        assert len(errors) == 26
+        assert all(low >= high for low, high in zip(errors, errors[1:])), errors
+        assert errors[0] > errors[-1]
 
     def test_traced_layer_functions_see_every_block(self, monkeypatch):
         # bench/run.py --trace 1 wraps the layer functions as below and names
@@ -885,8 +777,7 @@ class TestStreamContract:
         # decoder's namer takes (symbols, scheme) and nothing more, so a call
         # that passes the decoder any other argument fails under tracing.
         names = []
-        bpsk_rows = []
-        fill_rows = []
+        fills = []
 
         def wrap(fn, namer):
             @functools.wraps(fn)
@@ -897,182 +788,88 @@ class TestStreamContract:
             return traced
 
         def nearest_point(symbols, scheme):
-            if scheme.label == "bpsk":
-                bpsk_rows.append(len(symbols))
             return f"modem.nearest_point.{scheme.label}"
 
-        def noise_fill(spec):
-            fill = channel._noise_fill(spec)
-
-            def spy(out):
-                fill_rows.append(len(out))
-                return fill(out=out)
-
-            return spy
+        def noise_fill(rng_seed, out):
+            fills.append(out.shape)
+            channel._noise_fill(rng_seed, out)
 
         monkeypatch.setattr(
             experiment, "nearest_point_values", wrap(nearest_point_values, nearest_point)
         )
         monkeypatch.setattr(experiment, "_noise_fill", noise_fill)
-        # Below about -40.1 dB the BPSK listener's noise can reach its
-        # decoder's outer imaginary bins, so it draws and decodes both planes
-        # there, and the real plane alone at 0 and 10 dB.
         receivers = small_config().receivers + (ReceiverSpec("eve_bpsk", "bpsk"),)
         cfg = ragged_sweep(receivers=receivers, snr_sweep_db=(-45.0, 0.0, 10.0))
         run_experiment(cfg)
-        blocks = 3 * len(cfg.snr_sweep_db)
-        # No real coordinate here lands in a mixed bin, so no BPSK block is
-        # redrawn on both planes.
+        # Every receiver decodes both planes of every block at every point,
+        # and each draws its unit normals once per block.
+        decodes = 3 * len(cfg.snr_sweep_db)
         assert Counter(names) == {
-            "modem.nearest_point.qam16_circ": blocks,
-            "modem.nearest_point.qam16_rect": blocks,
-            "modem.nearest_point.bpsk": blocks,
+            "modem.nearest_point.qam16_circ": decodes,
+            "modem.nearest_point.qam16_rect": decodes,
+            "modem.nearest_point.bpsk": decodes,
         }
-        assert Counter(bpsk_rows) == {2: 3, 1: 6}
-        assert Counter(fill_rows) == {2: 2 * blocks + 3, 1: 6}
-
-    def test_guard_band_coordinate_redoes_bpsk_block_on_both_planes(self, monkeypatch):
-        # One point of one block, so no helper: the block's real row is
-        # drawn, then both rows are redrawn and decoded.
-        bpsk_only = (ReceiverSpec("eve_bpsk", "bpsk"),)
-        cfg = small_config(receivers=bpsk_only, snr_sweep_db=(10.0,))
-        fill_rows, decoded = run_with_guard_band_symbol(monkeypatch, cfg)
-        assert fill_rows == {1: 1, 2: 1}
-        assert decoded == [(2, 0)]
-        received = np.array([-1e-12 + 500j, -1e-12 + 0j])
-        assert nearest_point_values(received, make_standard_scheme("bpsk")).tolist() == [0, 1]
-
-    def test_guard_band_coordinate_redoes_drawn_ahead_bpsk_block(self, monkeypatch):
-        # As above, over two one-block points and over two points of three
-        # blocks, each task's real row drawn ahead on the helper: every block
-        # is redrawn on both planes.
-        set_usable_cpus(monkeypatch, 2)
-        bpsk_only = (ReceiverSpec("eve_bpsk", "bpsk"),)
-        for cfg, tasks in (
-            (small_config(receivers=bpsk_only, snr_sweep_db=(10.0, 20.0)), 2),
-            (ragged_sweep(receivers=bpsk_only, snr_sweep_db=(10.0, 20.0)), 6),
-        ):
-            fill_rows, decoded = run_with_guard_band_symbol(monkeypatch, cfg)
-            assert fill_rows == {1: tasks, 2: tasks}
-            assert decoded == [(2, 0)] * tasks
-
-    @pytest.mark.parametrize(
-        "usable_cpus, points, symbols",
-        [
-            pytest.param(1, 26, 10_000, id="1-26"),
-            pytest.param(2, 26, 10_000, id="2-26"),
-            pytest.param(8, 26, 10_000, id="8-26"),
-            pytest.param(2, 1, 10_000, id="2-1"),
-            pytest.param(2, 1, BLOCK + 1, id="2-1-two-blocks"),
-        ],
-    )
-    def test_draw_ahead_decodes_on_the_caller(
-        self, monkeypatch, usable_cpus, points, symbols
-    ):
-        check_draw_ahead(monkeypatch, usable_cpus, points, symbols)
-
-    @pytest.mark.parametrize("usable_cpus", [1, 2, 8])
-    def test_pool_holds_at_most_two_usable_cpus(self, monkeypatch, usable_cpus):
-        # Two points of three blocks, the last one ragged: the caller and at
-        # most one fill helper, whatever the CPU count.
-        check_draw_ahead(monkeypatch, usable_cpus, 2, 2 * BLOCK + 4097)
+        assert fills == [(2, BLOCK)] * 6 + [(2, 4097)] * 3
 
     def test_fill_helper_exception_propagates(self, monkeypatch):
-        # Draws fail on the helper alone, and the caller's first decode waits
-        # until one has, so the error can reach the caller only from the helper.
-        helper_began = threading.Event()
-
-        def broken_fill(spec):
-            fill = channel._noise_fill(spec)
-
-            def spy(out):
-                if threading.current_thread().name == "keyedmod-fill":
-                    helper_began.set()
-                    raise RuntimeError("fill failed")
-                return fill(out=out)
-
-            return spy
-
-        def waiting_decoder(symbols, scheme):
-            assert helper_began.wait(10.0)
-            return nearest_point_values(symbols, scheme)
+        # Every fill runs on the caller, so a failing fill reaches it at once
+        # and leaves no thread behind.
+        def broken_fill(rng_seed, out):
+            raise RuntimeError("fill failed")
 
         monkeypatch.setattr(experiment, "_noise_fill", broken_fill)
-        monkeypatch.setattr(experiment, "nearest_point_values", waiting_decoder)
-        set_usable_cpus(monkeypatch, 2)
         for cfg in (roster_sweep(3), ragged_sweep()):
-            helper_began.clear()
-            before = threading.active_count()
+            before = set(threading.enumerate())
             with pytest.raises(RuntimeError, match="fill failed"):
                 run_experiment(cfg)
-            assert helper_began.is_set()
-            assert fill_threads() == []
-            assert threading.active_count() == before
+            assert set(threading.enumerate()) == before
 
     def test_caller_exception_leaves_no_fill_thread(self, monkeypatch):
-        helpers_at_raise = []
-
         def broken(symbols, scheme):
-            helpers_at_raise.append(len(fill_threads()))
             raise RuntimeError("decoder failed")
 
         monkeypatch.setattr(experiment, "nearest_point_values", broken)
-        set_usable_cpus(monkeypatch, 2)
-        before = threading.active_count()
+        before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="decoder failed"):
             run_experiment(roster_sweep(3))
-        assert helpers_at_raise == [1]
-        assert fill_threads() == []
-        assert threading.active_count() == before
+        assert set(threading.enumerate()) == before
 
     def test_worker_exception_propagates_and_leaves_no_thread(self, monkeypatch):
-        # A decoder error in the middle of a multi-block point, on the second
-        # block's first receiver while the helper draws the third block, is
-        # raised on the caller and ends the helper.
+        # A decoder error in the middle of a multi-block sweep, on the second
+        # block's first decode, is raised on the caller, which makes every
+        # decode, and leaves no thread behind.
+        cfg = ragged_sweep()
+        decodes_per_block = len(cfg.receivers) * len(cfg.snr_sweep_db)
         raised = []
 
         def broken(symbols, scheme):
-            raised.append((threading.current_thread().name, len(fill_threads())))
-            if len(raised) == len(cfg.receivers) + 1:
+            raised.append(threading.current_thread())
+            if len(raised) == decodes_per_block + 1:
                 raise RuntimeError("decoder failed")
             return nearest_point_values(symbols, scheme)
 
-        cfg = ragged_sweep()
         monkeypatch.setattr(experiment, "nearest_point_values", broken)
-        set_usable_cpus(monkeypatch, 2)
-        before = threading.active_count()
+        before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="decoder failed"):
             run_experiment(cfg)
-        main = threading.main_thread().name
-        assert raised == [(main, 1)] * (len(cfg.receivers) + 1)
-        assert fill_threads() == []
-        assert threading.active_count() == before
+        assert raised == [threading.current_thread()] * (decodes_per_block + 1)
+        assert set(threading.enumerate()) == before
 
     def test_no_thread_outlives_a_pooled_call(self, monkeypatch):
-        # Back-to-back multi-block sweeps: every helper thread a call starts
-        # has been joined when it returns, and the next call starts its own.
-        helpers = []
+        # Back-to-back multi-block sweeps make every fill on the caller, one
+        # per receiver and block, and start no thread.
+        threads = []
 
-        def noise_fill(spec):
-            fill = channel._noise_fill(spec)
-
-            def spy(out):
-                current = threading.current_thread()
-                if current is not threading.main_thread() and current not in helpers:
-                    helpers.append(current)
-                return fill(out=out)
-
-            return spy
+        def noise_fill(rng_seed, out):
+            threads.append(threading.current_thread())
+            channel._noise_fill(rng_seed, out)
 
         monkeypatch.setattr(experiment, "_noise_fill", noise_fill)
-        set_usable_cpus(monkeypatch, 2)
         before = set(threading.enumerate())
         for cfg in (small_config(symbols_per_point=BLOCK + 1), ragged_sweep()) * 2:
-            started = len(helpers)
             run_experiment(cfg)
-            assert len(helpers) == started + 1
-            assert not any(t.is_alive() for t in helpers)
             assert set(threading.enumerate()) == before
+        assert threads == [threading.current_thread()] * 2 * (2 * 2 + 3 * 2)
 
     def test_seed_must_fit_one_word(self):
         with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
@@ -1090,11 +887,9 @@ class TestStreamContract:
         def state(*key):
             return tuple(experiment._substream(*key).generate_state(4))
 
-        assert state(2**32, 0, 0, 0, 0) != state(0, 1, 0, 0, 0)
-        assert state(1, 0, 0, 0, 0) != state(1, 0, 0, 0, 1)
-        assert state(1, 0, 0, 0, 0) == tuple(
-            contract_seed_sequence(1, 0, 0, 0, 0).generate_state(4)
-        )
+        assert state(2**32, 0, 0, 0) != state(0, 1, 0, 0)
+        assert state(1, 0, 0, 0) != state(1, 0, 0, 1)
+        assert state(1, 0, 0, 0) == tuple(contract_seed_sequence(1, 0, 0, 0).generate_state(4))
 
     def test_peak_memory_does_not_grow_with_the_budget(self):
         def config(symbols):
@@ -1123,13 +918,12 @@ class TestStreamContract:
         assert large < 16.0
         assert abs(large - small) <= 2.0
 
-    def test_peak_memory_of_a_one_block_sweep(self, monkeypatch):
-        # Sent planes and two sets of received rows, one (2, n) pair per
-        # receiver each: (1 + 2 * 4) * 2 * 2**16 * 8 bytes = 9 MiB at the
-        # largest block, plus up to 3 MiB for the decoder's chunk scratch
-        # (2.4 MiB measured). A third set would add 4 MiB. Points of more
-        # than one block take the same buffers.
-        set_usable_cpus(monkeypatch, 2)
+    def test_peak_memory_of_a_one_block_sweep(self):
+        # One sent, one noise and one received (2, n) pair of float64 rows,
+        # whatever the roster: 3 * 2 * 2**16 * 8 bytes = 3 MiB at the largest
+        # block, plus up to 3 MiB for the decoder's chunk scratch (2.5 MiB
+        # measured). A fourth pair would add 1 MiB. Points of more than one
+        # block take the same buffers.
         for cfg in (
             roster_sweep(symbols_per_point=BLOCK),
             roster_sweep(2, symbols_per_point=2 * BLOCK + 4097),
@@ -1141,7 +935,7 @@ class TestStreamContract:
                 peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
             finally:
                 tracemalloc.stop()
-            assert peak_mb < 12.0
+            assert peak_mb < 6.0
 
 
 class TestBerRecord:

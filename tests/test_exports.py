@@ -99,14 +99,15 @@ def test_modem_import_loads_no_channel():
 
 
 def test_multi_block_sweep_imports_no_thread_pool():
-    # Two points of two blocks each, the last one ragged, with the helper
-    # thread on wherever two CPUs are usable.
+    # Two points of two blocks each, the last one ragged: the sweep runs
+    # on the caller alone, so it starts no thread and loads no pool.
     probe = (
-        "import sys\n"
+        "import sys, threading\n"
         "from keyedmod.channel import PathLossModel\n"
         "from keyedmod.experiment import ExperimentConfig, ReceiverSpec, run_experiment\n"
         "cfg = ExperimentConfig('qam16_circ', None, (ReceiverSpec('eve', 'qpsk'),),"
         " PathLossModel(2.0), (0.0, 10.0), 'receive', 2**16 + 1, 1)\n"
+        "threading.Thread.start = None\n"
         "print(len(run_experiment(cfg)))\n"
         "print('concurrent.futures' in sys.modules)\n"
     )

@@ -1,4 +1,4 @@
-"""Golden values of RNG stream contract 2, pinned layer by layer.
+"""Golden values of RNG stream contract 3, pinned layer by layer.
 
 numpy keeps its bit generators stream-stable, but not its distributions
 (NEP 19): a release that changes ``Generator.integers`` or the ziggurat
@@ -7,7 +7,12 @@ which rebuild records from the same draws, still pass. These values were
 taken with numpy 2.4.6. If one fails after a numpy upgrade, the first
 failing test names the layer that moved: the substream keys, the value
 lane, the noise lane, or the records built on them. Records that change
-need an ``RNG_STREAM`` bump, recorded in CHANGES.md.
+need an ``RNG_STREAM`` bump, recorded in CHANGES.md. After a bump, print
+every value pinned here, from the repository root, with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and paste the lines over the constants below.
 """
 
 import hashlib
@@ -31,35 +36,40 @@ LABEL = "eve_bpsk"
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-
-def test_substream_key_words():
-    # (seed, sweep index 2, noise lane, the label's word, block 1), each
-    # 64-bit word as two 32-bit words, low first.
-    ss = experiment._substream(SEED, 2, 1, experiment._label_word(LABEL), 1)
-    assert ss.entropy.tolist() == [2011, 0, 2, 0, 1, 0, 3040340892, 1947217987, 1, 0]
-
-
-def test_value_lane_first_values():
-    rng = np.random.default_rng(experiment._substream(SEED, 0, 0, 0, 0))
-    values = rng.integers(0, 16, 8, dtype=np.uint8)
-    assert values.tolist() == [1, 10, 11, 13, 6, 10, 2, 10]
+GOLDEN_STREAM = 3
+SUBSTREAM_KEY_WORDS = [2011, 0, 1, 0, 3040340892, 1947217987, 1, 0]
+VALUE_LANE_FIRST_VALUES = [0, 9, 13, 14, 14, 6, 4, 2]
+NOISE_LANE_FIRST_FLOATS = [
+    "-0x1.53b033fcd8d42p-3",
+    "0x1.f068fd7462f8fp-4",
+    "0x1.f43bf4b088a07p-1",
+    "0x1.5d38b6da26ff7p-3",
+]
+DEMO_ROSTER_DIGEST = "16d7defc83fc5bc33a59d9c6063f0dbe3da4b5c57b21a87f78515964514b3333"
 
 
-def test_noise_lane_first_floats():
+def substream_key_words():
+    # (seed, noise lane, the label's word, block 1), each 64-bit word as
+    # two 32-bit words, low first.
+    ss = experiment._substream(SEED, 1, experiment._label_word(LABEL), 1)
+    return ss.entropy.tolist()
+
+
+def value_lane_first_values():
+    rng = np.random.default_rng(experiment._substream(SEED, 0, 0, 0))
+    return rng.integers(0, 16, 8, dtype=np.uint8).tolist()
+
+
+def noise_lane_first_floats():
     word = experiment._label_word(LABEL)
-    rng = np.random.default_rng(experiment._substream(SEED, 0, 1, word, 0))
-    assert [float(z).hex() for z in rng.standard_normal(4)] == [
-        "0x1.502a33b4ff7edp-1",
-        "-0x1.a2cdb616e9a88p+0",
-        "0x1.a1fb061da7e35p+0",
-        "-0x1.b024a02f1d863p-4",
-    ]
+    rng = np.random.default_rng(experiment._substream(SEED, 1, word, 0))
+    return [float(z).hex() for z in rng.standard_normal(4)]
 
 
-def test_demo_roster_records():
-    # Two blocks, the last of one symbol. At -45 dB the BPSK listener's
-    # noise can reach the decoder's outer imaginary bins, so it decodes on
-    # both axes; at 0 and 10 dB it needs the real axis only.
+def demo_roster_digest():
+    # Two blocks, the last of one symbol, at three sweep points that share
+    # each receiver's noise; at -45 dB the noise reaches the decoders'
+    # outer bins.
     cfg = replace(
         load_config(CONFIGS / "demo.json"),
         snr_sweep_db=(-45.0, 0.0, 10.0),
@@ -70,6 +80,29 @@ def test_demo_roster_records():
     body = io.StringIO()
     rows = ([getattr(rec, field) for field in RESULT_FIELDS] for rec in records)
     write_csv_rows(body, RESULT_FIELDS, rows)
-    digest = hashlib.sha256(body.getvalue().encode()).hexdigest()
-    assert RNG_STREAM == 2
-    assert digest == "95430190f41e7357450da231a062f2068dfe90d6fee107b193c8222d429dcab8"
+    return hashlib.sha256(body.getvalue().encode()).hexdigest()
+
+
+def test_substream_key_words():
+    assert substream_key_words() == SUBSTREAM_KEY_WORDS
+
+
+def test_value_lane_first_values():
+    assert value_lane_first_values() == VALUE_LANE_FIRST_VALUES
+
+
+def test_noise_lane_first_floats():
+    assert noise_lane_first_floats() == NOISE_LANE_FIRST_FLOATS
+
+
+def test_demo_roster_records():
+    assert RNG_STREAM == GOLDEN_STREAM
+    assert demo_roster_digest() == DEMO_ROSTER_DIGEST
+
+
+if __name__ == "__main__":
+    print(f"GOLDEN_STREAM = {RNG_STREAM!r}")
+    print(f"SUBSTREAM_KEY_WORDS = {substream_key_words()!r}")
+    print(f"VALUE_LANE_FIRST_VALUES = {value_lane_first_values()!r}")
+    print(f"NOISE_LANE_FIRST_FLOATS = {noise_lane_first_floats()!r}")
+    print(f"DEMO_ROSTER_DIGEST = {demo_roster_digest()!r}")
