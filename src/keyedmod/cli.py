@@ -8,6 +8,7 @@ that closes standard output early, as ``| head`` does, is not an error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -187,7 +188,13 @@ def _cmd_sim_figure(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by later ones.
+
+    Parsing leaves the parser as it was: each call gets a new namespace, and
+    the handlers look up the module's functions when they run.
+    """
     parser = _Parser(prog="keyedmod", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

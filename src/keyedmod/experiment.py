@@ -540,7 +540,7 @@ def read_results(path) -> list[BerRecord]:
                 key, colon, value = line[1:].partition(":")
                 if colon and key.strip() == "symbols_per_point":
                     value = value.strip()
-                    if not value.isdecimal() or int(value) < 1:
+                    if not (value.isascii() and value.isdecimal()) or int(value) < 1:
                         raise IntegrityError(
                             f"{path}:{lineno}: symbols_per_point must be a positive"
                             f" integer, got {value!r}"

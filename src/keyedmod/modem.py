@@ -122,9 +122,12 @@ def _fallback_values(real: np.ndarray, imag: np.ndarray, pts: np.ndarray) -> np.
         d2 = (real[:, None] - pts.real) ** 2
         d2 += (imag[:, None] - pts.imag) ** 2
     values = np.argmin(d2, axis=1)
-    far = np.isfinite(real) & np.isfinite(imag)
-    far &= np.maximum(np.abs(real), np.abs(imag)) > _FAR_BOUND
+    # The larger magnitude is NaN where either component is, so such rows
+    # are not far, nor are those with an infinite component.
+    magnitude = np.maximum(np.abs(real), np.abs(imag))
+    far = magnitude > _FAR_BOUND
     if far.any():
+        far &= magnitude < np.inf
         exact_pts = [(_exact_int(q.real), _exact_int(q.imag)) for q in pts.tolist()]
         decided = []
         for y_real, y_imag in zip(real[far].tolist(), imag[far].tolist()):
@@ -136,19 +139,22 @@ def _fallback_values(real: np.ndarray, imag: np.ndarray, pts: np.ndarray) -> np.
 
 
 class _CellTable(NamedTuple):
-    """Decisions over bins cut by per-axis edges.
+    """Decisions over bins cut by one edge array on both axes.
 
-    A coordinate's bin on an axis is the number of that axis's edges below
-    it, so the first and last bin on each axis are unbounded. The bin of
-    ``(x, y)`` is ``values[ix * (imag_edges.size + 1) + iy]``: the value
-    decided for every symbol in the bin, or the scheme order where none is
-    (a mixed bin). When ``scale`` is set the edges are evenly spaced,
+    A coordinate's bin on an axis is the number of ``edges`` below it, so
+    the first and last bin on each axis are unbounded. With ``n`` bins per
+    axis (one more than the edges), the bin of ``(x, y)`` is
+    ``ix * n + iy``. ``values`` holds per bin the value decided for every
+    symbol in it, or the scheme order where none is (a mixed bin).
+    ``pairs`` holds per bin the two values, lower first, between which a
+    bounded mixed bin is decided, or the order twice where more points can
+    be nearest in it. When ``scale`` is set the edges are evenly spaced,
     ``1 / scale`` apart.
     """
 
     values: np.ndarray
-    real_edges: np.ndarray
-    imag_edges: np.ndarray
+    pairs: np.ndarray
+    edges: np.ndarray
     scale: float | None
 
 
@@ -165,13 +171,37 @@ class _CellTable(NamedTuple):
 # float64 rounding of the squared distances: in a bounded bin each is off by
 # at most 4 * 2**-53 * 2 * (2S)**2, so the corner margins and argmin's own
 # comparison together lose under 32 * 2**-53 * (2S)**2. A pure bin thus gives
-# argmin's value itself; symbols in a mixed bin go to argmin.
+# argmin's value itself.
+#
+# The same corner test settles most mixed bounded bins between two points.
+# Point q drops out of a bin when one point p beats it at all four corners
+# by more than tol. By the affine argument p then beats q anywhere in the
+# padded bin by more than tol less the padding term, which covers the
+# rounding of the corner distances and of argmin's own, as for a pure bin;
+# so argmin's float64 distance to q stays above its distance to p, and
+# argmin never returns q there. Every point within tol of the nearest at
+# some corner stays (nothing beats it there by more than tol), and a
+# dropped point is beaten by one that stays, since "beats by more than
+# tol" chains. So the build keeps those points, and a bin where exactly two
+# stay, a < b, and one of them beats each other point stores the pair. Its
+# symbols are decided between them with the float64 expression argmin
+# evaluates, (x - p.real)**2 + (y - p.imag)**2, so the pair's two distances
+# are argmin's own and the smaller wins as in argmin; an equal pair goes to
+# the lower value, the first minimum argmin keeps. Every other mixed bin,
+# and every unbounded bin, goes to argmin itself.
 #
 # A product grid (distinct real levels times distinct imaginary levels equal
-# the order) is cut at every level midpoint +-_GRID_GUARD and at
-# +-_GRID_BOUND: outside the guard bands one level is nearest on each axis,
-# so those bins are pure unless levels sit too close for the margin. Any
-# other geometry is cut into _TABLE_BINS even bins over [-L, L], L = 2 max|p|.
+# the order) is cut on both axes at the union of its levels' midpoints
+# +-_GRID_GUARD and +-_GRID_BOUND: outside the guard bands one level is
+# nearest on each axis, so those bins are pure unless levels sit too close
+# for the margin. A cut that belongs to the other axis only splits a bin;
+# both halves keep its four-corner margins (the affine difference along the
+# cut lies between its values at the ends), so a pure bin stays pure. BPSK,
+# whose imaginary axis has one level and no midpoint, thus gains its real
+# cuts on the imaginary axis and loses no pure bin: its corner margins, at
+# least 4 * _GRID_GUARD, are far above tol, so rounding cannot tip one.
+# Any other geometry is cut into _TABLE_BINS even bins over [-L, L],
+# L = 2 max|p|, on both axes.
 _GRID_GUARD = 1e-6
 _GRID_BOUND = 1e3
 _TABLE_BINS = 256
@@ -186,6 +216,37 @@ def _guarded_cuts(levels: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(cuts))
 
 
+def _mixed_bin_pairs(
+    ix: np.ndarray, iy: np.ndarray, edges: np.ndarray, pts: np.ndarray, tol: float
+) -> np.ndarray:
+    """The two points left in each bounded bin ``(ix, iy)``; the order twice where more are.
+
+    Bin ``(i, j)`` here spans ``edges[i:i + 2]`` by ``edges[j:j + 2]``.
+    """
+    order = pts.size
+    pairs = np.full((2, ix.size), order, dtype=np.min_scalar_type(order))
+    step = max(1, _TABLE_BUILD_BLOCK // (4 * order))
+    for start in range(0, ix.size, step):
+        bx, by = ix[start : start + step], iy[start : start + step]
+        corner_x = edges[np.stack((bx, bx + 1, bx, bx + 1), axis=1)]
+        corner_y = edges[np.stack((by, by, by + 1, by + 1), axis=1)]
+        # (bins, corners, points)
+        d2 = (corner_x[..., None] - pts.real) ** 2
+        d2 += (corner_y[..., None] - pts.imag) ** 2
+        stays = (d2 - d2.min(axis=2, keepdims=True) <= tol).any(axis=1)
+        two = np.flatnonzero(np.count_nonzero(stays, axis=1) == 2)
+        stays, d2 = stays[two], d2[two]
+        # The two points that stay in each of those bins, in index order.
+        pair = np.nonzero(stays)[1].reshape(-1, 2).T
+        # Every other point must be beaten at all four corners by one of them.
+        settled = stays.copy()
+        for p in pair:
+            settled |= (d2 - d2[np.arange(two.size), :, p][..., None]).min(axis=1) > tol
+        settled = settled.all(axis=1)
+        pairs[:, start + two[settled]] = pair[:, settled]
+    return pairs
+
+
 @lru_cache(maxsize=8)
 def _point_cell_table(points: tuple[complex, ...]) -> _CellTable:
     """Cell table of point indices for one geometry; keyed schemes share it."""
@@ -194,38 +255,40 @@ def _point_cell_table(points: tuple[complex, ...]) -> _CellTable:
     reach = float(np.abs(pts).max())
     real_levels, imag_levels = np.unique(pts.real), np.unique(pts.imag)
     if real_levels.size * imag_levels.size == order:
-        real_edges, imag_edges = _guarded_cuts(real_levels), _guarded_cuts(imag_levels)
+        edges = np.union1d(_guarded_cuts(real_levels), _guarded_cuts(imag_levels))
         scale = None
     else:
         width = 4.0 * reach / _TABLE_BINS
-        real_edges = imag_edges = -2.0 * reach + width * np.arange(_TABLE_BINS + 1)
+        edges = -2.0 * reach + width * np.arange(_TABLE_BINS + 1)
         scale = 1.0 / width
-    bound = max(np.abs(real_edges).max(), np.abs(imag_edges).max(), reach)
+    bound = max(np.abs(edges).max(), reach)
     tol = 8.0 * reach * _TABLE_PAD + 64.0 * 2.0**-53 * (2.0 * bound) ** 2
-    n_imag = imag_edges.size
-    n_corners = real_edges.size * n_imag
+    n_edges = edges.size
+    n_corners = n_edges * n_edges
     dtype = np.min_scalar_type(order)
     nearest = np.empty(n_corners, dtype=dtype)
     step = max(1, _TABLE_BUILD_BLOCK // order)
     for start in range(0, n_corners, step):
-        ix, iy = np.divmod(np.arange(start, min(start + step, n_corners)), n_imag)
-        d2 = (real_edges[ix, None] - pts.real) ** 2
-        d2 += (imag_edges[iy, None] - pts.imag) ** 2
+        ix, iy = np.divmod(np.arange(start, min(start + step, n_corners)), n_edges)
+        d2 = (edges[ix, None] - pts.real) ** 2
+        d2 += (edges[iy, None] - pts.imag) ** 2
         best = d2.argmin(axis=1)
         rows = np.arange(best.size)
         first = d2[rows, best]
         d2[rows, best] = np.inf
         margin = d2.min(axis=1) - first
         nearest[start : start + step] = np.where(margin > tol, best, order)
-    nearest = nearest.reshape(real_edges.size, n_imag)
+    nearest = nearest.reshape(n_edges, n_edges)
     low = nearest[:-1, :-1]
     pure = (low == nearest[1:, :-1]) & (low == nearest[:-1, 1:]) & (low == nearest[1:, 1:])
-    values = np.full((real_edges.size + 1, n_imag + 1), order, dtype=dtype)
+    values = np.full((n_edges + 1, n_edges + 1), order, dtype=dtype)
     values[1:-1, 1:-1] = np.where(pure, low, order)
-    values = values.ravel()
-    for arr in (values, real_edges, imag_edges):
+    pairs = np.full((2, n_edges + 1, n_edges + 1), order, dtype=dtype)
+    pairs[:, 1:-1, 1:-1][:, ~pure] = _mixed_bin_pairs(*np.nonzero(~pure), edges, pts, tol)
+    values, pairs = values.ravel(), pairs.reshape(2, -1)
+    for arr in (values, pairs, edges):
         arr.setflags(write=False)
-    return _CellTable(values, real_edges, imag_edges, scale)
+    return _CellTable(values, pairs, edges, scale)
 
 
 @lru_cache(maxsize=32)
@@ -235,53 +298,92 @@ def _scheme_cell_table(scheme: ConstellationScheme) -> _CellTable:
     Cached per scheme, so a decode call does not pay for the relabelling.
     """
     table = _point_cell_table(scheme.points)
-    labels = np.append(scheme.key.inverse().perm, scheme.order)
-    values = labels.astype(table.values.dtype).take(table.values)
-    values.setflags(write=False)
-    return table._replace(values=values)
+    labels = np.append(scheme.key.inverse().perm, scheme.order).astype(table.values.dtype)
+    values = labels.take(table.values)
+    # Lower value first, so that an equal pair goes to it.
+    pairs = np.sort(labels.take(table.pairs), axis=0)
+    for arr in (values, pairs):
+        arr.setflags(write=False)
+    return table._replace(values=values, pairs=pairs)
 
 
-def _bin_index(coord: np.ndarray, table: _CellTable, edges: np.ndarray) -> np.ndarray:
-    """Number of ``edges`` below each coordinate; NaN counts none."""
+def _coordinate_rows(symbols) -> np.ndarray:
+    """``symbols`` as a (2, n) float64 view: real coordinates, then imaginary ones.
+
+    Float64 planes are their own rows; a complex stream's rows are a
+    strided view of its interleaved parts. A two-dimensional float array of
+    other than two rows, of another dtype, or not C-contiguous, raises
+    ``ValueError``.
+    """
+    if isinstance(symbols, np.ndarray) and symbols.ndim == 2 and symbols.dtype.kind == "f":
+        if not (
+            symbols.dtype == np.float64
+            and symbols.shape[0] == 2
+            and symbols.flags.c_contiguous
+        ):
+            raise ValueError(
+                "symbol planes must be two C-contiguous float64 rows,"
+                f" got {symbols.dtype} of shape {symbols.shape}"
+            )
+        return symbols
+    y = np.asarray(symbols, dtype=np.complex128)
+    if y.ndim != 1:
+        raise ValueError("symbol stream must be one-dimensional")
+    return y.reshape(-1, 1).view(np.float64).T
+
+
+def _cell_index(rows: np.ndarray, table: _CellTable) -> np.ndarray:
+    """Bin of each symbol whose coordinates are the columns of ``rows``; NaN counts no edge.
+
+    Both rows are binned at once. The scratch takes the memory order of the
+    rows, so that a pass over both runs through memory in order: row by row
+    for planes, pair by pair for a complex stream.
+    """
+    n_bins = table.edges.size + 1
     if table.scale is None:
-        # Counts in the narrowest dtype that holds a cell index; a
-        # contiguous copy makes each comparison several times faster.
-        coord = np.ascontiguousarray(coord)
-        index = np.zeros(coord.size, dtype=np.min_scalar_type(table.values.size - 1))
-        for edge in edges:
-            index += coord > edge
-        return index
+        # Edge counts in the narrowest dtype that holds a bin; one buffer
+        # takes each edge's comparison, added as the bytes 0 and 1.
+        count = np.zeros_like(rows, dtype=np.min_scalar_type(table.values.size - 1))
+        below = np.empty_like(rows, dtype=bool)
+        for edge in table.edges:
+            np.greater(rows, edge, out=below)
+            count += below.view(np.uint8)
+        cell = count[0]
+        cell *= n_bins
+        cell += count[1]
+        return cell
     # Even edges: one bin per 1/scale above edges[0], after the unbounded first.
-    index = coord + (1.0 / table.scale - edges[0])
+    index = np.add(rows, 1.0 / table.scale - table.edges[0], out=np.empty_like(rows))
     # Coordinates near the float64 limit overflow to inf here, then clamp.
     with np.errstate(over="ignore"):
         index *= table.scale
     # fmax maps NaN to 0; clamping before the cast keeps the cast defined.
     np.fmax(index, 0, out=index)
-    np.fmin(index, edges.size, out=index)
-    return index.astype(np.intp)
+    np.fmin(index, table.edges.size, out=index)
+    # Whole bins combine exactly in float64, then cast once.
+    np.floor(index, out=index)
+    cell = index[0]
+    cell *= n_bins
+    cell += index[1]
+    return cell.astype(np.intp)
 
 
-def _as_planes(symbols) -> np.ndarray | None:
-    """``symbols`` if it holds float64 planes; None if it is no two-dimensional float array.
-
-    A two-dimensional float array of other than two rows, of another
-    dtype, or not C-contiguous, raises ``ValueError``.
-    """
-    if not (
-        isinstance(symbols, np.ndarray) and symbols.ndim == 2 and symbols.dtype.kind == "f"
-    ):
-        return None
-    if not (
-        symbols.dtype == np.float64
-        and symbols.shape[0] == 2
-        and symbols.flags.c_contiguous
-    ):
-        raise ValueError(
-            "symbol planes must be two C-contiguous float64 rows,"
-            f" got {symbols.dtype} of shape {symbols.shape}"
+def _mixed_values(x: np.ndarray, y: np.ndarray, cell: np.ndarray, table: _CellTable, pts):
+    """Argmin's values for symbols in mixed bins: between the bin's pair where it has one."""
+    first, second = table.pairs.take(cell, axis=1)
+    # The float64 distances _fallback_values compares, for the two points only.
+    # A bin without a pair holds the order, which clip reads as the last point;
+    # argmin redoes those symbols below, so their overflow does not matter.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_first, d_second = (
+            (x - pts.real.take(v, mode="clip")) ** 2 + (y - pts.imag.take(v, mode="clip")) ** 2
+            for v in (first, second)
         )
-    return symbols
+    values = np.where(d_second < d_first, second, first)
+    rest = np.flatnonzero(first == pts.size)
+    if rest.size:
+        values[rest] = _fallback_values(x.take(rest), y.take(rest), pts)
+    return values
 
 
 def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
@@ -293,31 +395,22 @@ def nearest_point_values(symbols, scheme: ConstellationScheme) -> np.ndarray:
     value 0. Values come back in the narrowest unsigned dtype that holds
     them.
     """
-    planes = _as_planes(symbols)
-    if planes is None:
-        y = np.asarray(symbols, dtype=np.complex128)
-        if y.ndim != 1:
-            raise ValueError("symbol stream must be one-dimensional")
-        real, imag = y.real, y.imag
-    else:
-        real, imag = planes
+    rows = _coordinate_rows(symbols)
     pts = scheme.mapped_points
     table = _scheme_cell_table(scheme)
-    n_imag_bins = table.imag_edges.size + 1
-    out = np.empty(real.size, dtype=value_dtype(scheme.bits_per_symbol))
-    for start in range(0, real.size, _DEMOD_CHUNK):
-        chunk = slice(start, start + _DEMOD_CHUNK)
-        cell = _bin_index(real[chunk], table, table.real_edges)
-        cell *= n_imag_bins
-        cell += _bin_index(imag[chunk], table, table.imag_edges)
-        values = table.values.take(cell)
-        block = out[chunk]
-        block[:] = values
-        # Mixed bins hold the scheme order; argmin decides their symbols.
-        unsafe = np.flatnonzero(values == scheme.order)
-        if unsafe.size:
-            block[unsafe] = _fallback_values(real[chunk][unsafe], imag[chunk][unsafe], pts)
-    return out
+    n = rows.shape[1]
+    # The table's dtype also holds the mixed-bin mark, the scheme order.
+    out = np.empty(n, dtype=table.values.dtype)
+    for start in range(0, n, _DEMOD_CHUNK):
+        chunk = rows[:, start : start + _DEMOD_CHUNK]
+        cell = _cell_index(chunk, table)
+        block = out[start : start + _DEMOD_CHUNK]
+        table.values.take(cell, out=block, mode="clip")
+        mixed = np.flatnonzero(block == scheme.order)
+        if mixed.size:
+            x, y = chunk.take(mixed, axis=1)
+            block[mixed] = _mixed_values(x, y, cell.take(mixed), table, pts)
+    return out.astype(value_dtype(scheme.bits_per_symbol), copy=False)
 
 
 def count_prefix_errors(tx_values, m_tx: int, rx_values, m_rx: int) -> tuple[int, int]:

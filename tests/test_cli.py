@@ -355,3 +355,85 @@ class TestUsageErrors:
     def test_bad_figure_id(self):
         proc = run_cli("sim", "figure", "--id", "fig2")
         assert proc.returncode == 1
+
+
+class TestParserReuse:
+    """One parser per process, built by the first ``main`` call."""
+
+    @pytest.fixture()
+    def parsers_built(self, monkeypatch):
+        """Count every parser built, subparsers included, from a fresh cache."""
+        built = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        cli.build_parser.cache_clear()
+        yield built
+        cli.build_parser.cache_clear()
+
+    def test_two_calls_build_one_parser(self, parsers_built, capsys):
+        assert main(["scheme", "make-key", "--order", "4", "--seed", "1"]) == 0
+        one_build = len(parsers_built)
+        assert one_build > 1 and parsers_built[0] == "keyedmod"
+        assert main(["scheme", "make-key", "--order", "4", "--seed", "1"]) == 0
+        assert len(parsers_built) == one_build
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == second
+
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import keyedmod.cli\n"
+            "print(len(built), keyedmod.cli.build_parser.cache_info().currsize)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
+
+    def test_no_argument_leaks_into_the_next_call(self, tmp_path, monkeypatch):
+        records = [
+            BerRecord(label, 0.0, 40000, 10000, 10, 1e-3, 10, 1e-3)
+            for label in REQUIRED_RECEIVER_LABELS
+        ]
+        results = tmp_path / "results.csv"
+        write_results(records, results)
+        seen = []
+
+        def spy(records, figure_id):
+            seen.append((figure_id, records))
+            return emit_figure_data(records, figure_id)
+
+        monkeypatch.setattr(cli, "emit_figure_data", spy)
+        for argv in (
+            ["--id", "fig7", "--in", str(results), "--out", str(tmp_path / "fig7.csv")],
+            ["--id", "fig5", "--out", str(tmp_path / "fig5.csv")],
+        ):
+            assert main(["sim", "figure", *argv]) == 0
+        assert [fig for fig, _ in seen] == ["fig7", "fig5"]
+        assert seen[0][1] == records and seen[1][1] is None
+        parser = cli.build_parser()
+        parser.parse_args(["sim", "figure", "--id", "fig7", "--in", str(results)])
+        assert parser.parse_args(["sim", "figure", "--id", "fig5"]).infile is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["frobnicate"], ["secrecy", "report"], ["sim", "figure", "--id", "fig2"], []],
+        ids=["unknown-subcommand", "missing-flag", "bad-choice", "no-command"],
+    )
+    def test_usage_errors_repeat_with_the_same_stderr(self, argv, capsys):
+        fresh = run_cli(*argv)
+        assert fresh.returncode == 1
+        for _ in range(2):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", fresh.stderr)

@@ -921,7 +921,7 @@ class TestStreamContract:
     def test_peak_memory_of_a_one_block_sweep(self):
         # One sent, one noise and one received (2, n) pair of float64 rows,
         # whatever the roster: 3 * 2 * 2**16 * 8 bytes = 3 MiB at the largest
-        # block, plus up to 3 MiB for the decoder's chunk scratch (2.5 MiB
+        # block, plus up to 3 MiB for the decoder's chunk scratch (1.7 MiB
         # measured). A fourth pair would add 1 MiB. Points of more than one
         # block take the same buffers.
         for cfg in (
@@ -1060,7 +1060,11 @@ class TestResultsIO:
         with pytest.raises(IntegrityError, match="ser"):
             read_results(path)
 
-    @pytest.mark.parametrize("value", ["0", "-5", "1.5", "abc"])
+    # The last two, full-width and Arabic-Indic 100000, are decimal to
+    # str.isdecimal and read by int(), but are not ASCII digits.
+    @pytest.mark.parametrize(
+        "value", ["0", "-5", "1.5", "abc", "\uff11\uff10" + "\uff10" * 4, "\u0661" + "\u0660" * 5]
+    )
     def test_bad_symbols_per_point_rejected_with_line(self, tmp_path, value):
         rec = BerRecord("eve_rect", 0.0, 400, 100, 40, 0.4, 20, 0.2)
         path = tmp_path / "out.csv"

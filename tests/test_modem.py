@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keyedmod import modem
 from keyedmod.constellations import (
     ConstellationScheme,
     MappingKey,
@@ -289,8 +290,12 @@ def rotated_qpsk(angle=0.3):
 
 
 def keyed_scheme(name, key_seed):
-    """A stock scheme, or the rotated QPSK ``"qpsk_rot"``, re-keyed unless ``key_seed`` is None."""
-    scheme = rotated_qpsk() if name == "qpsk_rot" else make_standard_scheme(name)
+    """A stock scheme, the rotated QPSK ``"qpsk_rot"`` or the 32 random points
+    ``"random32"``, re-keyed unless ``key_seed`` is None."""
+    if name == "random32":
+        scheme = random_geometry(32, seed=32)
+    else:
+        scheme = rotated_qpsk() if name == "qpsk_rot" else make_standard_scheme(name)
     if key_seed is not None:
         scheme = make_keyed_scheme(scheme, random_key(scheme.order, key_seed))
     return scheme
@@ -323,7 +328,7 @@ def table_edge_symbols(scheme, n_gauss=25_000) -> np.ndarray:
     bisectors = np.concatenate(
         [cross(around([m.real]), around([m.imag])) for m in mids]
     )
-    cuts = np.unique(np.concatenate((table.real_edges, table.imag_edges)))
+    cuts = table.edges
     edges = around(cuts)
     partners = rng.choice(edges, min(32, edges.size), replace=False)
     span = np.abs(cuts).max()
@@ -446,34 +451,176 @@ class TestCellTable:
         assert (info.hits, info.misses) == (1, 1)
 
     def test_grid_is_cut_at_guarded_midpoints(self):
-        # n midpoints per axis give 2n + 3 bins: one between each pair of
-        # guard bands, one inside each band, and two unbounded. Only the
-        # n + 1 between the bands are pure, so each point owns one bin.
+        # Both axes are cut at the union of the two axes' guarded midpoints
+        # and the +-1e3 border, so n edges give (n + 1)**2 bins. Outside the
+        # guard bands one point is nearest, so every point owns a pure bin.
         for name in GRID_SCHEMES:
             scheme = keyed_scheme(name, 3)
             table = _scheme_cell_table(scheme)
             assert table.scale is None
-            sizes = []
-            for levels, edges in (
-                (np.unique(np.asarray(scheme.points).real), table.real_edges),
-                (np.unique(np.asarray(scheme.points).imag), table.imag_edges),
+            cuts = []
+            for levels in (
+                np.unique(np.asarray(scheme.points).real),
+                np.unique(np.asarray(scheme.points).imag),
             ):
                 mids = (levels[:-1] + levels[1:]) / 2
-                cuts = np.concatenate((mids - 1e-6, mids + 1e-6, [-1e3, 1e3]))
-                assert np.array_equal(edges, np.sort(cuts))
-                sizes.append(2 * mids.size + 3)
-            assert table.values.size == sizes[0] * sizes[1] != (_TABLE_BINS + 2) ** 2
+                cuts.append(np.concatenate((mids - 1e-6, mids + 1e-6, [-1e3, 1e3])))
+            assert np.array_equal(table.edges, np.unique(np.concatenate(cuts)))
+            assert table.values.size == (table.edges.size + 1) ** 2 != (_TABLE_BINS + 2) ** 2
             pure = table.values[table.values != scheme.order]
-            assert sorted(pure) == list(range(scheme.order))
+            assert set(pure.tolist()) == set(range(scheme.order))
         rect = _scheme_cell_table(keyed_scheme("qam16_rect", 3))
         assert rect.values.size == (2 * 3 + 3) ** 2
+        # BPSK's imaginary axis takes the real axis's cuts.
+        bpsk = _scheme_cell_table(make_standard_scheme("bpsk"))
+        assert np.array_equal(bpsk.edges, [-1e3, -1e-6, 1e-6, 1e3])
 
     def test_non_product_geometries_not_separable(self):
         for scheme in (make_standard_scheme("qam16_circ"), rotated_qpsk()):
             table = _scheme_cell_table(scheme)
             assert table.scale is not None
-            assert table.real_edges.size == table.imag_edges.size == _TABLE_BINS + 1
+            assert table.edges.size == _TABLE_BINS + 1
             assert table.values.size == (_TABLE_BINS + 2) ** 2
+            assert table.pairs.shape == (2, table.values.size)
+
+
+def bounded_bins(table, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Low and high real edge, then low and high imaginary edge, of bounded bins ``cells``."""
+    ix, iy = np.divmod(cells, table.edges.size + 1)
+    return table.edges[ix - 1], table.edges[ix], table.edges[iy - 1], table.edges[iy]
+
+
+def mixed_bounded_cells(table, order) -> np.ndarray:
+    n = table.edges.size + 1
+    bounded = np.zeros((n, n), dtype=bool)
+    bounded[1:-1, 1:-1] = True
+    return np.flatnonzero(bounded.ravel() & (table.values == order))
+
+
+def point_neighbours(z) -> np.ndarray:
+    """Each complex ``z`` with each coordinate moved by -1, 0 and +1 ulp."""
+    z = np.asarray(z, dtype=np.complex128)
+    out = np.empty((3, 3, z.size), dtype=np.complex128)
+    out.real = around(z.real).reshape(3, 1, -1)
+    out.imag = around(z.imag).reshape(1, 3, -1)
+    return out.ravel()
+
+
+def cell_of(table, symbols) -> np.ndarray:
+    """Bin index of each symbol, counting the edges below each coordinate."""
+    y = np.asarray(symbols, dtype=np.complex128)
+    ix = np.searchsorted(table.edges, y.real, side="left")
+    return ix * (table.edges.size + 1) + np.searchsorted(table.edges, y.imag, side="left")
+
+
+# The stock schemes, then a rotated and a random geometry whose cells meet
+# bins at other angles.
+PAIR_SCHEMES = [
+    (name, key_seed)
+    for name in ("qam16_circ", "qam16_rect", "qpsk", "bpsk")
+    for key_seed in (None, 5)
+] + [("qpsk_rot", None), ("random32", None), ("random32", 5)]
+
+
+class TestPairedBins:
+    """Mixed bounded bins that only two points can win are decided between those two."""
+
+    @pytest.mark.parametrize("name, key_seed", PAIR_SCHEMES)
+    def test_pairs_sit_in_mixed_bounded_bins_lower_value_first(self, name, key_seed):
+        scheme = keyed_scheme(name, key_seed)
+        table = _scheme_cell_table(scheme)
+        first, second = table.pairs
+        paired = np.flatnonzero(first != scheme.order)
+        assert paired.size
+        assert np.isin(paired, mixed_bounded_cells(table, scheme.order)).all()
+        assert (first[paired] < second[paired]).all()
+        assert (second[first == scheme.order] == scheme.order).all()
+
+    def test_two_ring_paired_bin_count(self):
+        circ = make_standard_scheme("qam16_circ")
+        for scheme in (circ, make_keyed_scheme(circ, random_key(16, 5))):
+            table = _scheme_cell_table(scheme)
+            assert mixed_bounded_cells(table, 16).size == 2_928
+            assert np.count_nonzero(table.pairs[0] != 16) == 2_896
+
+    @pytest.mark.parametrize("name, key_seed", PAIR_SCHEMES)
+    def test_equals_argmin_on_pair_bisectors(self, name, key_seed):
+        # In each paired bin, the point of the pair's bisector nearest the
+        # bin centre, and its float64 neighbours.
+        scheme = keyed_scheme(name, key_seed)
+        table = _scheme_cell_table(scheme)
+        cells = np.flatnonzero(table.pairs[0] != scheme.order)
+        x_lo, x_hi, y_lo, y_hi = bounded_bins(table, cells)
+        centre = (x_lo + x_hi) / 2 + 1j * (y_lo + y_hi) / 2
+        a, b = (scheme.mapped_points[v] for v in table.pairs[:, cells])
+        unit = (b - a) / np.abs(b - a)
+        mid = (a + b) / 2
+        on_bisector = centre - ((centre - mid) * unit.conj()).real * unit
+        d_a, d_b = np.abs(on_bisector - a), np.abs(on_bisector - b)
+        assert np.allclose(d_a, d_b, rtol=0, atol=1e-12)
+        assert_matches_argmin(point_neighbours(on_bisector), scheme)
+        # Where the bisector crosses the bin's vertical edges, unless it runs
+        # along them.
+        steep = np.abs(unit.imag) > 1e-3
+        for x in (x_lo[steep], x_hi[steep]):
+            y = mid.imag[steep] - (x - mid.real[steep]) * unit.real[steep] / unit.imag[steep]
+            assert_matches_argmin(point_neighbours(x + 1j * y), scheme)
+
+    @pytest.mark.parametrize("name, key_seed", PAIR_SCHEMES)
+    def test_equals_argmin_within_two_ulps_of_every_edge(self, name, key_seed):
+        scheme = keyed_scheme(name, key_seed)
+        table = _scheme_cell_table(scheme)
+        edges = table.edges
+        near = [edges]
+        for direction in (-np.inf, np.inf):
+            step = np.nextafter(edges, direction)
+            near += [step, np.nextafter(step, direction)]
+        near = np.concatenate(near)
+        rng = np.random.default_rng(scheme.order)
+        # Partners inside the square of an even grid, or around the levels of
+        # a product grid, whose outermost edges sit at +-1e3.
+        span = np.abs(edges).max() if table.scale is not None else 2.0
+        partners = np.concatenate((rng.uniform(-span, span, 24), rng.choice(near, 8)))
+        symbols = np.concatenate((cross(near, partners), cross(partners, near)))
+        assert_matches_argmin(symbols, scheme)
+
+    @pytest.mark.parametrize("name, key_seed", PAIR_SCHEMES)
+    def test_equals_argmin_inside_every_mixed_bounded_bin(self, name, key_seed):
+        scheme = keyed_scheme(name, key_seed)
+        table = _scheme_cell_table(scheme)
+        x_lo, x_hi, y_lo, y_hi = bounded_bins(table, mixed_bounded_cells(table, scheme.order))
+        rng = np.random.default_rng(scheme.order + 7)
+        u, v = rng.uniform(size=(2, x_lo.size))
+        symbols = x_lo + u * (x_hi - x_lo) + 1j * (y_lo + v * (y_hi - y_lo))
+        assert_matches_argmin(symbols, scheme)
+
+    def test_paired_bins_do_not_reach_argmin(self, monkeypatch):
+        scheme = make_standard_scheme("qam16_circ")
+        table = _scheme_cell_table(scheme)
+        argued = [np.empty(0, dtype=np.complex128)]
+        fallback = modem._fallback_values
+
+        def spy(real, imag, pts):
+            symbols = np.empty(real.size, dtype=np.complex128)
+            symbols.real, symbols.imag = real, imag
+            argued.append(symbols)
+            return fallback(real, imag, pts)
+
+        monkeypatch.setattr(modem, "_fallback_values", spy)
+        rng = np.random.default_rng(10)
+        n = 2 * _DEMOD_CHUNK
+        sigma = math.sqrt(10 ** (-10 / 10) / 2)
+        symbols = scheme.mapped_points[rng.integers(0, 16, n)]
+        symbols = symbols + sigma * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        got = nearest_point_values(as_planes(symbols), scheme)
+        paired = table.pairs[0, cell_of(table, symbols)] != 16
+        assert paired.sum() > 0.05 * n
+        argued = np.concatenate(argued)
+        assert not (table.pairs[0, cell_of(table, argued)] != 16).any()
+        assert argued.size < 0.05 * paired.sum()
+        monkeypatch.undo()
+        assert_matches_argmin(symbols, scheme)
+        assert np.array_equal(got, nearest_point_values(symbols, scheme))
 
 
 def far_symbols(scheme) -> np.ndarray:
