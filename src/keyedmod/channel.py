@@ -13,9 +13,10 @@ imaginary axis (row 1).
 ``add_awgn`` is the fill and the scale below, then the sum: the fill
 (``_noise_fill``) draws the unit normals z into the rows, and the scale
 (``_scale_noise``) writes sigma * z. A sweep calls the same two pieces
-on its own rows, filling one pair per receiver and block and scaling it
-once per sweep point (see :mod:`keyedmod.experiment`), so the draw order
-is stated here alone. ``add_awgn`` keeps no state.
+on its own rows, filling one pair per block for every receiver and
+scaling it once per sweep point and effective SNR (see
+:mod:`keyedmod.experiment`), so the draw order is stated here alone.
+``add_awgn`` keeps no state.
 """
 
 from __future__ import annotations

@@ -7,20 +7,22 @@ through its scheme. At each sweep point every receiver hears that same
 transmission through its own AWGN at its effective SNR and decodes it
 with its own scheme.
 
-RNG stream contract, version 3 (:data:`RNG_STREAM`). Every stream is
+RNG stream contract, version 4 (:data:`RNG_STREAM`). Every stream is
 cut into blocks of 2**16 symbols, the last one shorter when the budget
 is not a multiple, and each block draws from its own ``SeedSequence``
-keyed by (seed, lane, label word, block index). Lane 0 holds the
-broadcast values; lane 1 holds one receiver's unit normals, keyed by a
-hash of its label and drawn in the order :mod:`keyedmod.channel` states.
-No key holds a sweep index: each sweep point scales the same unit
-normals by its own sigma (common random numbers across SNR). So records
-are bit-reproducible, adding, removing, or reordering receivers never
-perturbs the other series, and a point's records do not depend on the
-other points of the sweep. Each record keeps its distribution; the
-records of one receiver at different SNRs are correlated, while
-different receivers' noise stays independent. The record list is
-canonically ordered before persistence.
+keyed by (seed, lane, block index). Lane 0 holds the broadcast values;
+lane 1 holds the block's unit normals, drawn in the order
+:mod:`keyedmod.channel` states. No key holds a receiver or a sweep
+index: every receiver at every sweep point scales the same unit normals
+by its own sigma (common random numbers across SNR and across
+listeners). So records are bit-reproducible, adding, removing, or
+reordering receivers never perturbs the other series, and a point's
+records do not depend on the other points of the sweep. Each record
+keeps its distribution, so every BER and SER stays an unbiased estimate
+for its listener at its SNR; the errors of different receivers, and of
+one receiver at different SNRs, are correlated, and no output reports a
+joint statistic. The record list is canonically ordered before
+persistence.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ MIN_SYMBOLS_PER_POINT = 10_000
 
 #: Version of the RNG stream contract that records follow; see the module
 #: docstring. Any change to the draws that changes a record bumps it.
-RNG_STREAM = 3
+RNG_STREAM = 4
 
 #: Symbols per RNG block. Part of the stream contract: changing it
 #: changes every record.
@@ -420,23 +422,16 @@ def config_digest(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _label_word(label: str) -> int:
-    """The 64-bit word that keys a receiver's noise streams."""
-    return int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
+def _substream(seed: int, lane: int, block: int) -> np.random.SeedSequence:
+    """The ``SeedSequence`` of one block of one lane.
 
-
-def _substream(
-    seed: int, lane: int, label_word: int, block: int
-) -> np.random.SeedSequence:
-    """The ``SeedSequence`` of one block of one stream.
-
-    Each key is four 64-bit words, each given as two 32-bit words, low
+    Each key is three 64-bit words, each given as two 32-bit words, low
     first. numpy would split a plain int into as many words as it needs
     and treat short entropy as zero-padded, so two different keys could
     meet; a fixed width keeps every key distinct.
     """
     words = []
-    for value in (seed, lane, label_word, block):
+    for value in (seed, lane, block):
         words += (value & 0xFFFFFFFF, value >> 32)
     return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
@@ -445,18 +440,19 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
     """Run the full sweep and return records ordered by (receiver, SNR).
 
     One loop on the caller, block by block. A block's values are drawn
-    once and mapped into the sent planes. Then each receiver's unit
-    normals z are drawn once into the noise rows, and at each sweep point
-    sigma * z is written into the received rows, the sent planes are
-    added, and the rows are decoded and counted. One sent, one noise and
-    one received pair of float64 rows hold a block, and die with the call.
+    once and mapped into the sent planes, and its unit normals z are
+    drawn once into the noise rows. Then at each sweep point each
+    receiver decodes and counts the received rows, sigma * z plus the
+    sent planes, which are written only when its effective SNR differs
+    from the last one written at that point: in ``receive`` mode one
+    scale and sum serves the whole roster. One sent, one noise and one
+    received pair of float64 rows hold a block, and die with the call.
     """
     sender, rx_schemes = cfg.resolve_schemes()
     m_tx = sender.bits_per_symbol
     n_sym = cfg.symbols_per_point
     tx_axes = (sender.mapped_points.real, sender.mapped_points.imag)
     tx_dtype = value_dtype(m_tx)
-    label_words = [_label_word(spec.label) for spec in cfg.receivers]
     eff_snrs = [
         [cfg._effective_snr_db(snr_db, spec) for spec in cfg.receivers]
         for snr_db in cfg.snr_sweep_db
@@ -468,23 +464,27 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
     for block in range(-(-n_sym // _BLOCK)):
         size = min(_BLOCK, n_sym - block * _BLOCK)
         sent, noise, received = (flat[: 2 * size].reshape(2, size) for flat in buffers)
-        value_rng = np.random.default_rng(_substream(cfg.seed, _VALUE_LANE, 0, block))
+        value_rng = np.random.default_rng(_substream(cfg.seed, _VALUE_LANE, block))
         tx_values = value_rng.integers(0, sender.order, size, dtype=tx_dtype)
         # The values lie in range by construction; "clip" writes straight into
         # ``sent``, where the default "raise" would fill a temporary copy first.
         for axis, row in zip(tx_axes, sent):
             np.take(axis, tx_values, out=row, mode="clip")
-        for r, (word, rx_scheme) in enumerate(zip(label_words, rx_schemes)):
-            _noise_fill(_substream(cfg.seed, _NOISE_LANE, word, block), noise)
-            for snrs, point_totals in zip(eff_snrs, totals):
-                _scale_noise(noise, snrs[r], out=received)
-                received += sent
+        _noise_fill(_substream(cfg.seed, _NOISE_LANE, block), noise)
+        for snrs, point_totals in zip(eff_snrs, totals):
+            written = None
+            for snr, rx_scheme, counts in zip(snrs, rx_schemes, point_totals):
+                # Receivers in a row at one SNR share ``received``: a decode only reads it.
+                if snr != written:
+                    _scale_noise(noise, snr, out=received)
+                    received += sent
+                    written = snr
                 rx_values = nearest_point_values(received, rx_scheme)
                 bit_errors, symbol_errors = count_prefix_errors(
                     tx_values, m_tx, rx_values, rx_scheme.bits_per_symbol
                 )
-                point_totals[r][0] += bit_errors
-                point_totals[r][1] += symbol_errors
+                counts[0] += bit_errors
+                counts[1] += symbol_errors
 
     records = []
     for snrs, point_totals in zip(eff_snrs, totals):
@@ -530,24 +530,40 @@ def read_results(path) -> list[BerRecord]:
     """Read a results CSV, re-deriving and checking the stored rates."""
     records = []
     n_sym = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = None
-        for lineno, line in enumerate(fh, start=1):
+    header = None
+    lineno = 0
+    pending = False  # a data line went to the reader and its row is not yet taken
+
+    def data_lines(fh):
+        # Reads metadata lines as the reader reaches them, so a
+        # ``symbols_per_point`` line applies to the rows after it.
+        nonlocal n_sym, lineno, pending
+        for number, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
+            if pending:
+                # The reader wants a second line for one row: a quoted field
+                # is still open at the end of the last one.
+                raise IntegrityError(f"{path}:{lineno}: unterminated quoted field")
             if line.startswith("#"):
                 key, colon, value = line[1:].partition(":")
                 if colon and key.strip() == "symbols_per_point":
                     value = value.strip()
                     if not (value.isascii() and value.isdecimal()) or int(value) < 1:
                         raise IntegrityError(
-                            f"{path}:{lineno}: symbols_per_point must be a positive"
+                            f"{path}:{number}: symbols_per_point must be a positive"
                             f" integer, got {value!r}"
                         )
                     n_sym = int(value)
                 continue
-            row = next(csv.reader([line]))
+            pending = True
+            lineno = number
+            yield line
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for row in csv.reader(data_lines(fh)):
+            pending = False
             if header is None:
                 header = tuple(row)
                 if header != RESULT_FIELDS:

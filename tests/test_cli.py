@@ -225,7 +225,7 @@ class TestSimCommands:
         for name in ("keyedmod", "numpy", "python"):
             assert sum(l.startswith(f"# {name}_version: ") for l in body1) == 1, name
         assert sum(l.startswith("# rng_stream:") for l in body1) == 1
-        assert body1.index("# rng_stream: 3") == body1.index(
+        assert body1.index("# rng_stream: 4") == body1.index(
             next(l for l in body1 if l.startswith("# python_version: "))
         ) + 1
         assert len(read_results(out1)) == 8

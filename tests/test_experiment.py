@@ -1,7 +1,6 @@
 """Experiment runner, persistence, and figure emission."""
 
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -462,60 +461,58 @@ class TestConfigValidation:
             load_config(path)
 
 
-#: Symbols per RNG block in stream contract 3.
+#: Symbols per RNG block in stream contract 4.
 BLOCK = 1 << 16
 
 
-def contract_seed_sequence(seed, lane, label_word, block):
-    """A block's substream, keyed as stream contract 3 states it.
+def contract_seed_sequence(seed, lane, block):
+    """A block's substream, keyed as stream contract 4 states it.
 
-    Four little-endian 64-bit words, read as eight 32-bit words.
+    Three little-endian 64-bit words, read as six 32-bit words.
     """
-    words = np.array([seed, lane, label_word, block], dtype="<u8")
+    words = np.array([seed, lane, block], dtype="<u8")
     return np.random.SeedSequence(words.view("<u4").astype(np.uint32))
 
 
 def bit_domain_records(cfg):
-    """Oracle: each ``receive``-mode cell in the bit domain, with per-group prefix comparison.
+    """Oracle: each cell in the bit domain, with per-group prefix comparison.
 
-    Per sweep point and block, the sender's values (lane 0, keyed by the
-    block alone) are drawn, expanded to bits and modulated; every receiver
-    adds noise from its own (label word, block) substream (lane 1), the
-    same at every sweep point, and decodes.
+    Per sweep point and block, the sender's values (lane 0) are drawn,
+    expanded to bits and modulated; every receiver adds noise at its own
+    effective SNR from the block's noise substream (lane 1), the same for
+    every receiver at every sweep point, and decodes. Both substreams are
+    keyed by the block alone.
     """
     sender, rx_schemes = cfg.resolve_schemes()
     m_tx = sender.bits_per_symbol
     n_sym = cfg.symbols_per_point
-    label_words = [
-        int.from_bytes(hashlib.sha256(spec.label.encode()).digest()[:8], "big")
-        for spec in cfg.receivers
-    ]
     records = []
     for snr_db in cfg.snr_sweep_db:
+        eff_snrs = [cfg._effective_snr_db(snr_db, spec) for spec in cfg.receivers]
         bit_errors = [0] * len(rx_schemes)
         symbol_errors = [0] * len(rx_schemes)
         for block, start in enumerate(range(0, n_sym, BLOCK)):
             size = min(BLOCK, n_sym - start)
-            value_rng = np.random.default_rng(contract_seed_sequence(cfg.seed, 0, 0, block))
+            value_rng = np.random.default_rng(contract_seed_sequence(cfg.seed, 0, block))
             values = value_rng.integers(0, sender.order, size, dtype=value_dtype(m_tx))
             bits = values_to_bits(values, m_tx)
             sent = modulate(bits, sender)
-            for i, (word, rx_scheme) in enumerate(zip(label_words, rx_schemes)):
-                noise = contract_seed_sequence(cfg.seed, 1, word, block)
-                received = add_awgn(sent, ChannelSpec(snr_db, noise))
+            noise = contract_seed_sequence(cfg.seed, 1, block)
+            for i, (eff_snr, rx_scheme) in enumerate(zip(eff_snrs, rx_schemes)):
+                received = add_awgn(sent, ChannelSpec(eff_snr, noise))
                 m_rx = rx_scheme.bits_per_symbol
                 rx_bits = values_to_bits(nearest_point_values(received, rx_scheme), m_rx)
                 mismatch = bits.reshape(size, m_tx)[:, :m_rx] != rx_bits.reshape(size, m_rx)
                 bit_errors[i] += int(mismatch.sum())
                 symbol_errors[i] += int(mismatch.any(axis=1).sum())
-        for spec, rx_scheme, errors, sym_errors in zip(
-            cfg.receivers, rx_schemes, bit_errors, symbol_errors
+        for spec, eff_snr, rx_scheme, errors, sym_errors in zip(
+            cfg.receivers, eff_snrs, rx_schemes, bit_errors, symbol_errors
         ):
             compared = n_sym * rx_scheme.bits_per_symbol
             records.append(
                 BerRecord(
                     receiver_label=spec.label,
-                    snr_db=snr_db,
+                    snr_db=eff_snr,
                     tx_bits=n_sym * m_tx,
                     compared_bits=compared,
                     bit_errors=errors,
@@ -692,11 +689,26 @@ class TestRunExperiment:
         assert len(records) == 15
         assert records == bit_domain_records(cfg)
 
+    def test_records_equal_bit_domain_oracle_in_reference_mode(self):
+        # Receivers at 10, 10, 20, 10 and 40 m: a received pair is shared,
+        # written anew at another SNR, and written again at an earlier one.
+        base = oracle_config(10_000)
+        distances = (10.0, 10.0, 20.0, 10.0, 40.0)
+        cfg = replace(
+            base,
+            sweep_mode="reference",
+            snr_sweep_db=(20.0, 32.0, 44.0),
+            receivers=tuple(replace(r, distance_m=d) for r, d in zip(base.receivers, distances)),
+        )
+        records = run_experiment(cfg)
+        assert len({r.snr_db for r in records}) == 9
+        assert records == bit_domain_records(cfg)
+
 
 class TestStreamContract:
     def test_block_size_is_part_of_the_contract(self):
         assert experiment._BLOCK == BLOCK
-        assert experiment.RNG_STREAM == 3
+        assert experiment.RNG_STREAM == 4
 
     def test_workers_do_not_change_records(self):
         # Two points of three blocks, the last one ragged, and 26 one-block
@@ -739,7 +751,7 @@ class TestStreamContract:
         decodes_per_block = len(cfg.receivers) * len(cfg.snr_sweep_db)
         broadcasts = []
         for block, size in enumerate((BLOCK, BLOCK, 4097)):
-            value_rng = np.random.default_rng(contract_seed_sequence(cfg.seed, 0, 0, block))
+            value_rng = np.random.default_rng(contract_seed_sequence(cfg.seed, 0, block))
             values = value_rng.integers(
                 0, sender.order, size, dtype=value_dtype(sender.bits_per_symbol)
             )
@@ -747,6 +759,84 @@ class TestStreamContract:
             broadcasts += [np.stack((points.real, points.imag))] * decodes_per_block
         assert len(decoded) == len(broadcasts)
         assert all(np.array_equal(got, sent) for got, sent in zip(decoded, broadcasts))
+
+    @pytest.mark.parametrize("mode", ["receive", "reference"])
+    @pytest.mark.parametrize("n_receivers", [1, 2, 5])
+    def test_one_noise_fill_per_block_whatever_the_roster(self, monkeypatch, mode, n_receivers):
+        # Each block draws its unit normals once, from the noise lane keyed by
+        # the block alone, for every receiver at every sweep point.
+        fills = []
+
+        def noise_fill(rng_seed, out):
+            fills.append((rng_seed.entropy.tolist(), out.shape))
+            channel._noise_fill(rng_seed, out)
+
+        monkeypatch.setattr(experiment, "_noise_fill", noise_fill)
+        receivers = oracle_config(10_000).receivers[:n_receivers]
+        cfg = ragged_sweep(sweep_mode=mode, receivers=receivers)
+        run_experiment(cfg)
+        assert fills == [
+            (contract_seed_sequence(cfg.seed, 1, block).entropy.tolist(), (2, size))
+            for block, size in enumerate((BLOCK, BLOCK, 4097))
+        ]
+
+    def test_receive_mode_roster_decodes_equal_planes(self, monkeypatch):
+        # In receive mode every receiver at a sweep point hears the same
+        # effective SNR, so all of them decode one and the same received pair.
+        decoded = []
+
+        def spy(symbols, scheme):
+            decoded.append(np.array(symbols))
+            return nearest_point_values(symbols, scheme)
+
+        monkeypatch.setattr(experiment, "nearest_point_values", spy)
+        cfg = ragged_sweep(receivers=oracle_config(10_000).receivers)
+        run_experiment(cfg)
+        roster = len(cfg.receivers)
+        assert len(decoded) == 3 * len(cfg.snr_sweep_db) * roster
+        for start in range(0, len(decoded), roster):
+            first, *others = decoded[start : start + roster]
+            assert all(np.array_equal(first, other) for other in others)
+        # The two sweep points scale the noise differently.
+        assert not np.array_equal(decoded[0], decoded[roster])
+
+    @pytest.mark.parametrize("mode", ["receive", "reference"])
+    def test_alike_receivers_get_equal_records(self, mode):
+        # Same scheme, key and effective SNR: the same errors, wherever the
+        # two sit in the roster and whatever is decoded between them.
+        key = random_key(16, 41)
+        cfg = ragged_sweep(
+            sweep_mode=mode,
+            sender_key=key,
+            receivers=(
+                ReceiverSpec("intended", "qam16_circ", key=key, distance_m=10.0),
+                ReceiverSpec("eve_bpsk", "bpsk", distance_m=40.0),
+                ReceiverSpec("twin", "qam16_circ", key=key, distance_m=10.0),
+            ),
+        )
+        by_label = {}
+        for rec in run_experiment(cfg):
+            by_label.setdefault(rec.receiver_label, []).append(replace(rec, receiver_label=""))
+        assert by_label["intended"] == by_label["twin"]
+        assert by_label["intended"] != by_label["eve_bpsk"]
+
+    @pytest.mark.parametrize("mode", ["receive", "reference"])
+    def test_removing_receiver_preserves_series(self, mode):
+        # In reference mode, dropping eve_rect makes the two receivers at 10 m
+        # neighbours, which then share one written pair where each wrote its
+        # own; that changes none of their records.
+        receivers = (
+            ReceiverSpec("intended", "qam16_circ", distance_m=10.0),
+            ReceiverSpec("eve_rect", "qam16_rect", distance_m=20.0),
+            ReceiverSpec("eve_qpsk", "qpsk", distance_m=10.0),
+            ReceiverSpec("eve_bpsk", "bpsk", distance_m=40.0),
+        )
+        cfg = ragged_sweep(sweep_mode=mode, receivers=receivers)
+        full = run_experiment(cfg)
+        for dropped in receivers:
+            kept = tuple(r for r in receivers if r != dropped)
+            expected = [r for r in full if r.receiver_label != dropped.label]
+            assert run_experiment(replace(cfg, receivers=kept)) == expected
 
     def test_a_point_does_not_depend_on_the_other_sweep_points(self):
         # No substream key holds a sweep index, so the records at 10 dB are
@@ -802,14 +892,14 @@ class TestStreamContract:
         cfg = ragged_sweep(receivers=receivers, snr_sweep_db=(-45.0, 0.0, 10.0))
         run_experiment(cfg)
         # Every receiver decodes both planes of every block at every point,
-        # and each draws its unit normals once per block.
+        # and each block draws its unit normals once for the whole roster.
         decodes = 3 * len(cfg.snr_sweep_db)
         assert Counter(names) == {
             "modem.nearest_point.qam16_circ": decodes,
             "modem.nearest_point.qam16_rect": decodes,
             "modem.nearest_point.bpsk": decodes,
         }
-        assert fills == [(2, BLOCK)] * 6 + [(2, 4097)] * 3
+        assert fills == [(2, BLOCK)] * 2 + [(2, 4097)]
 
     def test_fill_helper_exception_propagates(self, monkeypatch):
         # Every fill runs on the caller, so a failing fill reaches it at once
@@ -857,7 +947,7 @@ class TestStreamContract:
 
     def test_no_thread_outlives_a_pooled_call(self, monkeypatch):
         # Back-to-back multi-block sweeps make every fill on the caller, one
-        # per receiver and block, and start no thread.
+        # per block, and start no thread.
         threads = []
 
         def noise_fill(rng_seed, out):
@@ -869,7 +959,7 @@ class TestStreamContract:
         for cfg in (small_config(symbols_per_point=BLOCK + 1), ragged_sweep()) * 2:
             run_experiment(cfg)
             assert set(threading.enumerate()) == before
-        assert threads == [threading.current_thread()] * 2 * (2 * 2 + 3 * 2)
+        assert threads == [threading.current_thread()] * 2 * (2 + 3)
 
     def test_seed_must_fit_one_word(self):
         with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
@@ -887,9 +977,10 @@ class TestStreamContract:
         def state(*key):
             return tuple(experiment._substream(*key).generate_state(4))
 
-        assert state(2**32, 0, 0, 0) != state(0, 1, 0, 0)
-        assert state(1, 0, 0, 0) != state(1, 0, 0, 1)
-        assert state(1, 0, 0, 0) == tuple(contract_seed_sequence(1, 0, 0, 0).generate_state(4))
+        assert experiment._substream(1, 0, 0).entropy.tolist() == [1, 0, 0, 0, 0, 0]
+        assert state(2**32, 0, 0) != state(0, 1, 0)
+        assert state(1, 0, 0) != state(1, 0, 1)
+        assert state(1, 0, 0) == tuple(contract_seed_sequence(1, 0, 0).generate_state(4))
 
     def test_peak_memory_does_not_grow_with_the_budget(self):
         def config(symbols):
@@ -1082,6 +1173,36 @@ class TestResultsIO:
         rows = "".join(f"intended,nan,400,400,{e},{e / 400!r},{e},{e / 100!r}\n" for e in (4, 8))
         path.write_text(",".join(RESULT_FIELDS) + "\n" + rows)
         with pytest.raises(IntegrityError, match=r":2: snr_db must be finite, got nan"):
+            read_results(path)
+
+    def test_malformed_row_after_metadata_named_by_its_line(self, tmp_path):
+        # Metadata and blank lines between the rows count toward the line
+        # number, and a metadata line applies to the rows after it.
+        rec = BerRecord("eve_rect", 0.0, 400, 100, 40, 0.4, 20, 0.2)
+        path = tmp_path / "out.csv"
+        write_results([rec, rec], path, {"seed": 1, "symbols_per_point": 100})
+        lines = path.read_text().splitlines()
+        assert read_results(path) == [rec, rec]
+        lines[-1:-1] = ["# symbols_per_point: 50", ""]
+        lines.append("eve_rect,0.0,400,100,40,0.4,20")
+        path.write_text("\n".join(lines) + "\n")
+        expected = len(lines) - 1
+        with pytest.raises(IntegrityError, match=rf":{expected}: ser 0\.2 != symbol_errors/symbols \(20/50\)"):
+            read_results(path)
+        del lines[-2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IntegrityError, match=rf":{len(lines)}: expected 8 fields, got 7"):
+            read_results(path)
+
+    def test_unterminated_quote_named_by_its_line(self, tmp_path):
+        # The reader would take the next line into the open field; the file
+        # is refused at the line that left it open.
+        path = tmp_path / "quote.csv"
+        row = "intended,0.0,400,400,4,0.01,4,0.04"
+        path.write_text(
+            "\n".join([",".join(RESULT_FIELDS), row, '"intended,0.0', "# note", row]) + "\n"
+        )
+        with pytest.raises(IntegrityError, match=r":3: unterminated quoted field"):
             read_results(path)
 
     def test_missing_header(self, tmp_path):

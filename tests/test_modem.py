@@ -858,6 +858,20 @@ class TestPlanes:
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("key_seed", [None, 9])
+    @pytest.mark.parametrize("name", ALL_SCHEMES)
+    def test_decode_leaves_its_input_untouched(self, name, key_seed):
+        # A sweep decodes one received pair for every receiver at the same
+        # effective SNR, so no decode may write into the rows it reads.
+        scheme = keyed_scheme(name, key_seed)
+        symbols = plane_test_symbols(scheme)
+        planes = as_planes(symbols)
+        before_planes, before_symbols = planes.copy(), symbols.copy()
+        nearest_point_values(planes, scheme)
+        nearest_point_values(symbols, scheme)
+        assert planes.tobytes() == before_planes.tobytes()
+        assert symbols.tobytes() == before_symbols.tobytes()
+
     def test_read_only_planes_decode(self):
         scheme = make_standard_scheme("qam16_rect")
         symbols = plane_test_symbols(scheme)
