@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from keyedmod import experiment
+from keyedmod import experiment, modem
+from keyedmod.constellations import STANDARD_SCHEME_NAMES, make_standard_scheme
 from keyedmod.experiment import (
     RESULT_FIELDS,
     RNG_STREAM,
@@ -46,6 +47,32 @@ NOISE_LANE_FIRST_FLOATS = [
 ]
 DEMO_ROSTER_DIGEST = "248df079d45041125534616a03a6b3eceea74826d8d1639d9169263313e68117"
 REFERENCE_ROSTER_DIGEST = "4336b7d1ca06add577b6a1a6d815ef175ad7bd970048cef8e237425a01f4df0b"
+CELL_TABLE_DIGESTS = {
+    "bpsk": {
+        "values": "5a1e93370fe5bd2a319f5faa21f2c5eebc3ad06d99db6a1732fa12231fbdef74",
+        "pairs": "53b7943b5031034153ddf6e04a6b7a0132b729d5357250e9b208a9df0b30b25e",
+        "edges": "1a24f52bca0314251695a693f7489f0c7d69e0a3219cdf987c988b13a5c8fdd5",
+        "scale": None,
+    },
+    "qpsk": {
+        "values": "419c5242bb55f072b9446a28af4efb215fecab748b2e321d146f24eb82881924",
+        "pairs": "e0e377a4887df820da2c958381350441e1181a3b53ab73f124805f9c0ed8a7f2",
+        "edges": "1a24f52bca0314251695a693f7489f0c7d69e0a3219cdf987c988b13a5c8fdd5",
+        "scale": None,
+    },
+    "qam16_rect": {
+        "values": "c33cbe9258d094c6bc6ee5b36cc537b0173e8de473ca0d59744743b036a08313",
+        "pairs": "df7ef136ae3cb8066a0aa75a68ed1a957635fefd763de82b0c1abfdc220c537a",
+        "edges": "e4e91bd9fb1a4d0b83e39552d703181c1283ef8fd3a4bf3a9d83e7e47d502f87",
+        "scale": None,
+    },
+    "qam16_circ": {
+        "values": "3a590f7c33932ba20e0b7cac1f4d95ec60583aa5f3cecadf0670d86b1a04ca4b",
+        "pairs": "02bc0908d3cece0a728b38d0f700d8717fb2d16223ae95970ed7326437abd9e4",
+        "edges": "96687744304b4d8b7b0d3962adbfafd64156623fe36e72dbecda444bf0719921",
+        "scale": 50.563392040604604,
+    },
+}
 
 
 def substream_key_words():
@@ -100,6 +127,20 @@ def reference_roster_digest():
     )
 
 
+def cell_table_digests():
+    # Per stock geometry, the sha256 of the bytes of the point cell table's
+    # values, pairs and edges, then its scale: every decode reads these.
+    digests = {}
+    for name in STANDARD_SCHEME_NAMES:
+        table = modem._point_cell_table.__wrapped__(make_standard_scheme(name).points)
+        digests[name] = {
+            field: hashlib.sha256(getattr(table, field).tobytes()).hexdigest()
+            for field in ("values", "pairs", "edges")
+        }
+        digests[name]["scale"] = table.scale
+    return digests
+
+
 def records_digest(cfg):
     records = run_experiment(cfg)
     body = io.StringIO()
@@ -120,6 +161,10 @@ def test_noise_lane_first_floats():
     assert noise_lane_first_floats() == NOISE_LANE_FIRST_FLOATS
 
 
+def test_cell_tables():
+    assert cell_table_digests() == CELL_TABLE_DIGESTS
+
+
 def test_demo_roster_records():
     assert RNG_STREAM == GOLDEN_STREAM
     assert demo_roster_digest() == DEMO_ROSTER_DIGEST
@@ -137,3 +182,10 @@ if __name__ == "__main__":
     print(f"NOISE_LANE_FIRST_FLOATS = {noise_lane_first_floats()!r}")
     print(f"DEMO_ROSTER_DIGEST = {demo_roster_digest()!r}")
     print(f"REFERENCE_ROSTER_DIGEST = {reference_roster_digest()!r}")
+    print("CELL_TABLE_DIGESTS = {")
+    for name, digests in cell_table_digests().items():
+        print(f"    {name!r}: {{")
+        for field, digest in digests.items():
+            print(f"        {field!r}: {digest!r},")
+        print("    },")
+    print("}")
