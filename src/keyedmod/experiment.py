@@ -561,8 +561,15 @@ def read_results(path) -> list[BerRecord]:
             lineno = number
             yield line
 
+    def rows(fh):
+        # The reader's own errors, such as a field over csv.field_size_limit().
+        try:
+            yield from csv.reader(data_lines(fh))
+        except csv.Error as exc:
+            raise IntegrityError(f"{path}:{lineno}: {exc}") from exc
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(data_lines(fh)):
+        for row in rows(fh):
             pending = False
             if header is None:
                 header = tuple(row)

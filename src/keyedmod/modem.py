@@ -158,37 +158,31 @@ class _CellTable(NamedTuple):
     scale: float | None
 
 
-# Bins are checked in one way whatever the cut: a bounded bin gets point p
-# only when p is nearest at all four corners, each time by a squared-distance
-# margin above tol. That is exact: for points p and q, |y-q|^2 - |y-p|^2 is
-# affine in y, so its minimum over a rectangle sits at a corner. With
-# D = 2 * max|p| >= |p - q| and S the largest |edge| or |p|,
-# tol = 4 * D * _TABLE_PAD + 64 * 2**-53 * (2S)**2. The first term pads each
-# bin by _TABLE_PAD on every side (moving a corner by that on both axes
-# changes the affine difference by at most 2 * sqrt(2) * |p - q| * _TABLE_PAD),
-# so rounding in an arithmetic bin index, about 2**-44 bins, cannot move a
-# symbol out of the padded bin; counted bins are exact. The second covers
-# float64 rounding of the squared distances: in a bounded bin each is off by
-# at most 4 * 2**-53 * 2 * (2S)**2, so the corner margins and argmin's own
-# comparison together lose under 32 * 2**-53 * (2S)**2. A pure bin thus gives
-# argmin's value itself.
-#
-# The same corner test settles most mixed bounded bins between two points.
-# Point q drops out of a bin when one point p beats it at all four corners
-# by more than tol. By the affine argument p then beats q anywhere in the
-# padded bin by more than tol less the padding term, which covers the
-# rounding of the corner distances and of argmin's own, as for a pure bin;
-# so argmin's float64 distance to q stays above its distance to p, and
-# argmin never returns q there. Every point within tol of the nearest at
-# some corner stays (nothing beats it there by more than tol), and a
-# dropped point is beaten by one that stays, since "beats by more than
-# tol" chains. So the build keeps those points, and a bin where exactly two
-# stay, a < b, and one of them beats each other point stores the pair. Its
-# symbols are decided between them with the float64 expression argmin
-# evaluates, (x - p.real)**2 + (y - p.imag)**2, so the pair's two distances
-# are argmin's own and the smaller wins as in argmin; an equal pair goes to
-# the lower value, the first minimum argmin keeps. Every other mixed bin,
-# and every unbounded bin, goes to argmin itself.
+# One rule settles every bounded bin, whatever the cut. A bin keeps each
+# point within tol of the nearest point at one or more of its four corners.
+# One kept point is the bin's value. Two kept points, a < b, are its pair
+# when one of the two beats each other point at all four corners by a
+# squared-distance margin above tol. Any other bin is mixed. One kept point
+# needs no such check: it is the nearest at every corner, by more than tol.
+# The rule is exact. For points p and q, |y-q|^2 - |y-p|^2 is affine in y,
+# so its minimum over a rectangle sits at a corner. With D = 2 * max|p| >=
+# |p - q| and S the largest |edge| or |p|, tol = 4 * D * _TABLE_PAD + 64 *
+# 2**-53 * (2S)**2. The first term pads each bin by _TABLE_PAD on every side
+# (moving a corner by that on both axes changes the affine difference by at
+# most 2 * sqrt(2) * |p - q| * _TABLE_PAD), so rounding in an arithmetic bin
+# index, about 2**-44 bins, cannot move a symbol out of the padded bin;
+# counted bins are exact. The second covers float64 rounding of the squared
+# distances: in a bounded bin each is off by at most 4 * 2**-53 * 2 * (2S)**2,
+# so the corner margins and argmin's own comparison together lose under
+# 32 * 2**-53 * (2S)**2. So where p beats q at all four corners by more than
+# tol, argmin's float64 distance to q stays above its distance to p anywhere
+# in the padded bin, and argmin never returns q there. A pure bin thus gives
+# argmin's value itself. A paired bin's symbols are decided between its two
+# points with the float64 expression argmin evaluates, (x - p.real)**2 +
+# (y - p.imag)**2, so the pair's two distances are argmin's own and the
+# smaller wins as in argmin; an equal pair goes to the lower value, the
+# first minimum argmin keeps. Every other mixed bin, and every unbounded
+# bin, goes to argmin itself.
 #
 # A product grid (distinct real levels times distinct imaginary levels equal
 # the order) is cut on both axes at the union of its levels' midpoints
@@ -206,45 +200,12 @@ _GRID_GUARD = 1e-6
 _GRID_BOUND = 1e3
 _TABLE_BINS = 256
 _TABLE_PAD = 1e-9
-# Float64 elements in one distance block of the build (256 kB).
-_TABLE_BUILD_BLOCK = 1 << 15
 
 
 def _guarded_cuts(levels: np.ndarray) -> np.ndarray:
     mids = (levels[:-1] + levels[1:]) / 2.0
     cuts = (mids - _GRID_GUARD, mids + _GRID_GUARD, [-_GRID_BOUND, _GRID_BOUND])
     return np.sort(np.concatenate(cuts))
-
-
-def _mixed_bin_pairs(
-    ix: np.ndarray, iy: np.ndarray, edges: np.ndarray, pts: np.ndarray, tol: float
-) -> np.ndarray:
-    """The two points left in each bounded bin ``(ix, iy)``; the order twice where more are.
-
-    Bin ``(i, j)`` here spans ``edges[i:i + 2]`` by ``edges[j:j + 2]``.
-    """
-    order = pts.size
-    pairs = np.full((2, ix.size), order, dtype=np.min_scalar_type(order))
-    step = max(1, _TABLE_BUILD_BLOCK // (4 * order))
-    for start in range(0, ix.size, step):
-        bx, by = ix[start : start + step], iy[start : start + step]
-        corner_x = edges[np.stack((bx, bx + 1, bx, bx + 1), axis=1)]
-        corner_y = edges[np.stack((by, by, by + 1, by + 1), axis=1)]
-        # (bins, corners, points)
-        d2 = (corner_x[..., None] - pts.real) ** 2
-        d2 += (corner_y[..., None] - pts.imag) ** 2
-        stays = (d2 - d2.min(axis=2, keepdims=True) <= tol).any(axis=1)
-        two = np.flatnonzero(np.count_nonzero(stays, axis=1) == 2)
-        stays, d2 = stays[two], d2[two]
-        # The two points that stay in each of those bins, in index order.
-        pair = np.nonzero(stays)[1].reshape(-1, 2).T
-        # Every other point must be beaten at all four corners by one of them.
-        settled = stays.copy()
-        for p in pair:
-            settled |= (d2 - d2[np.arange(two.size), :, p][..., None]).min(axis=1) > tol
-        settled = settled.all(axis=1)
-        pairs[:, start + two[settled]] = pair[:, settled]
-    return pairs
 
 
 @lru_cache(maxsize=8)
@@ -263,28 +224,42 @@ def _point_cell_table(points: tuple[complex, ...]) -> _CellTable:
         scale = 1.0 / width
     bound = max(np.abs(edges).max(), reach)
     tol = 8.0 * reach * _TABLE_PAD + 64.0 * 2.0**-53 * (2.0 * bound) ** 2
-    n_edges = edges.size
-    n_corners = n_edges * n_edges
+    n_bins = edges.size + 1
     dtype = np.min_scalar_type(order)
-    nearest = np.empty(n_corners, dtype=dtype)
-    step = max(1, _TABLE_BUILD_BLOCK // order)
-    for start in range(0, n_corners, step):
-        ix, iy = np.divmod(np.arange(start, min(start + step, n_corners)), n_edges)
-        d2 = (edges[ix, None] - pts.real) ** 2
-        d2 += (edges[iy, None] - pts.imag) ** 2
-        best = d2.argmin(axis=1)
-        rows = np.arange(best.size)
-        first = d2[rows, best]
-        d2[rows, best] = np.inf
-        margin = d2.min(axis=1) - first
-        nearest[start : start + step] = np.where(margin > tol, best, order)
-    nearest = nearest.reshape(n_edges, n_edges)
-    low = nearest[:-1, :-1]
-    pure = (low == nearest[1:, :-1]) & (low == nearest[:-1, 1:]) & (low == nearest[1:, 1:])
-    values = np.full((n_edges + 1, n_edges + 1), order, dtype=dtype)
-    values[1:-1, 1:-1] = np.where(pure, low, order)
-    pairs = np.full((2, n_edges + 1, n_edges + 1), order, dtype=dtype)
-    pairs[:, 1:-1, 1:-1][:, ~pure] = _mixed_bin_pairs(*np.nonzero(~pure), edges, pts, tol)
+    values = np.full((n_bins, n_bins), order, dtype=dtype)
+    pairs = np.full((2, n_bins, n_bins), order, dtype=dtype)
+    # Squared distance parts, (points, edges).
+    real_d2 = (edges - pts.real[:, None]) ** 2
+    imag_d2 = (edges - pts.imag[:, None]) ** 2
+
+    def corner_row(i):
+        # Distances at the corners on edge i of the real axis, (points,
+        # corners), and per two adjacent corners the points within tol of
+        # the nearest at either.
+        d2 = real_d2[:, i, None] + imag_d2
+        near = d2 - d2.min(axis=0) <= tol
+        return d2, near[:, :-1] | near[:, 1:]
+
+    # One row of bins at a time, between corner rows i - 1 and i, so each
+    # corner row serves the bins on both its sides.
+    upper, upper_near = corner_row(0)
+    for i in range(1, edges.size):
+        lower, lower_near = upper, upper_near
+        upper, upper_near = corner_row(i)
+        kept = lower_near | upper_near
+        count = kept.sum(axis=0)
+        first = kept.argmax(axis=0)
+        values[i, 1:-1] = np.where(count == 1, first, order)
+        # The first and the last kept point of each bin that keeps two.
+        two = np.flatnonzero(count == 2)
+        pair = np.stack((first[two], order - 1 - kept[::-1, two].argmax(axis=0)))
+        # Every other point must be beaten at all four corners by one of the
+        # pair: distances (corners, points, bins), margins (pair, points, bins).
+        d2 = np.stack((lower[:, two], lower[:, two + 1], upper[:, two], upper[:, two + 1]))
+        own = d2[:, pair, np.arange(two.size)]
+        beaten = (d2[:, None] - own[:, :, None]).min(axis=0) > tol
+        settled = (beaten.any(axis=0) | kept[:, two]).all(axis=0)
+        pairs[:, i, 1 + two[settled]] = pair[:, settled]
     values, pairs = values.ravel(), pairs.reshape(2, -1)
     for arr in (values, pairs, edges):
         arr.setflags(write=False)

@@ -291,6 +291,14 @@ class TestSimCommands:
         assert "fig7: series 'intended' has two records at 0.0 dB" in proc.stderr
         assert not out.exists()
 
+    def test_figure_refuses_oversized_field(self, tmp_path):
+        results = tmp_path / "results.csv"
+        write_results([BerRecord("x" * 200_000, 0.0, 4, 4, 1, 0.25, 1, 0.5)], results)
+        proc = run_cli("sim", "figure", "--id", "fig7", "--in", str(results))
+        assert proc.returncode == 2
+        assert f"{results}:3: field larger than field limit" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_fig5_needs_no_input(self, tmp_path):
         out = tmp_path / "fig5.csv"
         proc = run_cli("sim", "figure", "--id", "fig5", "--out", str(out))

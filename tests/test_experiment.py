@@ -710,7 +710,7 @@ class TestStreamContract:
         assert experiment._BLOCK == BLOCK
         assert experiment.RNG_STREAM == 4
 
-    def test_workers_do_not_change_records(self):
+    def test_concurrent_sweeps_equal_a_sweep_run_alone(self):
         # Two points of three blocks, the last one ragged, and 26 one-block
         # points, each swept on a worker thread and on the caller at once,
         # interleaved by a short switch interval: both get the records of the
@@ -901,7 +901,7 @@ class TestStreamContract:
         }
         assert fills == [(2, BLOCK)] * 2 + [(2, 4097)]
 
-    def test_fill_helper_exception_propagates(self, monkeypatch):
+    def test_noise_fill_exception_propagates_and_leaves_no_thread(self, monkeypatch):
         # Every fill runs on the caller, so a failing fill reaches it at once
         # and leaves no thread behind.
         def broken_fill(rng_seed, out):
@@ -914,27 +914,22 @@ class TestStreamContract:
                 run_experiment(cfg)
             assert set(threading.enumerate()) == before
 
-    def test_caller_exception_leaves_no_fill_thread(self, monkeypatch):
-        def broken(symbols, scheme):
-            raise RuntimeError("decoder failed")
-
-        monkeypatch.setattr(experiment, "nearest_point_values", broken)
-        before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="decoder failed"):
-            run_experiment(roster_sweep(3))
-        assert set(threading.enumerate()) == before
-
-    def test_worker_exception_propagates_and_leaves_no_thread(self, monkeypatch):
-        # A decoder error in the middle of a multi-block sweep, on the second
-        # block's first decode, is raised on the caller, which makes every
-        # decode, and leaves no thread behind.
-        cfg = ragged_sweep()
-        decodes_per_block = len(cfg.receivers) * len(cfg.snr_sweep_db)
+    @pytest.mark.parametrize("sweep", ["first_decode", "second_block"])
+    def test_decoder_exception_propagates_and_leaves_no_thread(self, monkeypatch, sweep):
+        # A decoder error on a roster sweep's first decode, or in the middle
+        # of a multi-block sweep on the second block's first decode, is
+        # raised on the caller, which makes every decode, and leaves no
+        # thread behind.
+        if sweep == "first_decode":
+            cfg, failing = roster_sweep(3), 1
+        else:
+            cfg = ragged_sweep()
+            failing = len(cfg.receivers) * len(cfg.snr_sweep_db) + 1
         raised = []
 
         def broken(symbols, scheme):
             raised.append(threading.current_thread())
-            if len(raised) == decodes_per_block + 1:
+            if len(raised) == failing:
                 raise RuntimeError("decoder failed")
             return nearest_point_values(symbols, scheme)
 
@@ -942,10 +937,10 @@ class TestStreamContract:
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="decoder failed"):
             run_experiment(cfg)
-        assert raised == [threading.current_thread()] * (decodes_per_block + 1)
+        assert raised == [threading.current_thread()] * failing
         assert set(threading.enumerate()) == before
 
-    def test_no_thread_outlives_a_pooled_call(self, monkeypatch):
+    def test_every_fill_runs_on_the_caller_once_per_block(self, monkeypatch):
         # Back-to-back multi-block sweeps make every fill on the caller, one
         # per block, and start no thread.
         threads = []
@@ -1203,6 +1198,15 @@ class TestResultsIO:
             "\n".join([",".join(RESULT_FIELDS), row, '"intended,0.0', "# note", row]) + "\n"
         )
         with pytest.raises(IntegrityError, match=r":3: unterminated quoted field"):
+            read_results(path)
+
+    def test_oversized_field_named_by_its_line(self, tmp_path):
+        # A field over csv.field_size_limit() is a data error like any other.
+        rec = BerRecord("x" * 200_000, 0.0, 400, 100, 40, 0.4, 20, 0.2)
+        path = tmp_path / "big.csv"
+        write_results([rec], path, {"symbols_per_point": 100})
+        lineno = len(path.read_text().splitlines())
+        with pytest.raises(IntegrityError, match=rf":{lineno}: field larger than field limit"):
             read_results(path)
 
     def test_missing_header(self, tmp_path):

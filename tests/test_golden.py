@@ -7,7 +7,10 @@ which rebuild records from the same draws, still pass. These values were
 taken with numpy 2.4.6. If one fails after a numpy upgrade, the first
 failing test names the layer that moved: the substream keys, the value
 lane, the noise lane, or the records built on them. Records that change
-need an ``RNG_STREAM`` bump, recorded in CHANGES.md. After a bump, print
+need an ``RNG_STREAM`` bump, recorded in CHANGES.md. The stock
+geometries' cell tables draw no random numbers and are pinned beside
+them: a change to the table build that moves any of their bytes fails
+``test_cell_tables``. After a bump, print
 every value pinned here, from the repository root, with
 
     PYTHONPATH=src python tests/test_golden.py

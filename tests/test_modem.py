@@ -1,6 +1,7 @@
 """Modulation, nearest-point decoding, and cross-scheme decoding."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -357,26 +358,6 @@ def table_edge_symbols(scheme, n_gauss=25_000) -> np.ndarray:
     )
 
 
-class TestAxisSlicer:
-    """Product grids, whose table is sliced per axis at guarded level midpoints."""
-
-    @settings(deadline=None, max_examples=100)
-    @given(
-        name=st.sampled_from(GRID_SCHEMES),
-        key_seed=st.none() | st.integers(0, 2**32 - 1),
-        coords=st.lists(
-            st.tuples(
-                st.floats(allow_nan=False, allow_infinity=False),
-                st.floats(allow_nan=False, allow_infinity=False),
-            ),
-            max_size=40,
-        ),
-    )
-    def test_equals_argmin_property(self, name, key_seed, coords):
-        scheme = keyed_scheme(name, key_seed)
-        assert_matches_argmin([complex(re, im) for re, im in coords], scheme)
-
-
 class TestCellTable:
     @pytest.mark.parametrize(
         "name, key_seed",
@@ -410,9 +391,12 @@ class TestCellTable:
         assert _scheme_cell_table(scheme).values.max() == order
         assert_matches_argmin(table_edge_symbols(scheme, n_gauss=2_500), scheme)
 
-    @settings(deadline=None, max_examples=100)
+    # Five schemes in 250 examples, about 50 each: as many as each evenly cut
+    # scheme had with two in 100, and more than each product grid had with
+    # three in 100.
+    @settings(deadline=None, max_examples=250)
     @given(
-        name=st.sampled_from(("qam16_circ", "qpsk_rot")),
+        name=st.sampled_from(GRID_SCHEMES + ("qam16_circ", "qpsk_rot")),
         key_seed=st.none() | st.integers(0, 2**32 - 1),
         coords=st.lists(
             st.tuples(
@@ -425,6 +409,18 @@ class TestCellTable:
     def test_equals_argmin_property(self, name, key_seed, coords):
         scheme = keyed_scheme(name, key_seed)
         assert_matches_argmin([complex(re, im) for re, im in coords], scheme)
+
+    def test_two_ring_build_memory_is_bounded(self):
+        # The build takes one row of bins at a time; every corner at once
+        # would hold about 8 MB.
+        points = make_standard_scheme("qam16_circ").points
+        tracemalloc.start()
+        try:
+            _point_cell_table.__wrapped__(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_keyed_schemes_share_one_build(self):
         circ = make_standard_scheme("qam16_circ")
@@ -900,12 +896,11 @@ class TestPlanes:
             nearest_point_values(planes, make_standard_scheme("bpsk"))
 
 
-class TestOnePlaneRule:
-    """What a decode of BPSK from its real coordinates alone would have to respect.
+class TestBpskAgainstImaginaryPart:
+    """BPSK decisions against the imaginary part of the symbol.
 
-    No decode does that: every receiver reads both planes. Outside the
-    mixed real bins the imaginary part cannot move a decision; inside
-    them it can, so a one-axis shortcut needs a guard there.
+    Outside the mixed real bins the imaginary part cannot move a decision;
+    inside them it can, so every receiver reads both planes.
     """
 
     # BPSK's pure real bins at imaginary part 0.0 are (-B, -g] and (g, B].
