@@ -733,3 +733,19 @@ class TestGoldenValues:
         ):
             values = [p_correct_all_symbols(p, point_scale=scale) for p in points]
             assert digest(values) == expected, scale
+
+    def test_numeric_oracle_digest(self):
+        # sha256 of repr() over every (sender label, decoded label) pair at
+        # both scales, the golden dB points and the Es/N0 = 0 and inf limits.
+        points = [SnrPoint.from_db(d) for d in GOLDEN_DB] + [SnrPoint(0.0), SnrPoint(math.inf)]
+        values = [
+            p_correct_numeric(circular_tx_point(v) * s, w, snr)
+            for s in (1.0, float.fromhex(GOLDEN_GAIN))
+            for snr in points
+            for v in range(16)
+            for w in range(16)
+        ]
+        assert len(values) == 4096
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+            "06b1765363d669788034c6cea0fdaa0dd442ee75646db8e5c223198cdcc71486"
+        )
