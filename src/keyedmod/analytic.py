@@ -16,12 +16,8 @@ kernel serves that oracle and the all-symbol average
 
 A call evaluates each distinct term once. The four closed forms share
 seven erfc values. The sixteen labels' 32 axis intervals take 20
-distinct terms: 5 open below, 5 open above and 10 two-sided, or 30
-erfc calls. Those take 24 distinct arguments, since a cell's upper edge
-is the next cell's lower edge. An interval plan, built once from the
-terms, sorts them by kind and lists, per term, its one or two distinct
-arguments, and one kernel evaluates a plan. Nothing is cached between
-calls.
+distinct terms, and the kernel evaluates each by its own formula.
+Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -234,55 +229,14 @@ def _noise_scale(snr: SnrPoint) -> float:
     return math.inf if n0 == 0 else 1.0 / math.sqrt(n0)
 
 
-class _IntervalPlan(NamedTuple):
-    """The erfc work of a list of ``(coordinate, lo, hi)`` interval terms, by kind.
+def _interval_probabilities(terms, scale: float, q: float) -> list[float]:
+    """P(lo < coordinate * scale + n < hi) per ``(coordinate, lo, hi)`` term.
 
-    ``above`` lists the distinct ``(coordinate, bound)`` arguments of
-    erfc((bound - mean) * q), twice the chance of landing above
-    ``bound``. A term open below is ``(k, coordinate, hi)`` in
-    ``open_below``, a term open above ``(k, i)`` in ``open_above``, and a
-    two-sided term ``(k, i, j)`` in ``two_sided``: ``k`` is the term's
-    place in ``terms``, and ``i`` and ``j`` index the ``above`` arguments
-    of its lo and hi.
-    """
-
-    terms: tuple
-    above: tuple
-    open_below: tuple
-    open_above: tuple
-    two_sided: tuple
-
-
-def _interval_plan(terms) -> _IntervalPlan:
-    """The plan of ``(coordinate, lo, hi)`` terms, lo < hi, at most one bound infinite.
-
-    Equal ``above`` arguments of different terms, such as one cell's
-    upper edge and the next cell's lower edge at the same coordinate, are
-    listed once. A term open below keeps its own argument, erfc((mean -
-    hi) * q): no other distinct term reads it.
-    """
-    terms = tuple(terms)
-    above = {}  # each distinct argument -> its index
-    open_below, open_above, two_sided = [], [], []
-    for k, (c, lo, hi) in enumerate(terms):
-        if lo == -math.inf:
-            open_below.append((k, c, hi))
-            continue
-        i = above.setdefault((c, lo), len(above))
-        if hi == math.inf:
-            open_above.append((k, i))
-        else:
-            two_sided.append((k, i, above.setdefault((c, hi), len(above))))
-    return _IntervalPlan(
-        terms, tuple(above), tuple(open_below), tuple(open_above), tuple(two_sided)
-    )
-
-
-def _interval_probabilities(plan: _IntervalPlan, scale: float, q: float) -> list[float]:
-    """P(lo < coordinate * scale + n < hi) per term of ``plan``.
-
-    n ~ N(0, N0/2) and q = 1/sqrt(N0). Each mean is finite. Each distinct
-    erfc argument is evaluated once. One-sided terms lie in [0, 1] and a
+    lo < hi, and at most one bound is infinite. n ~ N(0, N0/2) and q =
+    1/sqrt(N0). Each mean is finite. A term open below is half of
+    erfc((mean - hi) * q); any other is half of erfc((lo - mean) * q)
+    less erfc((hi - mean) * q), where hi = inf subtracts 0.0, which
+    leaves the float as it is. One-sided terms lie in [0, 1] and a
     two-sided one is clamped at 0. At q = inf (no noise) each is the
     limit: 1 inside, 0 outside, and erfc(0) / 2 for a mean on an edge,
     where (edge - mean) * q is 0 * inf.
@@ -290,25 +244,22 @@ def _interval_probabilities(plan: _IntervalPlan, scale: float, q: float) -> list
     if q == math.inf:
         return [
             1.0 if lo < mean < hi else 0.5 if mean in (lo, hi) else 0.0
-            for mean, lo, hi in ((c * scale, lo, hi) for c, lo, hi in plan.terms)
+            for mean, lo, hi in ((c * scale, lo, hi) for c, lo, hi in terms)
         ]
-    # Plain loops, not comprehensions: on Python 3.11 each comprehension
+    # A plain loop, not a comprehension: on Python 3.11 each comprehension
     # is a call with its own frame, which costs more than it saves here.
-    terms, above, open_below, open_above, two_sided = plan
-    erfc = math.erfc
-    e = []
-    for c, bound in above:
-        e.append(erfc((bound - c * scale) * q))
-    probs = [0.0] * len(terms)
-    for k, c, hi in open_below:
-        probs[k] = 0.5 * erfc((c * scale - hi) * q)
-    for k, i in open_above:
-        probs[k] = 0.5 * e[i]
-    for k, i, j in two_sided:
-        p = 0.5 * (e[i] - e[j])
+    erfc, inf = math.erfc, math.inf
+    probs = []
+    for c, lo, hi in terms:
+        mean = c * scale
+        if lo == -inf:
+            probs.append(0.5 * erfc((mean - hi) * q))
+            continue
+        upper = 0.0 if hi == inf else erfc((hi - mean) * q)
+        p = 0.5 * (erfc((lo - mean) * q) - upper)
         # max(p, 0.0) is p itself wherever p >= 0.0, so only the rest pay
         # for the call; NaN and negatives still go through max.
-        probs[k] = p if p >= 0.0 else max(p, 0.0)
+        probs.append(p if p >= 0.0 else max(p, 0.0))
     return probs
 
 
@@ -341,16 +292,16 @@ def p_correct_numeric(tx_point: complex, bit_value: int, snr: SnrPoint) -> float
     """
     tx_point = _sender_point(tx_point)
     (_, re_lo, re_hi), (_, im_lo, im_hi) = _ALL_SYMBOL_CELLS[_check_label(bit_value)]
-    plan = _interval_plan(((tx_point.real, re_lo, re_hi), (tx_point.imag, im_lo, im_hi)))
-    p_re, p_im = _interval_probabilities(plan, 1.0, _noise_scale(snr))
+    p_re, p_im = _interval_probabilities(
+        ((tx_point.real, re_lo, re_hi), (tx_point.imag, im_lo, im_hi)), 1.0, _noise_scale(snr)
+    )
     return p_re * p_im
 
 
-# The cells' 32 axis entries take 20 distinct terms, planned once: per
-# label, the indices of its re and im term.
+# The cells' 32 axis entries take 20 distinct terms, each evaluated once
+# per call: per label, the indices of its re and im term.
 _AXIS_TERMS = tuple(dict.fromkeys(term for cell in _ALL_SYMBOL_CELLS for term in cell))
 _LABEL_TERMS = tuple(tuple(map(_AXIS_TERMS.index, cell)) for cell in _ALL_SYMBOL_CELLS)
-_ALL_SYMBOLS_PLAN = _interval_plan(_AXIS_TERMS)
 
 
 def p_correct_all_symbols(snr: SnrPoint, point_scale: float = 1.0) -> float:
@@ -364,8 +315,8 @@ def p_correct_all_symbols(snr: SnrPoint, point_scale: float = 1.0) -> float:
     is a real number but a bool, read as a Python float.
 
     The geometry is fixed, so the cells, sender coordinates and their
-    interval plan are module constants, and one call of the kernel that
-    :func:`p_correct_numeric` uses evaluates the 20 distinct axis terms.
+    20 distinct axis terms are module constants, and one call of the
+    kernel that :func:`p_correct_numeric` uses evaluates those terms.
     It gives the same float as the route
     ``sum(p_correct_numeric(circular_tx_point(v) * point_scale, v, snr)
     for v in range(16)) / 16``, term by term and in the same order;
@@ -375,7 +326,7 @@ def p_correct_all_symbols(snr: SnrPoint, point_scale: float = 1.0) -> float:
     scale = _real_float(point_scale, "point scale")
     if not math.isfinite(scale):
         raise ValueError(f"point scale must be finite, got {scale}")
-    p = _interval_probabilities(_ALL_SYMBOLS_PLAN, scale, _noise_scale(snr))
+    p = _interval_probabilities(_AXIS_TERMS, scale, _noise_scale(snr))
     total = 0.0
     for re, im in _LABEL_TERMS:
         total += p[re] * p[im]
@@ -397,10 +348,14 @@ def snr_grid_db(start: float, stop: float, step: float) -> list[float]:
     if step <= 0:
         raise ValueError("step must be positive")
     steps = (stop - start) / step
+    # A descending span is refused before round(), which raises
+    # OverflowError where the span overflows to -inf.
+    if steps < 0:
+        raise ValueError(f"step {step} does not divide [{start}, {stop}]")
     if steps > _MAX_SNR_GRID_POINTS - 1:
         raise ValueError(f"step {step} gives more than {_MAX_SNR_GRID_POINTS} points")
     n = round(steps)
-    if n < 0 or abs(start + n * step - stop) > 1e-9:
+    if abs(start + n * step - stop) > 1e-9:
         raise ValueError(f"step {step} does not divide [{start}, {stop}]")
     return [start + k * step for k in range(n + 1)]
 

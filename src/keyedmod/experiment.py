@@ -517,13 +517,35 @@ def write_csv_rows(fh, header, rows) -> None:
 
 
 def write_results(records, path, metadata: dict | None = None) -> None:
-    """Write records as CSV with ``#``-prefixed metadata lines, then the header."""
+    """Write records as CSV with ``#``-prefixed metadata lines, then the header.
+
+    A metadata key or value holding a line break is refused before the
+    file is opened: its second line would not read back as metadata.
+    """
+    lines = [f"# generated: {datetime.now(timezone.utc).isoformat()}\n"]
+    for key, value in (metadata or {}).items():
+        line = f"# {key}: {value}"
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"metadata {key!r} holds a line break")
+        lines.append(line + "\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# generated: {datetime.now(timezone.utc).isoformat()}\n")
-        for key, value in (metadata or {}).items():
-            fh.write(f"# {key}: {value}\n")
+        fh.writelines(lines)
         rows = ([getattr(rec, field) for field in RESULT_FIELDS] for rec in records)
         write_csv_rows(fh, RESULT_FIELDS, rows)
+
+
+def _count(text: str, field: str) -> int:
+    """``text`` as an int if it is ASCII decimal digits only; else ``ValueError``.
+
+    ``int()`` alone would also take signs, underscores, surrounding
+    whitespace and non-ASCII digits, none of which a results file holds.
+    """
+    if text.isascii() and text.isdecimal():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ValueError(f"{field} must be ASCII decimal digits, got {text!r}")
 
 
 def read_results(path) -> list[BerRecord]:
@@ -550,12 +572,14 @@ def read_results(path) -> list[BerRecord]:
                 key, colon, value = line[1:].partition(":")
                 if colon and key.strip() == "symbols_per_point":
                     value = value.strip()
-                    if not (value.isascii() and value.isdecimal()) or int(value) < 1:
+                    try:
+                        n_sym = _count(value, "symbols_per_point")
+                    except ValueError as exc:
+                        raise IntegrityError(f"{path}:{number}: {exc}") from exc
+                    if n_sym < 1:
                         raise IntegrityError(
-                            f"{path}:{number}: symbols_per_point must be a positive"
-                            f" integer, got {value!r}"
+                            f"{path}:{number}: symbols_per_point must be positive, got {value!r}"
                         )
-                    n_sym = int(value)
                 continue
             pending = True
             lineno = number
@@ -587,11 +611,11 @@ def read_results(path) -> list[BerRecord]:
                 rec = BerRecord(
                     receiver_label=row[0],
                     snr_db=float(row[1]),
-                    tx_bits=int(row[2]),
-                    compared_bits=int(row[3]),
-                    bit_errors=int(row[4]),
+                    tx_bits=_count(row[2], "tx_bits"),
+                    compared_bits=_count(row[3], "compared_bits"),
+                    bit_errors=_count(row[4], "bit_errors"),
                     ber=float(row[5]),
-                    symbol_errors=int(row[6]),
+                    symbol_errors=_count(row[6], "symbol_errors"),
                     ser=float(row[7]),
                 )
             except ValueError as exc:

@@ -91,9 +91,14 @@ def bits_to_values(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
 def values_to_bits(values: np.ndarray, bits_per_symbol: int) -> np.ndarray:
     """Expand integer symbol values in [0, 2**m) into an MSB-first bit stream."""
     bits_per_symbol = _bits_per_symbol(bits_per_symbol)
-    values = np.asarray(values, dtype=np.int64)
+    out_of_range = f"symbol values must lie in [0, 2**{bits_per_symbol})"
+    try:
+        values = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        # A value beyond int64 lies outside [0, 2**m) for every m <= 63.
+        raise ValueError(out_of_range) from None
     if values.size and not (values.min() >= 0 and int(values.max()) < 1 << bits_per_symbol):
-        raise ValueError(f"symbol values must lie in [0, 2**{bits_per_symbol})")
+        raise ValueError(out_of_range)
     shifts = np.arange(bits_per_symbol - 1, -1, -1)
     return ((values[:, None] >> shifts) & 1).astype(np.uint8).ravel()
 

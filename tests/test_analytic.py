@@ -501,26 +501,30 @@ class TestGeometryHelpers:
 
 class TestIntervalPlan:
     def test_all_symbols_plan_counts(self):
-        # 20 distinct terms: 5 open below, 5 open above, 10 two-sided,
-        # reading 30 erfc arguments of which 24 are distinct.
-        plan = analytic._ALL_SYMBOLS_PLAN
-        kinds = (plan.open_below, plan.open_above, plan.two_sided)
-        assert len(plan.terms) == 20
-        assert [len(kind) for kind in kinds] == [5, 5, 10]
-        assert sorted(k for kind in kinds for k, *_ in kind) == list(range(20))
-        assert len(plan.open_below) + len(plan.open_above) + 2 * len(plan.two_sided) == 30
-        assert len(plan.open_below) + len(plan.above) == 24
+        # 20 distinct terms: 5 open below, 5 open above, 10 two-sided, and
+        # each of the 32 label entries is one of them.
+        terms = analytic._AXIS_TERMS
+        kinds = [
+            sum(lo == -math.inf for _, lo, _ in terms),
+            sum(hi == math.inf for _, _, hi in terms),
+            sum(math.isfinite(lo) and math.isfinite(hi) for _, lo, hi in terms),
+        ]
+        assert len(terms) == len(set(terms)) == 20
+        assert kinds == [5, 5, 10]
+        entries = [entry for cell in analytic._ALL_SYMBOL_CELLS for entry in cell]
+        assert len(entries) == 32
+        assert [terms[k] for label in analytic._LABEL_TERMS for k in label] == entries
 
     def test_equals_term_by_term_formula(self):
         # Each term is the float of its own interval formula.
-        plan = analytic._ALL_SYMBOLS_PLAN
+        terms = analytic._AXIS_TERMS
         for point in grid_with_limits(0.5):
             q = analytic._noise_scale(point)
             if q == math.inf:
                 continue
             for scale in (1.0, 1.002001):
-                got = analytic._interval_probabilities(plan, scale, q)
-                for (c, lo, hi), p in zip(plan.terms, got):
+                got = analytic._interval_probabilities(terms, scale, q)
+                for (c, lo, hi), p in zip(terms, got):
                     mean = c * scale
                     if lo == -math.inf:
                         want = 0.5 * math.erfc((mean - hi) * q)
@@ -611,6 +615,9 @@ class TestSweep:
             snr_grid_db(0, 10, 0.0)
         with pytest.raises(ValueError):
             snr_grid_db(0, 10, 3.0)
+        # The span overflows to -inf; it is refused before it is rounded.
+        with pytest.raises(ValueError, match=r"^step 1\.0 does not divide \[1e\+308, -1e\+308\]$"):
+            snr_grid_db(1e308, -1e308, 1)
         for args, name in [
             ((0, 10, math.inf), "step"),
             ((0, 10, math.nan), "step"),

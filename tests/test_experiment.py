@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -421,6 +422,14 @@ class TestConfigValidation:
         doc = config_to_dict(small_config())
         doc["snr_sweep_db"] = {"start": 0, "stop": 25, "step": 1e-9}
         with pytest.raises(ValueError, match="step 1e-09 gives more than"):
+            config_from_dict(doc)
+
+    def test_rejects_descending_sweep_grid_that_overflows(self):
+        # stop - start overflows to -inf: a ValueError like any bad grid,
+        # not an OverflowError.
+        doc = config_to_dict(small_config())
+        doc["snr_sweep_db"] = {"start": 1e308, "stop": -1e308, "step": 1}
+        with pytest.raises(ValueError, match=r"step 1\.0 does not divide"):
             config_from_dict(doc)
 
     def test_integral_float_counts_load_as_int(self):
@@ -1065,6 +1074,23 @@ class TestBerRecord:
             assert type(BerRecord("x", snr_db, 100, 100, 10, 0.1, 5, 0.05).snr_db) is type(snr_db)
 
 
+# Spellings of a count that int() reads as the count itself. A results
+# file holds ASCII decimal digits only. Padding around a metadata value is
+# the "# key: value" line's own, so it is tried in data rows alone.
+SPELLINGS = {
+    "underscore": lambda d: f"{d[0]}_{d[1:]}",
+    "fullwidth": lambda d: d.translate({ord(c): 0xFF10 + int(c) for c in "0123456789"}),
+    "plus": lambda d: f"+{d}",
+    "padded": lambda d: f" {d} ",
+}
+LOOSE_COUNTS = [
+    pytest.param(field, spell, id=f"{field}-{name}")
+    for field in ("tx_bits", "compared_bits", "bit_errors", "symbol_errors", "symbols_per_point")
+    for name, spell in SPELLINGS.items()
+    if (field, name) != ("symbols_per_point", "padded")
+]
+
+
 class TestResultsIO:
     def make_records(self):
         return run_experiment(small_config())
@@ -1160,6 +1186,39 @@ class TestResultsIO:
         )
         with pytest.raises(IntegrityError, match=rf":{lineno}: symbols_per_point .*{value!r}"):
             read_results(path)
+
+    @pytest.mark.parametrize("field, spell", LOOSE_COUNTS)
+    def test_loosely_written_count_rejected_with_line(self, tmp_path, field, spell):
+        rec = BerRecord("eve_rect", 0.0, 400, 100, 40, 0.4, 20, 0.2)
+        path = tmp_path / "out.csv"
+        write_results([rec], path, {"symbols_per_point": 100})
+        lines = path.read_text().splitlines()
+        if field == "symbols_per_point":
+            lineno = next(i for i, l in enumerate(lines, 1) if "symbols_per_point" in l)
+            written = spell("100")
+            lines[lineno - 1] = f"# symbols_per_point: {written}"
+        else:
+            lineno = len(lines)
+            fields = lines[-1].split(",")
+            index = RESULT_FIELDS.index(field)
+            written = fields[index] = spell(fields[index])
+            lines[-1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            IntegrityError,
+            match=rf":{lineno}: {field} must be ASCII decimal digits, got {re.escape(repr(written))}$",
+        ):
+            read_results(path)
+
+    @pytest.mark.parametrize("metadata", [{"config": "x\ny.json"}, {"note\r": "x"}])
+    def test_line_break_in_metadata_refused_before_writing(self, tmp_path, metadata):
+        # The file would not read back; an existing one is left as it was.
+        path = tmp_path / "out.csv"
+        path.write_text("kept\n")
+        (key,) = metadata
+        with pytest.raises(ValueError, match=rf"^metadata {re.escape(repr(key))} holds a line break$"):
+            write_results([], path, metadata)
+        assert path.read_text() == "kept\n"
 
     def test_nan_snr_row_detected_with_line_number(self, tmp_path):
         # Two rows at nan dB would otherwise load, and a figure would then

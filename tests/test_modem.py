@@ -94,7 +94,16 @@ class TestModulate:
 
     @pytest.mark.parametrize(
         "values, m",
-        [([5], 2), ([-1], 2), ([4], 2), ([0, 256], 8), ([2], 1), ([2**63 - 1], 62)],
+        [
+            ([5], 2),
+            ([-1], 2),
+            ([4], 2),
+            ([0, 256], 8),
+            ([2], 1),
+            ([2**63 - 1], 62),
+            ([2**63], 63),
+            ([2**64], 4),
+        ],
     )
     def test_values_to_bits_rejects_values_out_of_range(self, values, m):
         with pytest.raises(ValueError, match=rf"symbol values must lie in \[0, 2\*\*{m}\)"):
