@@ -9,8 +9,9 @@ failing test names the layer that moved: the substream keys, the value
 lane, the noise lane, or the records built on them. Records that change
 need an ``RNG_STREAM`` bump, recorded in CHANGES.md. The stock
 geometries' cell tables draw no random numbers and are pinned beside
-them: a change to the table build that moves any of their bytes fails
-``test_cell_tables``. After a bump, print
+them, with the identity key and with one random key each: a change to
+the table build that moves any of their bytes fails ``test_cell_tables``
+or ``test_keyed_cell_tables``. After a bump, print
 every value pinned here, from the repository root, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -26,7 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from keyedmod import experiment, modem
-from keyedmod.constellations import STANDARD_SCHEME_NAMES, make_standard_scheme
+from keyedmod.constellations import (
+    STANDARD_SCHEME_NAMES,
+    make_keyed_scheme,
+    make_standard_scheme,
+    random_key,
+)
 from keyedmod.experiment import (
     RESULT_FIELDS,
     RNG_STREAM,
@@ -72,6 +78,32 @@ CELL_TABLE_DIGESTS = {
     "qam16_circ": {
         "values": "3a590f7c33932ba20e0b7cac1f4d95ec60583aa5f3cecadf0670d86b1a04ca4b",
         "pairs": "02bc0908d3cece0a728b38d0f700d8717fb2d16223ae95970ed7326437abd9e4",
+        "edges": "96687744304b4d8b7b0d3962adbfafd64156623fe36e72dbecda444bf0719921",
+        "scale": 50.563392040604604,
+    },
+}
+KEYED_CELL_TABLE_DIGESTS = {
+    "bpsk": {
+        "values": "49236ec40a4169192b1c21f3ca68a48aaccfd3c5aa9bd5bbfb2e4deee78ae328",
+        "pairs": "53b7943b5031034153ddf6e04a6b7a0132b729d5357250e9b208a9df0b30b25e",
+        "edges": "1a24f52bca0314251695a693f7489f0c7d69e0a3219cdf987c988b13a5c8fdd5",
+        "scale": None,
+    },
+    "qpsk": {
+        "values": "03af0ec8991825136bfa32008ae7f2ec2bcd3647cb7fc3a72a12826369af83a6",
+        "pairs": "5bb01891aa03f92fcbf5785fc60ffb870c3f06d01036466fdb76342bef4cf3d8",
+        "edges": "1a24f52bca0314251695a693f7489f0c7d69e0a3219cdf987c988b13a5c8fdd5",
+        "scale": None,
+    },
+    "qam16_rect": {
+        "values": "1ac002ff508c4026d39c928d23703a577ee11b2156405e4ef1c5bbc5f373cc3f",
+        "pairs": "3dcf5bc46fb42903c2136ee32e318eb1adde6b647c534ad39268f6ccfc00096d",
+        "edges": "e4e91bd9fb1a4d0b83e39552d703181c1283ef8fd3a4bf3a9d83e7e47d502f87",
+        "scale": None,
+    },
+    "qam16_circ": {
+        "values": "f06ec0c5b65f5a4a505bf62feb28b1d73b26968dde1d7399f343abe34fd2716b",
+        "pairs": "6fce163ab19256bf4d06ea352d6ce9bd192d81af5ea71cbda24efcd25b15d560",
         "edges": "96687744304b4d8b7b0d3962adbfafd64156623fe36e72dbecda444bf0719921",
         "scale": 50.563392040604604,
     },
@@ -130,17 +162,34 @@ def reference_roster_digest():
     )
 
 
+def table_digests(table):
+    # The sha256 of the bytes of a cell table's values, pairs and edges,
+    # then its scale: every decode reads these.
+    digests = {
+        field: hashlib.sha256(getattr(table, field).tobytes()).hexdigest()
+        for field in ("values", "pairs", "edges")
+    }
+    digests["scale"] = table.scale
+    return digests
+
+
 def cell_table_digests():
-    # Per stock geometry, the sha256 of the bytes of the point cell table's
-    # values, pairs and edges, then its scale: every decode reads these.
+    # Per stock geometry, the identity-keyed table: its values are point indices.
+    return {
+        name: table_digests(
+            modem._point_cell_table.__wrapped__(make_standard_scheme(name).points)
+        )
+        for name in STANDARD_SCHEME_NAMES
+    }
+
+
+def keyed_cell_table_digests():
+    # Per stock geometry, the table of one random key: its values are bit values.
     digests = {}
     for name in STANDARD_SCHEME_NAMES:
-        table = modem._point_cell_table.__wrapped__(make_standard_scheme(name).points)
-        digests[name] = {
-            field: hashlib.sha256(getattr(table, field).tobytes()).hexdigest()
-            for field in ("values", "pairs", "edges")
-        }
-        digests[name]["scale"] = table.scale
+        base = make_standard_scheme(name)
+        scheme = make_keyed_scheme(base, random_key(base.order, SEED))
+        digests[name] = table_digests(modem._scheme_cell_table.__wrapped__(scheme))
     return digests
 
 
@@ -168,6 +217,10 @@ def test_cell_tables():
     assert cell_table_digests() == CELL_TABLE_DIGESTS
 
 
+def test_keyed_cell_tables():
+    assert keyed_cell_table_digests() == KEYED_CELL_TABLE_DIGESTS
+
+
 def test_demo_roster_records():
     assert RNG_STREAM == GOLDEN_STREAM
     assert demo_roster_digest() == DEMO_ROSTER_DIGEST
@@ -185,10 +238,14 @@ if __name__ == "__main__":
     print(f"NOISE_LANE_FIRST_FLOATS = {noise_lane_first_floats()!r}")
     print(f"DEMO_ROSTER_DIGEST = {demo_roster_digest()!r}")
     print(f"REFERENCE_ROSTER_DIGEST = {reference_roster_digest()!r}")
-    print("CELL_TABLE_DIGESTS = {")
-    for name, digests in cell_table_digests().items():
-        print(f"    {name!r}: {{")
-        for field, digest in digests.items():
-            print(f"        {field!r}: {digest!r},")
-        print("    },")
-    print("}")
+    for constant, tables in (
+        ("CELL_TABLE_DIGESTS", cell_table_digests()),
+        ("KEYED_CELL_TABLE_DIGESTS", keyed_cell_table_digests()),
+    ):
+        print(f"{constant} = {{")
+        for name, digests in tables.items():
+            print(f"    {name!r}: {{")
+            for field, digest in digests.items():
+                print(f"        {field!r}: {digest!r},")
+            print("    },")
+        print("}")
