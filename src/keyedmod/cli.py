@@ -29,6 +29,7 @@ from .constellations import (
 from .experiment import (
     FIGURE_IDS,
     RNG_STREAM,
+    _metadata_lines,
     config_digest,
     emit_figure_data,
     load_config,
@@ -150,14 +151,6 @@ def _cmd_permanent(args):
 
 def _cmd_sim_run(args):
     cfg = load_config(args.config)
-    # Fail on an unwritable --out before the sweep, and leave the path as it
-    # was: an existing results file is replaced only by the finished sweep.
-    try:
-        open(args.out, "x").close()
-        os.remove(args.out)
-    except FileExistsError:
-        open(args.out, "a").close()
-    records = run_experiment(cfg)
     metadata = {
         "config": args.config,
         "config_digest": config_digest(cfg),
@@ -172,6 +165,14 @@ def _cmd_sim_run(args):
         "python_version": platform.python_version(),
         "rng_stream": RNG_STREAM,
     }
+    # Fail before the sweep on bad metadata or --out; only a finished sweep replaces --out.
+    _metadata_lines(metadata)
+    try:
+        open(args.out, "x").close()
+        os.remove(args.out)
+    except FileExistsError:
+        open(args.out, "a").close()
+    records = run_experiment(cfg)
     write_results(records, args.out, metadata)
     print(f"wrote {len(records)} records to {args.out}")
     return 0

@@ -185,8 +185,11 @@ class ExperimentConfig:
                 raise ValueError(
                     f"SNR sweep values must be finite; snr_sweep_db[{i}] is not"
                 )
-        if list(self.snr_sweep_db) != sorted(self.snr_sweep_db):
-            raise ValueError("SNR sweep must be sorted ascending")
+        for low, high in zip(self.snr_sweep_db, self.snr_sweep_db[1:]):
+            if high < low:
+                raise ValueError("SNR sweep must be sorted ascending")
+            if high == low:
+                raise ValueError(f"SNR sweep repeats {high!r} dB")
         if self.sweep_mode not in ("receive", "reference"):
             raise ValueError(f"unknown sweep mode {self.sweep_mode!r}")
         if self.symbols_per_point < MIN_SYMBOLS_PER_POINT:
@@ -516,18 +519,23 @@ def write_csv_rows(fh, header, rows) -> None:
         writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
 
 
+def _metadata_lines(metadata: dict) -> list[str]:
+    """The ``# key: value`` lines of ``metadata``; see ``write_results``."""
+    lines = [f"# {key}: {value}" for key, value in metadata.items()]
+    for key, line in zip(metadata, lines):
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"metadata {key!r} holds a line break")
+    return [line + "\n" for line in lines]
+
+
 def write_results(records, path, metadata: dict | None = None) -> None:
     """Write records as CSV with ``#``-prefixed metadata lines, then the header.
 
     A metadata key or value holding a line break is refused before the
     file is opened: its second line would not read back as metadata.
     """
-    lines = [f"# generated: {datetime.now(timezone.utc).isoformat()}\n"]
-    for key, value in (metadata or {}).items():
-        line = f"# {key}: {value}"
-        if "\n" in line or "\r" in line:
-            raise ValueError(f"metadata {key!r} holds a line break")
-        lines.append(line + "\n")
+    generated = f"# generated: {datetime.now(timezone.utc).isoformat()}\n"
+    lines = [generated, *_metadata_lines(metadata or {})]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(lines)
         rows = ([getattr(rec, field) for field in RESULT_FIELDS] for rec in records)

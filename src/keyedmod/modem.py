@@ -6,8 +6,8 @@ float64 planes, the form of a sweep's received rows: a C-contiguous
 array of two rows, the real coordinates then the imaginary ones.
 Planes are a decode input only. All functions are pure: safe to run
 over symbol blocks in parallel. The only state they touch is the
-cell-table caches (one table per geometry, relabelled once per scheme),
-which hold read-only decision data and never change a result.
+cell-table cache (one table per scheme), which holds read-only decision
+data and never changes a result.
 
 Every receiver makes the decisions of an argmin over the squared
 distances from a symbol to all M points: ties go to the lowest bit
@@ -91,14 +91,19 @@ def bits_to_values(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
 def values_to_bits(values: np.ndarray, bits_per_symbol: int) -> np.ndarray:
     """Expand integer symbol values in [0, 2**m) into an MSB-first bit stream."""
     bits_per_symbol = _bits_per_symbol(bits_per_symbol)
-    out_of_range = f"symbol values must lie in [0, 2**{bits_per_symbol})"
-    try:
-        values = np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        # A value beyond int64 lies outside [0, 2**m) for every m <= 63.
-        raise ValueError(out_of_range) from None
-    if values.size and not (values.min() >= 0 and int(values.max()) < 1 << bits_per_symbol):
-        raise ValueError(out_of_range)
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    # Integral floats count; Python ints beyond int64 (objects) and +-inf fail the range.
+    integers = kind in "biu" or (
+        np.array_equal(values, np.floor(values))
+        if kind == "f"
+        else kind == "O" and all(isinstance(v, (int, np.integer)) for v in values.flat)
+    )
+    if not integers or (
+        values.size and not (values.min() >= 0 and values.max() < 1 << bits_per_symbol)
+    ):
+        raise ValueError(f"symbol values must lie in [0, 2**{bits_per_symbol}) and be integers")
+    values = values.astype(np.int64)
     shifts = np.arange(bits_per_symbol - 1, -1, -1)
     return ((values[:, None] >> shifts) & 1).astype(np.uint8).ravel()
 
@@ -144,7 +149,7 @@ def _fallback_values(real: np.ndarray, imag: np.ndarray, pts: np.ndarray) -> np.
 
 
 class _CellTable(NamedTuple):
-    """Decisions over bins cut by one edge array on both axes.
+    """One scheme's decisions, as bit values, over bins cut by one edge array on both axes.
 
     A coordinate's bin on an axis is the number of ``edges`` below it, so
     the first and last bin on each axis are unbounded. With ``n`` bins per
@@ -213,10 +218,10 @@ def _guarded_cuts(levels: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(cuts))
 
 
-@lru_cache(maxsize=8)
-def _point_cell_table(points: tuple[complex, ...]) -> _CellTable:
-    """Cell table of point indices for one geometry; keyed schemes share it."""
-    pts = np.asarray(points, dtype=np.complex128)
+@lru_cache(maxsize=32)
+def _scheme_cell_table(scheme: ConstellationScheme) -> _CellTable:
+    """The scheme's cell table, built on its points in bit-value order; cached per scheme."""
+    pts = scheme.mapped_points
     order = pts.size
     reach = float(np.abs(pts).max())
     real_levels, imag_levels = np.unique(pts.real), np.unique(pts.imag)
@@ -255,7 +260,7 @@ def _point_cell_table(points: tuple[complex, ...]) -> _CellTable:
         count = kept.sum(axis=0)
         first = kept.argmax(axis=0)
         values[i, 1:-1] = np.where(count == 1, first, order)
-        # The first and the last kept point of each bin that keeps two.
+        # The first and last kept point, lower value first, of each bin that keeps two.
         two = np.flatnonzero(count == 2)
         pair = np.stack((first[two], order - 1 - kept[::-1, two].argmax(axis=0)))
         # Every other point must be beaten at all four corners by one of the
@@ -269,22 +274,6 @@ def _point_cell_table(points: tuple[complex, ...]) -> _CellTable:
     for arr in (values, pairs, edges):
         arr.setflags(write=False)
     return _CellTable(values, pairs, edges, scale)
-
-
-@lru_cache(maxsize=32)
-def _scheme_cell_table(scheme: ConstellationScheme) -> _CellTable:
-    """The geometry's table relabelled from point indices to the scheme's bit values.
-
-    Cached per scheme, so a decode call does not pay for the relabelling.
-    """
-    table = _point_cell_table(scheme.points)
-    labels = np.append(scheme.key.inverse().perm, scheme.order).astype(table.values.dtype)
-    values = labels.take(table.values)
-    # Lower value first, so that an equal pair goes to it.
-    pairs = np.sort(labels.take(table.pairs), axis=0)
-    for arr in (values, pairs):
-        arr.setflags(write=False)
-    return table._replace(values=values, pairs=pairs)
 
 
 def _coordinate_rows(symbols) -> np.ndarray:

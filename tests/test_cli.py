@@ -260,6 +260,20 @@ class TestSimCommands:
         assert calls == []
         assert str(out) in capsys.readouterr().err
 
+    def test_metadata_line_break_fails_before_the_sweep(
+        self, config_path, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: calls.append(cfg))
+        broken = tmp_path / "cfg\nx.json"
+        broken.write_text(config_path.read_text())
+        out = tmp_path / "o.csv"
+        out.write_text("earlier results\n")
+        assert main(["sim", "run", "--config", str(broken), "--out", str(out)]) == 2
+        assert calls == []
+        assert out.read_text() == "earlier results\n"
+        assert "metadata 'config' holds a line break" in capsys.readouterr().err
+
     def test_failed_sweep_leaves_out_as_it_was(self, config_path, tmp_path, monkeypatch):
         def fail(cfg):
             raise ValueError("sweep failed")

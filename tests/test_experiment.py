@@ -76,7 +76,7 @@ def configs(draw):
         distance = draw(st.floats(d_ref, 1e6))
         receivers.append(ReceiverSpec(label, name, key, distance))
     sender_scheme, sender_key = draw(scheme_and_key())
-    sweep = draw(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8))
+    sweep = draw(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8, unique=True))
     return ExperimentConfig(
         sender_scheme=sender_scheme,
         sender_key=sender_key,
@@ -115,6 +115,22 @@ class TestConfigValidation:
     def test_requires_sorted_sweep(self):
         with pytest.raises(ValueError, match="sorted"):
             small_config(snr_sweep_db=(10.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "sweep, value",
+        [((0.0, 0.0), 0.0), ((-0.0, 0.0), 0.0), ((-5.0, 5, 5.0), 5.0)],
+        ids=["zero", "signed_zero", "last_pair"],
+    )
+    def test_refuses_repeated_sweep_value(self, sweep, value):
+        with pytest.raises(ValueError, match=rf"^SNR sweep repeats {value!r} dB$"):
+            small_config(snr_sweep_db=sweep)
+
+    @pytest.mark.parametrize("sweep", [[0.0, 0.0], [-0.0, 0.0]], ids=["zero", "signed_zero"])
+    def test_config_from_dict_refuses_repeated_sweep_value(self, sweep):
+        doc = config_to_dict(small_config())
+        doc["snr_sweep_db"] = sweep
+        with pytest.raises(ValueError, match=r"SNR sweep repeats 0\.0 dB$"):
+            config_from_dict(doc)
 
     def test_requires_symbol_budget(self):
         with pytest.raises(ValueError, match="symbols_per_point"):

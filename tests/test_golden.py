@@ -176,9 +176,7 @@ def table_digests(table):
 def cell_table_digests():
     # Per stock geometry, the identity-keyed table: its values are point indices.
     return {
-        name: table_digests(
-            modem._point_cell_table.__wrapped__(make_standard_scheme(name).points)
-        )
+        name: table_digests(modem._scheme_cell_table.__wrapped__(make_standard_scheme(name)))
         for name in STANDARD_SCHEME_NAMES
     }
 

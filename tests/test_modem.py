@@ -24,7 +24,6 @@ from keyedmod.modem import (
     _GRID_BOUND,
     _GRID_GUARD,
     _TABLE_BINS,
-    _point_cell_table,
     _scheme_cell_table,
     bits_to_values,
     count_prefix_errors,
@@ -103,6 +102,15 @@ class TestModulate:
             ([2**63 - 1], 62),
             ([2**63], 63),
             ([2**64], 4),
+            ([1.5], 2),
+            ([2.7], 2),
+            (["1"], 2),
+            ([1 + 0j], 2),
+            ([1.0, 0.5], 2),
+            ([math.nan], 2),
+            ([math.inf], 2),
+            (np.array([1, "1"], dtype=object), 2),
+            (np.array([1, 2.5], dtype=object), 2),
         ],
     )
     def test_values_to_bits_rejects_values_out_of_range(self, values, m):
@@ -113,6 +121,9 @@ class TestModulate:
         assert values_to_bits([0, 3], 2).tolist() == [0, 0, 1, 1]
         assert values_to_bits(np.zeros(0, np.int64), 2).size == 0
         assert values_to_bits([2**62 - 1], 62).tolist() == [1] * 62
+        # Integral floats and Python ints held as objects are integers.
+        assert values_to_bits([2.0, 0.0], 2).tolist() == [1, 0, 0, 0]
+        assert values_to_bits(np.array([3, 1], dtype=object), 2).tolist() == [1, 1, 0, 1]
 
     @pytest.mark.parametrize("convert", [values_to_bits, bits_to_values])
     @pytest.mark.parametrize("m", [0, -1])
@@ -438,29 +449,39 @@ class TestCellTable:
 
     def test_two_ring_build_memory_is_bounded(self):
         # The build takes one row of bins at a time; every corner at once
-        # would hold about 8 MB.
-        points = make_standard_scheme("qam16_circ").points
+        # would hold about 8 MB. The first np.unique call in a process
+        # imports numpy.ma, about 1 MB, so one untraced build goes first.
+        scheme = make_standard_scheme("qam16_circ")
+        _scheme_cell_table.__wrapped__(scheme)
         tracemalloc.start()
         try:
-            _point_cell_table.__wrapped__(points)
+            _scheme_cell_table.__wrapped__(scheme)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
 
-    def test_keyed_schemes_share_one_build(self):
-        circ = make_standard_scheme("qam16_circ")
-        _scheme_cell_table.cache_clear()
-        _scheme_cell_table(circ)
-        before = _point_cell_table.cache_info()
-        tables = [
-            _scheme_cell_table(make_keyed_scheme(circ, random_key(16, seed)))
-            for seed in (1, 2)
-        ]
-        after = _point_cell_table.cache_info()
-        assert after.hits == before.hits + 2
-        assert after.misses == before.misses
-        assert not np.array_equal(tables[0].values, tables[1].values)
+    @pytest.mark.parametrize(
+        "name", ["bpsk", "qpsk", "qam16_rect", "qam16_circ", "qpsk_rot", "random32"]
+    )
+    def test_keyed_table_is_the_identity_table_relabelled(self, name):
+        # A table built on the points in bit-value order holds what the
+        # point-index table of the identity key holds, relabelled through
+        # the key's inverse: values taken, pairs taken and sorted.
+        scheme = keyed_scheme(name, 3)
+        identity = ConstellationScheme(
+            scheme.label, scheme.points, MappingKey.identity(scheme.order)
+        )
+        base = _scheme_cell_table(identity)
+        table = _scheme_cell_table(scheme)
+        labels = np.append(scheme.key.inverse().perm, scheme.order).astype(base.values.dtype)
+        assert table.values.dtype == base.values.dtype
+        assert np.array_equal(table.values, labels.take(base.values))
+        assert table.pairs.dtype == base.pairs.dtype
+        assert np.array_equal(table.pairs, np.sort(labels.take(base.pairs), axis=0))
+        assert np.array_equal(table.edges, base.edges)
+        assert table.scale == base.scale
+        assert not np.array_equal(table.values, base.values)
 
     def test_equal_schemes_share_one_relabelled_table(self):
         circ = make_standard_scheme("qam16_circ")
