@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--order", type=int, required=True)
     rep.add_argument("--json", action="store_true")
     rep.set_defaults(func=_cmd_secrecy_report)
-    ver = sec_sub.add_parser("verify", help="exhaustive exact secrecy check")
+    ver = sec_sub.add_parser("verify", help="exact perfect-secrecy check")
     ver.add_argument("--order", type=int, required=True)
     ver.add_argument("--prior", help='plaintext prior, e.g. "1/2,1/4,1/8,1/8"')
     ver.add_argument("--json", action="store_true")

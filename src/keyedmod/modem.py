@@ -92,6 +92,8 @@ def values_to_bits(values: np.ndarray, bits_per_symbol: int) -> np.ndarray:
     """Expand integer symbol values in [0, 2**m) into an MSB-first bit stream."""
     bits_per_symbol = _bits_per_symbol(bits_per_symbol)
     values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError("symbol values must be one-dimensional")
     kind = values.dtype.kind
     # Integral floats count; Python ints beyond int64 (objects) and +-inf fail the range.
     integers = kind in "biu" or (
@@ -224,9 +226,11 @@ def _scheme_cell_table(scheme: ConstellationScheme) -> _CellTable:
     pts = scheme.mapped_points
     order = pts.size
     reach = float(np.abs(pts).max())
-    real_levels, imag_levels = np.unique(pts.real), np.unique(pts.imag)
+    # Sorted sets, not np.unique/np.union1d: numpy's unique imports numpy.ma.
+    real_levels, imag_levels = (np.array(sorted(set(x.tolist()))) for x in (pts.real, pts.imag))
     if real_levels.size * imag_levels.size == order:
-        edges = np.union1d(_guarded_cuts(real_levels), _guarded_cuts(imag_levels))
+        cuts = {*_guarded_cuts(real_levels).tolist(), *_guarded_cuts(imag_levels).tolist()}
+        edges = np.array(sorted(cuts))
         scale = None
     else:
         width = 4.0 * reach / _TABLE_BINS

@@ -12,7 +12,6 @@ bi-adjacency matrix.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -31,9 +30,6 @@ __all__ = [
     "permanent",
     "verify_perfect_secrecy",
 ]
-
-#: Exhaustive key enumeration is refused beyond this many keys (6! = 720).
-MAX_SECRECY_ORDER = 6
 
 #: Permanent evaluation is refused beyond this dimension (2**20 subset terms;
 #: 20! < 2**64 keeps the wrapped uint64 arithmetic of ``permanent`` exact).
@@ -195,7 +191,7 @@ def permanent(matrix) -> int:
 
 @dataclass(frozen=True)
 class PerfectSecrecyReport:
-    """Exhaustive check that ciphertext reveals nothing about the plaintext symbol."""
+    """Exact check that ciphertext reveals nothing about the plaintext symbol."""
 
     order: int
     n_keys: int
@@ -230,33 +226,20 @@ def _as_prior(order: int, prior) -> tuple[Fraction, ...]:
 
 
 def verify_perfect_secrecy(order: int, prior=None) -> PerfectSecrecyReport:
-    """Enumerate all keys exactly and test plaintext/ciphertext independence.
+    """Test plaintext/ciphertext independence exactly under a uniform key.
 
     Under a uniform key, for every plaintext symbol p and every observed
     point index c the posterior prob(P=p | C=c) must equal the prior
     prob(P=p), and symmetrically prob(C=c | P=p) must equal prob(C=c).
-    Keys are counted per (plaintext, point) pair in integers, and each
-    joint probability is formed once from its count; all arithmetic is
-    rational, so the check is exact. Orders above
-    ``MAX_SECRECY_ORDER`` are refused.
+    All arithmetic is rational, so the check is exact. Orders 2..64 are
+    accepted, as in ``keyspace_report``.
     """
-    order = _integer(order, "order")
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    if order > MAX_SECRECY_ORDER:
-        raise ValueError(
-            f"order {order} exceeds the exhaustive-enumeration guard"
-            f" ({MAX_SECRECY_ORDER})"
-        )
+    report = keyspace_report(order)
+    order, n_keys = report.order, report.keyspace_size
     probs = _as_prior(order, prior)
-    n_keys = math.factorial(order)
-    key_weight = Fraction(1, n_keys)
-
-    counts = [[0] * order for _ in range(order)]
-    for perm in itertools.permutations(range(order)):
-        for p, c in enumerate(perm):
-            counts[p][c] += 1
-    joint = [[probs[p] * key_weight * n for n in row] for p, row in enumerate(counts)]
+    # (M - 1)! keys send p to c: fix that one assignment, permute the rest.
+    share = Fraction(math.factorial(order - 1), n_keys)
+    joint = [[probs[p] * share] * order for p in range(order)]
 
     marginal_c = [sum(joint[p][c] for p in range(order)) for c in range(order)]
     max_dev = Fraction(0)

@@ -153,7 +153,7 @@ class TestSecrecyCommands:
         assert "passed: True" in proc.stdout
 
     def test_verify_guard(self):
-        proc = run_cli("secrecy", "verify", "--order", "12")
+        proc = run_cli("secrecy", "verify", "--order", "65")
         assert proc.returncode == 2
 
 

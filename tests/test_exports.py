@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import keyedmod
+from keyedmod.constellations import STANDARD_SCHEME_NAMES
 
 MODULES = ["keyedmod"] + [
     f"keyedmod.{info.name}" for info in pkgutil.iter_modules(keyedmod.__path__)
@@ -96,6 +97,23 @@ def test_modem_import_loads_no_channel():
         "print(sorted(m for m in sys.modules if m.startswith('keyedmod.')))\n"
     )
     assert run_probe(probe) == ["['keyedmod.constellations', 'keyedmod.modem']"]
+
+
+def test_first_decode_imports_no_masked_arrays():
+    # Building a cell table takes its levels and cuts by sorted sets, so
+    # the first decode of a process leaves numpy.ma unloaded.
+    probe = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from keyedmod import constellations, modem\n"
+        "for name in constellations.STANDARD_SCHEME_NAMES:\n"
+        "    scheme = constellations.make_standard_scheme(name)\n"
+        "    received = np.array([0.1 + 0.2j, -0.7 + 0.3j, 0.4 - 0.9j, -2.5 - 2.5j])\n"
+        "    print(name, modem.nearest_point_values(received, scheme).size)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    expected = [f"{name} 4" for name in STANDARD_SCHEME_NAMES] + ["False"]
+    assert run_probe(probe) == expected
 
 
 def test_multi_block_sweep_imports_no_thread_pool():

@@ -117,6 +117,16 @@ class TestModulate:
         with pytest.raises(ValueError, match=rf"symbol values must lie in \[0, 2\*\*{m}\)"):
             values_to_bits(values, m)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([[1, 2], [3, 0]]), np.array(3), 3, [[1]]],
+        ids=["2d", "0d_array", "scalar", "nested_list"],
+    )
+    def test_values_to_bits_rejects_input_that_is_not_one_dimensional(self, values, m):
+        with pytest.raises(ValueError, match="^symbol values must be one-dimensional$"):
+            values_to_bits(values, m)
+
     def test_values_to_bits_of_extreme_values(self):
         assert values_to_bits([0, 3], 2).tolist() == [0, 0, 1, 1]
         assert values_to_bits(np.zeros(0, np.int64), 2).size == 0
@@ -449,8 +459,8 @@ class TestCellTable:
 
     def test_two_ring_build_memory_is_bounded(self):
         # The build takes one row of bins at a time; every corner at once
-        # would hold about 8 MB. The first np.unique call in a process
-        # imports numpy.ma, about 1 MB, so one untraced build goes first.
+        # would hold about 8 MB. One untraced build goes first, so that no
+        # first-call import of a process counts against the bound.
         scheme = make_standard_scheme("qam16_circ")
         _scheme_cell_table.__wrapped__(scheme)
         tracemalloc.start()

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -293,7 +294,7 @@ class TestPerfectSecrecy:
                 report = verify_perfect_secrecy(order, prior)
                 assert report.passed, (order, prior)
 
-    @pytest.mark.parametrize("order", range(2, 6))
+    @pytest.mark.parametrize("order", range(2, 7))
     def test_equals_per_key_fraction_reference(self, order):
         rng = np.random.default_rng(order)
         for _ in range(5):
@@ -308,10 +309,32 @@ class TestPerfectSecrecy:
         assert verify_perfect_secrecy(4, prior).passed
 
     def test_order_guard(self):
-        with pytest.raises(ValueError, match="guard"):
-            verify_perfect_secrecy(7)
+        with pytest.raises(ValueError, match="not supported"):
+            verify_perfect_secrecy(65)
         with pytest.raises(ValueError):
             verify_perfect_secrecy(1)
+
+    def test_paper_order_16(self):
+        # The paper's 16-point scheme: the uniform prior and seeded random
+        # rational priors, all with full support.
+        rng = np.random.default_rng(16)
+        priors = [None]
+        for _ in range(3):
+            weights = [int(w) for w in rng.integers(1, 30, 16)]
+            priors.append([Fraction(w, sum(weights)) for w in weights])
+        start = time.perf_counter()
+        reports = [verify_perfect_secrecy(16, prior) for prior in priors]
+        assert time.perf_counter() - start < 1.0
+        for report in reports:
+            assert report.passed and report.max_deviation == 0
+            assert report.n_keys == math.factorial(16)
+            assert report.n_checked == 512
+
+    def test_accepts_order_64(self):
+        report = verify_perfect_secrecy(64)
+        assert report.passed and report.max_deviation == 0
+        assert report.n_keys == math.factorial(64)
+        assert report.n_checked == 2 * 64 * 64
 
     def test_integer_order(self):
         assert verify_perfect_secrecy(3.0) == verify_perfect_secrecy(3)
