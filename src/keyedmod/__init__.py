@@ -8,4 +8,4 @@ and keys), :mod:`keyedmod.modem` (modulation and nearest-point decoding),
 and :mod:`keyedmod.experiment` (Monte Carlo sweeps and persistence).
 """
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"

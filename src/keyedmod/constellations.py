@@ -153,13 +153,18 @@ def random_key(order: int, seed: int) -> MappingKey:
     Uses Fisher-Yates shuffling, so every one of the order! permutations
     is equally likely. Deterministic for a fixed seed. ``order`` and
     ``seed`` must be integers; an integral float counts as one, and
-    ``order`` lies in 2..2**16.
+    ``order`` lies in 2..2**16. A negative seed is refused:
+    ``random.Random`` seeds with its absolute value, so -s would repeat
+    the key of s.
     """
     order = _integer(order, "order")
     if not 2 <= order <= _MAX_KEY_ORDER:
         raise ValueError(f"key order must be in 2..{_MAX_KEY_ORDER}, got {order}")
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     perm = list(range(order))
-    random.Random(_integer(seed, "seed")).shuffle(perm)
+    random.Random(seed).shuffle(perm)
     return MappingKey(tuple(perm))
 
 

@@ -557,65 +557,38 @@ def _count(text: str, field: str) -> int:
 
 
 def read_results(path) -> list[BerRecord]:
-    """Read a results CSV, re-deriving and checking the stored rates."""
+    """Read a results CSV, re-deriving and checking the stored rates.
+
+    Each data line is one row, parsed on its own with strict quoting: a
+    quote left open at a line's end or followed by more text is refused,
+    never continued on the next line. A ``symbols_per_point`` metadata
+    line applies to the rows after it.
+    """
     records = []
     n_sym = None
     header = None
-    lineno = 0
-    pending = False  # a data line went to the reader and its row is not yet taken
-
-    def data_lines(fh):
-        # Reads metadata lines as the reader reaches them, so a
-        # ``symbols_per_point`` line applies to the rows after it.
-        nonlocal n_sym, lineno, pending
-        for number, line in enumerate(fh, start=1):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            if pending:
-                # The reader wants a second line for one row: a quoted field
-                # is still open at the end of the last one.
-                raise IntegrityError(f"{path}:{lineno}: unterminated quoted field")
-            if line.startswith("#"):
-                key, colon, value = line[1:].partition(":")
-                if colon and key.strip() == "symbols_per_point":
-                    value = value.strip()
-                    try:
-                        n_sym = _count(value, "symbols_per_point")
-                    except ValueError as exc:
-                        raise IntegrityError(f"{path}:{number}: {exc}") from exc
-                    if n_sym < 1:
-                        raise IntegrityError(
-                            f"{path}:{number}: symbols_per_point must be positive, got {value!r}"
-                        )
-                continue
-            pending = True
-            lineno = number
-            yield line
-
-    def rows(fh):
-        # The reader's own errors, such as a field over csv.field_size_limit().
-        try:
-            yield from csv.reader(data_lines(fh))
-        except csv.Error as exc:
-            raise IntegrityError(f"{path}:{lineno}: {exc}") from exc
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in rows(fh):
-            pending = False
-            if header is None:
-                header = tuple(row)
-                if header != RESULT_FIELDS:
-                    raise IntegrityError(
-                        f"{path}:{lineno}: unexpected header {header!r}"
-                    )
-                continue
-            if len(row) != len(RESULT_FIELDS):
-                raise IntegrityError(
-                    f"{path}:{lineno}: expected {len(RESULT_FIELDS)} fields,"
-                    f" got {len(row)}"
-                )
             try:
+                if line.startswith("#"):
+                    key, colon, value = line[1:].partition(":")
+                    if colon and key.strip() == "symbols_per_point":
+                        value = value.strip()
+                        n_sym = _count(value, "symbols_per_point")
+                        if n_sym < 1:
+                            raise ValueError(f"symbols_per_point must be positive, got {value!r}")
+                    continue
+                row = next(csv.reader([line], strict=True))
+                if header is None:
+                    header = tuple(row)
+                    if header != RESULT_FIELDS:
+                        raise ValueError(f"unexpected header {header!r}")
+                    continue
+                if len(row) != len(RESULT_FIELDS):
+                    raise ValueError(f"expected {len(RESULT_FIELDS)} fields, got {len(row)}")
                 rec = BerRecord(
                     receiver_label=row[0],
                     snr_db=float(row[1]),
@@ -626,13 +599,13 @@ def read_results(path) -> list[BerRecord]:
                     symbol_errors=_count(row[6], "symbol_errors"),
                     ser=float(row[7]),
                 )
-            except ValueError as exc:
+                if n_sym is not None and rec.ser != rec.symbol_errors / n_sym:
+                    raise ValueError(
+                        f"ser {rec.ser!r} != symbol_errors/symbols ({rec.symbol_errors}/{n_sym})"
+                    )
+            except (ValueError, csv.Error) as exc:
+                # csv's own errors include a field over csv.field_size_limit().
                 raise IntegrityError(f"{path}:{lineno}: {exc}") from exc
-            if n_sym is not None and rec.ser != rec.symbol_errors / n_sym:
-                raise IntegrityError(
-                    f"{path}:{lineno}: ser {rec.ser!r} != symbol_errors/symbols"
-                    f" ({rec.symbol_errors}/{n_sym})"
-                )
             records.append(rec)
     if header is None:
         raise IntegrityError(f"{path}: missing header row")

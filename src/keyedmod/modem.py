@@ -56,13 +56,13 @@ def value_dtype(bits_per_symbol: int) -> np.dtype:
 _MAX_BITS_PER_SYMBOL = 63
 
 
-def _bits_per_symbol(value) -> int:
-    """``value`` read as an integer in [1, 63]; else ``ValueError``."""
-    m = _integer(value, "bits_per_symbol")
+def _bits_per_symbol(value, field: str = "bits_per_symbol") -> int:
+    """``value`` read as an integer in [1, 63]; else ``ValueError`` naming ``field``."""
+    m = _integer(value, field)
     if m < 1:
-        raise ValueError(f"bits_per_symbol must be at least 1, got {m}")
+        raise ValueError(f"{field} must be at least 1, got {m}")
     if m > _MAX_BITS_PER_SYMBOL:
-        raise ValueError(f"bits_per_symbol must be at most {_MAX_BITS_PER_SYMBOL}, got {m}")
+        raise ValueError(f"{field} must be at most {_MAX_BITS_PER_SYMBOL}, got {m}")
     return m
 
 
@@ -72,13 +72,15 @@ def bits_to_values(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 1:
         raise ValueError("bit stream must be one-dimensional")
-    if bits.size:
-        if bits.dtype.kind in "biu":
-            binary = bits.min() >= 0 and bits.max() <= 1
-        else:
-            binary = np.isin(bits, (0, 1)).all()
-        if not binary:
-            raise ValueError("bit stream may only contain 0 and 1")
+    kind = bits.dtype.kind
+    if kind in "biu":
+        binary = not bits.size or (bits.min() >= 0 and bits.max() <= 1)
+    else:
+        # A complex stream is refused, empty or not: the cast below would
+        # drop its imaginary part.
+        binary = kind != "c" and np.isin(bits, (0, 1)).all()
+    if not binary:
+        raise ValueError("bit stream may only contain 0 and 1")
     if bits.size % bits_per_symbol:
         raise ValueError(
             f"bit stream length {bits.size} is not divisible by {bits_per_symbol}"
@@ -391,10 +393,14 @@ def count_prefix_errors(tx_values, m_tx: int, rx_values, m_rx: int) -> tuple[int
 
     A receiver resolving m' <= m bits per symbol is scored against the
     first (most significant) m' bits of each transmitted m-bit value.
-    Both streams must be one-dimensional and of equal length.
+    Both streams must be one-dimensional, of equal length and of an
+    integer dtype; ``m_tx`` and ``m_rx`` are read by the converters'
+    integer rule, 1..63.
     """
+    m_rx = _integer(m_rx, "m_rx")
     if m_rx < 1:
         raise ValueError(f"receiver resolves {m_rx} bits/symbol; it must resolve at least 1")
+    m_tx = _bits_per_symbol(m_tx, "m_tx")
     if m_rx > m_tx:
         raise ValueError(
             f"receiver resolves {m_rx} bits/symbol but sender packs only {m_tx};"
@@ -405,6 +411,11 @@ def count_prefix_errors(tx_values, m_tx: int, rx_values, m_rx: int) -> tuple[int
         raise ValueError(
             "sent and decoded values must be one-dimensional and of equal length,"
             f" got shapes {tx_values.shape} and {rx_values.shape}"
+        )
+    if tx_values.dtype.kind not in "iu" or rx_values.dtype.kind not in "iu":
+        raise ValueError(
+            "sent and decoded values must be of an integer dtype,"
+            f" got {tx_values.dtype} and {rx_values.dtype}"
         )
     diff = (tx_values >> (m_tx - m_rx)) ^ rx_values
     bit_errors = int(np.bitwise_count(diff).sum())

@@ -71,6 +71,12 @@ class TestSchemeCommands:
         assert a.stdout == b.stdout
         assert sorted(int(v) for v in a.stdout.strip().split(",")) == list(range(16))
 
+    def test_make_key_refuses_negative_seed(self):
+        proc = run_cli("scheme", "make-key", "--order", "16", "--seed", "-5")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "seed must be nonnegative, got -5" in proc.stderr
+
 
 class TestAnalyticCommand:
     def test_sweep_csv(self, tmp_path):

@@ -206,6 +206,12 @@ class TestMappingKey:
             with pytest.raises(ValueError, match=f"^{field} must be an integer"):
                 random_key(order, seed)
 
+    @pytest.mark.parametrize("seed", [-1, -5, np.int64(-7), -(2**64)])
+    def test_random_key_rejects_negative_seed(self, seed):
+        # random.Random seeds with the absolute value: -s would repeat the key of s.
+        with pytest.raises(ValueError, match=rf"^seed must be nonnegative, got {seed}$"):
+            random_key(16, seed)
+
     def test_random_key_uniform_over_s4(self):
         # 24000 draws with distinct seeds: every one of the 24 permutations
         # should land within 3 binomial sigma of its expected 1000 count,

@@ -1272,8 +1272,23 @@ class TestResultsIO:
         path.write_text(
             "\n".join([",".join(RESULT_FIELDS), row, '"intended,0.0', "# note", row]) + "\n"
         )
-        with pytest.raises(IntegrityError, match=r":3: unterminated quoted field"):
+        with pytest.raises(IntegrityError, match=r":3: unexpected end of data"):
             read_results(path)
+
+    def test_malformed_quote_named_by_its_line(self, tmp_path):
+        # A lax reader would load this label as eve_rect.
+        path = tmp_path / "quote.csv"
+        row = "eve_rect,0.0,400,100,40,0.4,20,0.2"
+        path.write_text("\n".join([",".join(RESULT_FIELDS), row, '"eve"' + row[3:]]) + "\n")
+        with pytest.raises(IntegrityError, match=r":3: ',' expected after '\"'$"):
+            read_results(path)
+
+    @pytest.mark.parametrize("label", ['a"b', '"quoted"', " padded ", "tab\there"])
+    def test_labels_that_need_quoting_round_trip(self, tmp_path, label):
+        rec = BerRecord(label, 0.0, 400, 100, 40, 0.4, 20, 0.2)
+        path = tmp_path / "out.csv"
+        write_results([rec, rec], path, {"symbols_per_point": 100})
+        assert read_results(path) == [rec, rec]
 
     def test_oversized_field_named_by_its_line(self, tmp_path):
         # A field over csv.field_size_limit() is a data error like any other.

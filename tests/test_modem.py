@@ -71,6 +71,8 @@ class TestModulate:
             np.array([0, -1], dtype=np.int8),
             np.array([1, 2], dtype=np.uint8),
             np.array([0.5, 1.0]),
+            np.array([1 + 0j, 0j]),
+            np.array([], dtype=complex),
         ):
             with pytest.raises(ValueError, match="0 and 1"):
                 modulate(bits, scheme)
@@ -822,6 +824,28 @@ class TestCountPrefixErrors:
         values = np.zeros(3, dtype=np.uint8)
         with pytest.raises(ValueError, match=f"resolves {m_rx} bits/symbol; it must resolve at least 1"):
             count_prefix_errors(values, 4, values, m_rx)
+
+    @pytest.mark.parametrize(
+        "m_tx, m_rx, match",
+        [
+            (True, 1, "^m_tx must be an integer, got True$"),
+            (2, True, "^m_rx must be an integer, got True$"),
+            (64, 1, "^m_tx must be at most 63, got 64$"),
+            (2.5, 1, "^m_tx must be an integer, got 2.5$"),
+        ],
+    )
+    def test_bit_counts_read_by_the_integer_rule(self, m_tx, m_rx, match):
+        values = np.zeros(3, dtype=np.uint8)
+        with pytest.raises(ValueError, match=match):
+            count_prefix_errors(values, m_tx, values, m_rx)
+        assert count_prefix_errors(values, 4.0, values, np.int64(2)) == (0, 0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, bool, object])
+    def test_rejects_values_not_of_integer_dtype(self, dtype):
+        values, other = np.zeros(3, dtype=np.uint8), np.zeros(3, dtype=dtype)
+        for tx, rx in [(other, values), (values, other)]:
+            with pytest.raises(ValueError, match="must be of an integer dtype"):
+                count_prefix_errors(tx, 2, rx, 2)
 
     def test_rejects_misshapen_streams(self):
         values = np.array([0, 1, 2, 3], dtype=np.uint8)
