@@ -88,10 +88,12 @@ def noise_spectral_density(es_over_n0_db: float) -> float:
     """N0 for unit symbol energy at the given Es/N0 in dB.
 
     The dB value is a real number but a bool; an integer beyond float64
-    reads as -inf or inf dB, so N0 is 0 above. Raises ``ValueError``
-    where N0 exceeds float64 (below about -3083 dB).
+    reads as -inf or inf dB, so N0 is 0 above. Raises ``ValueError`` for
+    NaN and where N0 exceeds float64 (below about -3083 dB).
     """
     snr_db = _real_float(es_over_n0_db, "es_over_n0_db")
+    if math.isnan(snr_db):
+        raise ValueError(f"Es/N0 must be a number of dB, got {snr_db}")
     try:
         n0 = 10.0 ** (-snr_db / 10.0)
     except OverflowError:

@@ -87,6 +87,12 @@ RNG_STREAM = 4
 #: changes every record.
 _BLOCK = 1 << 16
 
+#: Symbols per column tile of a block's cell work. Not part of the
+#: contract: counts are integer sums over disjoint columns, so any tile
+#: gives the same records. 2**15 keeps a tile's sent and received pairs
+#: (0.5 MiB each) and the decoder's scratch within a 2 MiB L2 cache.
+_TILE = 1 << 15
+
 #: Lane words of a block's substream key.
 _VALUE_LANE = 0
 _NOISE_LANE = 1
@@ -373,10 +379,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 for name in ("start", "stop", "step")
             )
             sweep = tuple(snr_grid_db(start, stop, step))
-        else:
+        elif isinstance(sweep_spec, (list, tuple)):
             sweep = tuple(
                 _number(v, f"snr_sweep_db[{i}]") for i, v in enumerate(sweep_spec)
             )
+        else:
+            raise ValueError(
+                "snr_sweep_db must be an array or a {start, stop, step} object,"
+                f" got {sweep_spec!r}"
+            )
+        if not isinstance(doc["receivers"], (list, tuple)):
+            raise ValueError(f"receivers must be an array, got {doc['receivers']!r}")
         receivers = []
         for i, r in enumerate(doc["receivers"]):
             _check_keys(r, ("label", "scheme", "key", "distance_m"), f"receiver {i}")
@@ -443,13 +456,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
     """Run the full sweep and return records ordered by (receiver, SNR).
 
     One loop on the caller, block by block. A block's values are drawn
-    once and mapped into the sent planes, and its unit normals z are
-    drawn once into the noise rows. Then at each sweep point each
-    receiver decodes and counts the received rows, sigma * z plus the
-    sent planes, which are written only when its effective SNR differs
-    from the last one written at that point: in ``receive`` mode one
-    scale and sum serves the whole roster. One sent, one noise and one
-    received pair of float64 rows hold a block, and die with the call.
+    once, and its unit normals z are drawn once into one noise pair of
+    float64 rows. Then the block's cells run tile by tile, over columns
+    of at most ``_TILE`` symbols: a tile's values are mapped into the
+    sent planes, and at each sweep point each receiver decodes and
+    counts the received rows, sigma * z plus the sent planes, which are
+    written only when its effective SNR differs from the last one
+    written at that point: in ``receive`` mode one scale and sum serves
+    the whole roster. A block-sized noise pair and tile-sized sent and
+    received pairs hold the work, and die with the call.
     """
     sender, rx_schemes = cfg.resolve_schemes()
     m_tx = sender.bits_per_symbol
@@ -460,34 +475,40 @@ def run_experiment(cfg: ExperimentConfig) -> list[BerRecord]:
         [cfg._effective_snr_db(snr_db, spec) for spec in cfg.receivers]
         for snr_db in cfg.snr_sweep_db
     ]
-    # Flat buffers reshaped per block keep a ragged last block C-contiguous.
-    width = 2 * min(n_sym, _BLOCK)
-    buffers = np.empty((3, width))
+    # Flat buffers reshaped per block and per tile keep a ragged last one
+    # C-contiguous.
+    noise_flat = np.empty(2 * min(n_sym, _BLOCK))
+    tile_flats = np.empty((2, 2 * min(n_sym, _TILE)))
     totals = [[[0, 0] for _ in cfg.receivers] for _ in cfg.snr_sweep_db]
     for block in range(-(-n_sym // _BLOCK)):
         size = min(_BLOCK, n_sym - block * _BLOCK)
-        sent, noise, received = (flat[: 2 * size].reshape(2, size) for flat in buffers)
+        noise = noise_flat[: 2 * size].reshape(2, size)
         value_rng = np.random.default_rng(_substream(cfg.seed, _VALUE_LANE, block))
-        tx_values = value_rng.integers(0, sender.order, size, dtype=tx_dtype)
-        # The values lie in range by construction; "clip" writes straight into
-        # ``sent``, where the default "raise" would fill a temporary copy first.
-        for axis, row in zip(tx_axes, sent):
-            np.take(axis, tx_values, out=row, mode="clip")
+        block_values = value_rng.integers(0, sender.order, size, dtype=tx_dtype)
         _noise_fill(_substream(cfg.seed, _NOISE_LANE, block), noise)
-        for snrs, point_totals in zip(eff_snrs, totals):
-            written = None
-            for snr, rx_scheme, counts in zip(snrs, rx_schemes, point_totals):
-                # Receivers in a row at one SNR share ``received``: a decode only reads it.
-                if snr != written:
-                    _scale_noise(noise, snr, out=received)
-                    received += sent
-                    written = snr
-                rx_values = nearest_point_values(received, rx_scheme)
-                bit_errors, symbol_errors = count_prefix_errors(
-                    tx_values, m_tx, rx_values, rx_scheme.bits_per_symbol
-                )
-                counts[0] += bit_errors
-                counts[1] += symbol_errors
+        for start in range(0, size, _TILE):
+            tx_values = block_values[start : start + _TILE]
+            width = tx_values.size
+            sent, received = (flat[: 2 * width].reshape(2, width) for flat in tile_flats)
+            z = noise[:, start : start + width]
+            # The values lie in range by construction; "clip" writes straight into
+            # ``sent``, where the default "raise" would fill a temporary copy first.
+            for axis, row in zip(tx_axes, sent):
+                np.take(axis, tx_values, out=row, mode="clip")
+            for snrs, point_totals in zip(eff_snrs, totals):
+                written = None
+                for snr, rx_scheme, counts in zip(snrs, rx_schemes, point_totals):
+                    # Receivers in a row at one SNR share ``received``: a decode only reads it.
+                    if snr != written:
+                        _scale_noise(z, snr, out=received)
+                        received += sent
+                        written = snr
+                    rx_values = nearest_point_values(received, rx_scheme)
+                    bit_errors, symbol_errors = count_prefix_errors(
+                        tx_values, m_tx, rx_values, rx_scheme.bits_per_symbol
+                    )
+                    counts[0] += bit_errors
+                    counts[1] += symbol_errors
 
     records = []
     for snrs, point_totals in zip(eff_snrs, totals):

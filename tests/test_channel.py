@@ -136,6 +136,11 @@ class TestAddAwgn:
         with pytest.raises(ValueError, match="^es_over_n0_db must be a real number"):
             noise_spectral_density(value)
 
+    @pytest.mark.parametrize("value", [math.nan, -math.nan, np.float32("nan")])
+    def test_noise_density_rejects_nan(self, value):
+        with pytest.raises(ValueError, match=r"^Es/N0 must be a number of dB, got nan$"):
+            noise_spectral_density(value)
+
 
 class TestPathLoss:
     def test_reference_distance(self):

@@ -41,7 +41,13 @@ from keyedmod.experiment import (
     run_experiment,
     write_results,
 )
-from keyedmod.modem import modulate, nearest_point_values, value_dtype, values_to_bits
+from keyedmod.modem import (
+    count_prefix_errors,
+    modulate,
+    nearest_point_values,
+    value_dtype,
+    values_to_bits,
+)
 
 A = math.sqrt(1.0 / 10.0)
 
@@ -310,6 +316,36 @@ class TestConfigValidation:
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            ("receivers", {"a": 1}, "{'a': 1}"),
+            ("receivers", "ab", "'ab'"),
+            ("receivers", None, "None"),
+            ("snr_sweep_db", "05", "'05'"),
+            ("snr_sweep_db", 5, "5"),
+            ("snr_sweep_db", None, "None"),
+        ],
+        ids=[
+            "receivers_object",
+            "receivers_string",
+            "receivers_null",
+            "sweep_string",
+            "sweep_number",
+            "sweep_null",
+        ],
+    )
+    def test_refuses_field_that_is_not_an_array(self, field, value, shown):
+        # Iterated as it was, a string or an object read as one and gave a
+        # misleading message about its first element, and a number raised
+        # "'int' object is not iterable".
+        doc = config_to_dict(small_config())
+        doc[field] = value
+        what = "an array or a {start, stop, step} object" if field == "snr_sweep_db" else "an array"
+        message = f"{field} must be {what}, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
         "where, key",
         [
             ((), "sweep_mod"),
@@ -489,6 +525,14 @@ class TestConfigValidation:
 #: Symbols per RNG block in stream contract 4.
 BLOCK = 1 << 16
 
+#: Symbols per column tile of a block's cell work; not part of the contract.
+TILE = experiment._TILE
+
+
+def tile_sizes(size):
+    """The widths of the tiles a block of ``size`` symbols runs in, in order."""
+    return [min(TILE, size - start) for start in range(0, size, TILE)]
+
 
 def contract_seed_sequence(seed, lane, block):
     """A block's substream, keyed as stream contract 4 states it.
@@ -544,6 +588,62 @@ def bit_domain_records(cfg):
                     ber=errors / compared,
                     symbol_errors=sym_errors,
                     ser=sym_errors / n_sym,
+                )
+            )
+    return sorted(records, key=lambda r: (r.receiver_label, r.snr_db))
+
+
+def untiled_records(cfg):
+    """Reference: the sweep with each block's cells run over the whole block.
+
+    The loop of stream contract 4 before tiling: one sent, one noise and
+    one received block-sized pair, and every decode and count sees a whole
+    block. Tiling sums the same counts over disjoint columns.
+    """
+    sender, rx_schemes = cfg.resolve_schemes()
+    m_tx = sender.bits_per_symbol
+    n_sym = cfg.symbols_per_point
+    eff_snrs = [
+        [cfg._effective_snr_db(snr_db, spec) for spec in cfg.receivers]
+        for snr_db in cfg.snr_sweep_db
+    ]
+    totals = [[[0, 0] for _ in cfg.receivers] for _ in cfg.snr_sweep_db]
+    for block, start in enumerate(range(0, n_sym, BLOCK)):
+        size = min(BLOCK, n_sym - start)
+        value_rng = np.random.default_rng(contract_seed_sequence(cfg.seed, 0, block))
+        values = value_rng.integers(0, sender.order, size, dtype=value_dtype(m_tx))
+        points = sender.mapped_points[values]
+        sent = np.stack((points.real, points.imag))
+        noise = np.empty((2, size))
+        channel._noise_fill(contract_seed_sequence(cfg.seed, 1, block), noise)
+        received = np.empty((2, size))
+        for snrs, point_totals in zip(eff_snrs, totals):
+            written = None
+            for snr, rx_scheme, counts in zip(snrs, rx_schemes, point_totals):
+                if snr != written:
+                    channel._scale_noise(noise, snr, out=received)
+                    received += sent
+                    written = snr
+                rx_values = nearest_point_values(received, rx_scheme)
+                errors = count_prefix_errors(values, m_tx, rx_values, rx_scheme.bits_per_symbol)
+                counts[0] += errors[0]
+                counts[1] += errors[1]
+    records = []
+    for snrs, point_totals in zip(eff_snrs, totals):
+        for spec, rx_scheme, eff_snr, (errors, symbol_errors) in zip(
+            cfg.receivers, rx_schemes, snrs, point_totals
+        ):
+            compared = n_sym * rx_scheme.bits_per_symbol
+            records.append(
+                BerRecord(
+                    receiver_label=spec.label,
+                    snr_db=eff_snr,
+                    tx_bits=n_sym * m_tx,
+                    compared_bits=compared,
+                    bit_errors=errors,
+                    ber=errors / compared,
+                    symbol_errors=symbol_errors,
+                    ser=symbol_errors / n_sym,
                 )
             )
     return sorted(records, key=lambda r: (r.receiver_label, r.snr_db))
@@ -758,7 +858,8 @@ class TestStreamContract:
         # With every noise fill made zeros, each receiver decodes the sent
         # planes themselves at every sweep point: per block, one draw of the
         # sender's values, keyed by the block alone and mapped once through
-        # its scheme.
+        # its scheme. A block's cells run tile by tile, so for every receiver
+        # at every point the block's tiles, in order, reassemble its planes.
         decoded = []
 
         def zero_fill(rng_seed, out):
@@ -773,17 +874,23 @@ class TestStreamContract:
         cfg = ragged_sweep()
         run_experiment(cfg)
         sender, _ = cfg.resolve_schemes()
-        decodes_per_block = len(cfg.receivers) * len(cfg.snr_sweep_db)
-        broadcasts = []
-        for block, size in enumerate((BLOCK, BLOCK, 4097)):
+        decodes_per_tile = len(cfg.receivers) * len(cfg.snr_sweep_db)
+        sizes = (BLOCK, BLOCK, 4097)
+        assert len(decoded) == sum(map(len, map(tile_sizes, sizes))) * decodes_per_tile == 5 * 4
+        calls = iter(decoded)
+        for block, size in enumerate(sizes):
             value_rng = np.random.default_rng(contract_seed_sequence(cfg.seed, 0, block))
             values = value_rng.integers(
                 0, sender.order, size, dtype=value_dtype(sender.bits_per_symbol)
             )
             points = sender.mapped_points[values]
-            broadcasts += [np.stack((points.real, points.imag))] * decodes_per_block
-        assert len(decoded) == len(broadcasts)
-        assert all(np.array_equal(got, sent) for got, sent in zip(decoded, broadcasts))
+            broadcast = np.stack((points.real, points.imag))
+            tiles = [
+                [next(calls) for _ in range(decodes_per_tile)] for _ in tile_sizes(size)
+            ]
+            for cell in range(decodes_per_tile):
+                got = np.concatenate([tile[cell] for tile in tiles], axis=1)
+                assert np.array_equal(got, broadcast)
 
     @pytest.mark.parametrize("mode", ["receive", "reference"])
     @pytest.mark.parametrize("n_receivers", [1, 2, 5])
@@ -818,9 +925,15 @@ class TestStreamContract:
         cfg = ragged_sweep(receivers=oracle_config(10_000).receivers)
         run_experiment(cfg)
         roster = len(cfg.receivers)
-        assert len(decoded) == 3 * len(cfg.snr_sweep_db) * roster
+        # Two tiles in each full block and one in the ragged block: one
+        # received pair per tile and point serves the roster.
+        widths = [w for size in (BLOCK, BLOCK, 4097) for w in tile_sizes(size)]
+        assert len(widths) == 5
+        assert len(decoded) == len(widths) * len(cfg.snr_sweep_db) * roster
         for start in range(0, len(decoded), roster):
             first, *others = decoded[start : start + roster]
+            width = widths[start // (roster * len(cfg.snr_sweep_db))]
+            assert first.shape == (2, width)
             assert all(np.array_equal(first, other) for other in others)
         # The two sweep points scale the noise differently.
         assert not np.array_equal(decoded[0], decoded[roster])
@@ -916,9 +1029,10 @@ class TestStreamContract:
         receivers = small_config().receivers + (ReceiverSpec("eve_bpsk", "bpsk"),)
         cfg = ragged_sweep(receivers=receivers, snr_sweep_db=(-45.0, 0.0, 10.0))
         run_experiment(cfg)
-        # Every receiver decodes both planes of every block at every point,
-        # and each block draws its unit normals once for the whole roster.
-        decodes = 3 * len(cfg.snr_sweep_db)
+        # Every receiver decodes both planes of every tile at every point,
+        # two tiles in each full block and one in the ragged block, and each
+        # block draws its unit normals once for the whole roster.
+        decodes = 5 * len(cfg.snr_sweep_db)
         assert Counter(names) == {
             "modem.nearest_point.qam16_circ": decodes,
             "modem.nearest_point.qam16_rect": decodes,
@@ -1047,6 +1161,54 @@ class TestStreamContract:
             finally:
                 tracemalloc.stop()
             assert peak_mb < 6.0
+
+    @pytest.mark.parametrize("mode", ["receive", "reference"])
+    @pytest.mark.parametrize(
+        "symbols", [BLOCK + TILE + 7, 2 * BLOCK], ids=["mid_tile", "tile_edge"]
+    )
+    def test_tiled_records_equal_untiled_records(self, mode, symbols):
+        # A mixed roster, keyed and unkeyed, of every scheme; in reference
+        # mode at 10, 10, 20, 10 and 40 m, so a received pair is shared,
+        # written anew and written again within each tile. The budget ends
+        # mid-tile or on a tile edge.
+        base = oracle_config(symbols)
+        distances = (10.0, 10.0, 20.0, 10.0, 40.0)
+        cfg = replace(
+            base,
+            sweep_mode=mode,
+            receivers=tuple(replace(r, distance_m=d) for r, d in zip(base.receivers, distances)),
+        )
+        assert len(tile_sizes(symbols % BLOCK or BLOCK)) == 2
+        assert run_experiment(cfg) == untiled_records(cfg)
+
+    def test_peak_memory_of_a_two_block_reference_sweep(self):
+        # The keyed QPSK link in reference mode over two blocks: one
+        # block-sized noise pair (1 MiB) and tile-sized sent and received
+        # pairs (0.5 MiB each), plus the decoder's scratch for one tile,
+        # come to 2.45 MiB. Block-sized sent and received pairs, with the
+        # decoder's scratch for a whole block, come to 3.82 MiB.
+        key = random_key(4, 3)
+        cfg = small_config(
+            sender_scheme="qpsk",
+            sender_key=key,
+            receivers=(
+                ReceiverSpec("intended", "qpsk", key=key, distance_m=10.0),
+                ReceiverSpec("eve_key", "qpsk", key=random_key(4, 4), distance_m=20.0),
+                ReceiverSpec("eve_bpsk", "bpsk", distance_m=40.0),
+            ),
+            snr_sweep_db=(20.0, 30.0),
+            sweep_mode="reference",
+            symbols_per_point=2 * BLOCK,
+        )
+        # The first decodes build the cached cell tables; keep them out of the peak.
+        run_experiment(replace(cfg, symbols_per_point=10_000))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 3.0
 
 
 class TestBerRecord:
