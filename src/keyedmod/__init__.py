@@ -8,4 +8,4 @@ and keys), :mod:`keyedmod.modem` (modulation and nearest-point decoding),
 and :mod:`keyedmod.experiment` (Monte Carlo sweeps and persistence).
 """
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"

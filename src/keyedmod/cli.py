@@ -138,13 +138,27 @@ def _cmd_secrecy_verify(args):
 
 
 def _cmd_permanent(args):
+    path = args.matrix
     rows = []
-    with open(args.matrix, "r", encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([int(v) for v in line.replace(",", " ").split()])
+            row = []
+            for v in line.replace(",", " ").split():
+                try:
+                    row.append(int(v))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: entry {v!r} is not an integer") from None
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{path}:{lineno}: row length {len(row)} differs from"
+                    f" the first row's {len(rows[0])}"
+                )
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: the file holds no rows")
     print(secrecy.permanent(rows))
     return 0
 

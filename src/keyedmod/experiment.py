@@ -28,7 +28,6 @@ persistence.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
@@ -434,6 +433,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
+    # Imported here: hashlib maps OpenSSL's libcrypto, about 3.5 MB of RSS
+    # that a process which never hashes a config need not carry.
+    import hashlib
+
     blob = json.dumps(config_to_dict(cfg), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

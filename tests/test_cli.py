@@ -187,6 +187,28 @@ class TestPermanentCommand:
         proc = run_cli("permanent", "--matrix", str(path))
         assert proc.returncode == 2
 
+    def test_ragged_rows_named_by_line(self, tmp_path):
+        path = tmp_path / "mat.txt"
+        path.write_text("# ragged\n1 1\n\n1\n")
+        proc = run_cli("permanent", "--matrix", str(path))
+        assert proc.returncode == 2
+        assert f"{path}:4: row length 1 differs from the first row's 2" in proc.stderr
+
+    def test_non_integer_entry_named_by_line(self, tmp_path):
+        path = tmp_path / "mat.txt"
+        path.write_text("1 0\n1.0 1\n")
+        proc = run_cli("permanent", "--matrix", str(path))
+        assert proc.returncode == 2
+        assert f"{path}:2: entry '1.0' is not an integer" in proc.stderr
+
+    @pytest.mark.parametrize("text", ["", "# comment only\n\n"], ids=["empty", "comments"])
+    def test_file_without_rows(self, tmp_path, text):
+        path = tmp_path / "mat.txt"
+        path.write_text(text)
+        proc = run_cli("permanent", "--matrix", str(path))
+        assert proc.returncode == 2
+        assert f"{path}: the file holds no rows" in proc.stderr
+
 
 class TestSimCommands:
     @pytest.fixture()

@@ -116,6 +116,38 @@ def test_first_decode_imports_no_masked_arrays():
     assert run_probe(probe) == expected
 
 
+def test_theory_calls_load_no_openssl():
+    # hashlib maps OpenSSL's libcrypto, and only config_digest imports it:
+    # the analytic, secrecy and decode calls and a CLI report that never
+    # hash a config leave _hashlib unloaded.
+    demo = Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+    probe = (
+        "import contextlib, io, sys\n"
+        "import numpy as np\n"
+        "from keyedmod import analytic, channel, cli, constellations, experiment, modem, secrecy\n"
+        "print(len(analytic.sweep([0.0, 10.0])))\n"
+        "print(0 < analytic.p_correct_all_symbols(analytic.SnrPoint.from_db(10.0)) < 1)\n"
+        "print(secrecy.verify_perfect_secrecy(16).passed)\n"
+        "print(secrecy.keyspace_report(16).shannon_bound_max_symbols)\n"
+        "print(secrecy.permanent([[1, 1], [1, 1]]))\n"
+        "for name in constellations.STANDARD_SCHEME_NAMES:\n"
+        "    scheme = constellations.make_standard_scheme(name)\n"
+        "    print(name, modem.nearest_point_values(np.array([0.1 + 0.2j]), scheme).size)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['secrecy', 'report', '--order', '16'])\n"
+        "print(code)\n"
+        "print('_hashlib' in sys.modules)\n"
+        f"experiment.config_digest(experiment.load_config({str(demo)!r}))\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    expected = (
+        ["2", "True", "True", "11", "2"]
+        + [f"{name} 1" for name in STANDARD_SCHEME_NAMES]
+        + ["0", "False", "True"]
+    )
+    assert run_probe(probe) == expected
+
+
 def test_multi_block_sweep_imports_no_thread_pool():
     # Two points of two blocks each, the last one ragged: the sweep runs
     # on the caller alone, so it starts no thread and loads no pool.

@@ -11,7 +11,10 @@ need an ``RNG_STREAM`` bump, recorded in CHANGES.md. The stock
 geometries' cell tables draw no random numbers and are pinned beside
 them, with the identity key and with one random key each: a change to
 the table build that moves any of their bytes fails ``test_cell_tables``
-or ``test_keyed_cell_tables``. After a bump, print
+or ``test_keyed_cell_tables``. The ``config_digest`` of each shipped
+config, which ``sim run`` writes into a results file's metadata, is
+pinned too: a change to ``config_to_dict`` or to the hash that moves one
+fails ``test_config_digests``. After a bump, print
 every value pinned here, from the repository root, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -108,6 +111,15 @@ KEYED_CELL_TABLE_DIGESTS = {
         "scale": 50.563392040604604,
     },
 }
+CONFIG_DIGESTS = {
+    "demo": "073f4e622f705d74",
+    "fig7": "306494b443a95a43",
+    "fig8": "8b6ddfe37f0b8690",
+    "fig9": "235e644eb75e0e6b",
+    "fig10": "cd749f24a6bb5b5c",
+    "fig11": "ec1015da21135ca6",
+    "fig12": "2cdc9405c4d760e0",
+}
 
 
 def substream_key_words():
@@ -191,6 +203,14 @@ def keyed_cell_table_digests():
     return digests
 
 
+def config_digests():
+    # Each shipped config's `# config_digest:` metadata, as `sim run` writes it.
+    return {
+        name: experiment.config_digest(load_config(CONFIGS / f"{name}.json"))
+        for name in CONFIG_DIGESTS
+    }
+
+
 def records_digest(cfg):
     records = run_experiment(cfg)
     body = io.StringIO()
@@ -217,6 +237,10 @@ def test_cell_tables():
 
 def test_keyed_cell_tables():
     assert keyed_cell_table_digests() == KEYED_CELL_TABLE_DIGESTS
+
+
+def test_config_digests():
+    assert config_digests() == CONFIG_DIGESTS
 
 
 def test_demo_roster_records():
@@ -247,3 +271,7 @@ if __name__ == "__main__":
                 print(f"        {field!r}: {digest!r},")
             print("    },")
         print("}")
+    print("CONFIG_DIGESTS = {")
+    for name, digest in config_digests().items():
+        print(f"    {name!r}: {digest!r},")
+    print("}")
