@@ -433,7 +433,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
-    # Imported here: hashlib maps OpenSSL's libcrypto, about 3.5 MB of RSS
+    # Imported here: hashlib maps OpenSSL's libcrypto, about 3.4 MB of RSS
     # that a process which never hashes a config need not carry.
     import hashlib
 
